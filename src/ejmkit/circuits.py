@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Z, as_state, kron, require_normalized
+from .linalg import I2, SIGMA_X, SIGMA_Z, kron, require_normalized
 from .ejm import EjmParams
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -126,8 +126,8 @@ class Circuit:
 
 def apply(c: Circuit, state) -> np.ndarray:
     """Run the circuit on a normalized two-qubit state."""
-    v = require_normalized(as_state(state))
-    if v.shape[0] != 4:
+    v = require_normalized(state)
+    if v.shape != (4,):
         raise ValueError("circuits act on two-qubit states")
     for g in c.gates:
         v = g.unitary() @ v
@@ -135,9 +135,9 @@ def apply(c: Circuit, state) -> np.ndarray:
 
 
 def outcome_probabilities(s) -> np.ndarray:
-    """Born-rule probabilities over |00>, |01>, |10>, |11>."""
-    s = require_normalized(as_state(s))
-    if s.shape[0] != 4:
+    """Born-rule probabilities over |00>, |01>, |10>, |11> (per state of a stack)."""
+    s = require_normalized(s)
+    if s.shape[-1] != 4:
         raise ValueError("expected a two-qubit state")
     return np.abs(s) ** 2
 

@@ -11,7 +11,7 @@ Subcommands:
 
 All angles are radians.  Output is deterministic: fixed field order and
 17-significant-digit floats.  Exit codes: 0 success, 1 invariant failure,
-2 parameter error.
+2 parameter error, 3 the --out file could not be written.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ import numpy as np
 
 from . import circuits, ejm, states
 from .ejm import EjmParams
-from .states import ParameterRangeError
-
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
+from .states import SQRT2, SQRT3, ParameterRangeError
 
 DEFAULT_Z = 1.0 / SQRT3
 DEFAULT_PHI = math.pi / 4
@@ -39,6 +36,23 @@ DEFAULT_THETA = math.pi / 3
 TOL_ALG = 1e-12
 TOL_PATH = 1e-11
 TOL_TRIG = 1e-10
+
+# verify metric -> the bound it must stay below; modulus_dev and pairwise_dev
+# count only where the geometry is non-degenerate and theta <= GEOMETRY_THETA_MAX
+CHECKS = {
+    "gram_dev": TOL_ALG,
+    "gram_closed_dev": TOL_ALG,
+    "completeness_residual": TOL_ALG,
+    "path_agreement_dev": TOL_PATH,
+    "antisymmetry_dev": TOL_ALG,
+    "reduced_closed_dev": TOL_TRIG,
+    "concurrence_dev": TOL_TRIG,
+}
+GEOMETRY_CHECKS = {"modulus_dev": TOL_TRIG, "pairwise_dev": TOL_TRIG}
+GEOMETRY_THETA_MAX = math.pi / 2 - 0.05
+
+# points per _verify_many call in sweep; bounds its working memory
+SWEEP_CHUNK = 256
 
 # Reference blocks: (z, phi) with, per state index, the unit vector m_i and
 # the sign pattern of the side-first reduced vector (1/2) cos(theta) * signs.
@@ -81,40 +95,43 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_value(v):
+    return float(fmt(v)) if isinstance(v, float) else v
+
+
 def _emit(rows, header, args):
     """Write a table as CSV or JSON (list of objects) per the format flag."""
     if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        _write("\n".join(lines) + "\n", args)
     else:
-        objs = [
-            {k: (float(fmt(v)) if isinstance(v, float) else v) for k, v in zip(header, row)}
-            for row in rows
-        ]
-        text = json.dumps(objs, indent=2) + "\n"
-    _write(text, args)
+        objs = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
+        _write(json.dumps(objs, indent=2) + "\n", args)
 
 
 def _emit_report(report: dict, args):
+    """Write a report as key,value CSV rows or as one JSON object."""
     if args.format == "csv":
-        lines = ["key,value"]
-        for k, v in report.items():
-            lines.append(f"{k},{fmt(v) if isinstance(v, float) else v}")
-        text = "\n".join(lines) + "\n"
+        _emit(report.items(), ["key", "value"], args)
     else:
-        clean = {k: (float(fmt(v)) if isinstance(v, float) else v) for k, v in report.items()}
-        text = json.dumps(clean, indent=2) + "\n"
-    _write(text, args)
+        _write(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2) + "\n", args)
+
+
+class OutputError(OSError):
+    """The --out file could not be written."""
 
 
 def _write(text: str, args):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def _params(args) -> EjmParams:
@@ -133,92 +150,86 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _verify_one(p: EjmParams) -> dict:
+def _verify_many(z, phi, theta) -> dict:
+    """Every verify metric at n triples at once, each an array of shape (n,).
+
+    Runs the three construction paths and all diagnostics on the stacked
+    basis.  "geometry_ok" is False where the reduced vectors vanish; there
+    modulus_dev and pairwise_dev are NaN.
+    """
+    p = EjmParams(z=z, phi=phi, theta=theta)
     b = ejm.build_basis(p)
-    kets = ejm.basis_from_kets(p)
-    pzf = ejm.basis_phi_z_form(p)
 
-    gram_dev = float(np.abs(ejm.gram_matrix(b) - np.eye(4)).max())
-    gram_closed_dev = float(np.abs(ejm.gram_matrix(b) - ejm.gram_closed(b)).max())
-    completeness = ejm.completeness_residual(b)
-    path_dev = max(
-        float(np.abs(np.array(b.states) - np.array(kets.states)).max()),
-        float(np.abs(np.array(b.states) - np.array(pzf.states)).max()),
-    )
+    def worst(x):
+        return np.abs(x).max(axis=(-2, -1))
 
+    gram = ejm.gram_matrix(b)
     tet = ejm.reduced_tetrahedron(b)
-    antisym_dev = float(np.abs(tet[:, 0] + tet[:, 1]).max())
-    reduced_closed_dev = float(np.abs(tet[:, 0] - ejm.reduced_tetrahedron_closed(b)).max())
-    conc_dev = max(
-        abs(states.concurrence_numeric(s) - states.concurrence_closed(SQRT3, p.theta))
-        for s in b.states
-    )
-
-    report = {
+    first = tet[..., 0, :]
+    conc_dev = states.concurrence_numeric(b.states) - states.concurrence_closed(SQRT3, p.theta)[..., None]
+    geo = ejm.tetrahedron_geometry_check(first, p.theta)
+    return {
         "z": p.z,
         "phi": p.phi,
         "theta": p.theta,
-        "gram_dev": gram_dev,
-        "gram_closed_dev": gram_closed_dev,
-        "completeness_residual": completeness,
-        "path_agreement_dev": path_dev,
-        "antisymmetry_dev": antisym_dev,
-        "reduced_closed_dev": reduced_closed_dev,
-        "concurrence_dev": float(conc_dev),
+        "gram_dev": worst(gram - np.eye(4)),
+        "gram_closed_dev": worst(gram - ejm.gram_closed(b)),
+        "completeness_residual": ejm.completeness_residual(b),
+        "path_agreement_dev": np.maximum(
+            worst(b.states - ejm.basis_from_kets(p).states),
+            worst(b.states - ejm.basis_phi_z_form(p).states),
+        ),
+        "antisymmetry_dev": worst(first + tet[..., 1, :]),
+        "reduced_closed_dev": worst(first - ejm.reduced_tetrahedron_closed(b)),
+        "concurrence_dev": np.abs(conc_dev).max(axis=-1),
+        "geometry_ok": ~geo.degenerate,
+        "modulus_dev": geo.modulus_dev,
+        "pairwise_dev": geo.pairwise_dev,
     }
-    try:
-        geo = ejm.tetrahedron_geometry_check(tet[:, 0], p.theta)
-        report["geometry"] = "ok"
-        report["modulus_dev"] = geo.modulus_dev
-        report["pairwise_dev"] = geo.pairwise_dev
-    except ejm.DegenerateGeometryError:
-        report["geometry"] = "degenerate"
-    return report
 
 
-def _verify_pass(report: dict) -> bool:
-    ok = (
-        report["gram_dev"] < TOL_ALG
-        and report["gram_closed_dev"] < TOL_ALG
-        and report["completeness_residual"] < TOL_ALG
-        and report["path_agreement_dev"] < TOL_PATH
-        and report["antisymmetry_dev"] < TOL_ALG
-        and report["reduced_closed_dev"] < TOL_TRIG
-        and report["concurrence_dev"] < TOL_TRIG
-    )
-    if report.get("geometry") == "ok" and report["theta"] <= math.pi / 2 - 0.05:
-        ok = ok and report["modulus_dev"] < TOL_TRIG and report["pairwise_dev"] < TOL_TRIG
-    return ok
+def _passes(rep: dict) -> np.ndarray:
+    """Per-point pass flags of a _verify_many report."""
+    ok = np.logical_and.reduce([rep[k] < tol for k, tol in CHECKS.items()])
+    geometry = np.logical_and.reduce([rep[k] < tol for k, tol in GEOMETRY_CHECKS.items()])
+    checked = rep["geometry_ok"] & (rep["theta"] <= GEOMETRY_THETA_MAX)
+    return ok & (geometry | ~checked)
 
 
 def cmd_verify(args) -> int:
-    p = _params(args)
-    report = _verify_one(p)
+    rep = _verify_many([args.z], [args.phi], [args.theta])
+    report = {k: float(rep[k][0]) for k in ("z", "phi", "theta", *CHECKS)}
+    if rep["geometry_ok"][0]:
+        report["geometry"] = "ok"
+        report.update((k, float(rep[k][0])) for k in GEOMETRY_CHECKS)
+    else:
+        report["geometry"] = "degenerate"
     report["report_tolerance"] = float(os.environ.get("EJM_TOLERANCE", TOL_TRIG))
-    ok = _verify_pass(report)
-    report["pass"] = bool(ok)
+    ok = bool(_passes(rep)[0])
+    report["pass"] = ok
     _emit_report(report, args)
     return 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
     n = args.grid
-    zs = np.linspace(1.0 / SQRT3, 1.0, n)
-    phis = np.linspace(-math.pi, math.pi, n)
-    thetas = np.linspace(0.0, math.pi / 2, n)
+    axes = (
+        np.linspace(ejm.Z_MIN, 1.0, n),
+        np.linspace(-math.pi, math.pi, n),
+        np.linspace(0.0, math.pi / 2, n),
+    )
     agg: dict = {}
     ok = True
-    for z in zs:
-        for phi in phis:
-            for theta in thetas:
-                rep = _verify_one(EjmParams(z=float(z), phi=float(phi), theta=float(theta)))
-                ok = ok and _verify_pass(rep)
-                for k, v in rep.items():
-                    if isinstance(v, float) and k.endswith(("_dev", "residual")):
-                        agg[k] = max(agg.get(k, 0.0), v)
+    for start in range(0, n**3, SWEEP_CHUNK):
+        flat = np.arange(start, min(start + SWEEP_CHUNK, n**3))
+        rep = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
+        ok = ok and bool(_passes(rep).all())
+        for k in (*CHECKS, *GEOMETRY_CHECKS):
+            # fmax skips the NaN of degenerate points
+            agg[k] = float(np.fmax.reduce(rep[k], initial=agg.get(k, 0.0)))
     agg["grid"] = n
     agg["points"] = int(n**3)
-    agg["pass"] = bool(ok)
+    agg["pass"] = ok
     _emit_report(agg, args)
     return 0 if ok else 1
 
@@ -229,11 +240,10 @@ def cmd_table1(args) -> int:
     worst = 0.0
     for z, phi, entries in TABLE1_BLOCKS:
         p = EjmParams(z=z, phi=phi, theta=theta)
-        b = ejm.build_basis(p)
-        assign = ejm.ParamAssignment.from_params(p)
-        tet = ejm.reduced_tetrahedron(b)
+        zs, phis = p.zs, p.phis
+        tet = ejm.reduced_tetrahedron(ejm.build_basis(p))
         for i in range(4):
-            m = states.unit_vector_m(assign.zs[i], assign.phis[i])
+            m = states.unit_vector_m(zs[i], phis[i])
             expected_m = np.array(entries[i][0], dtype=float) * entries[i][1]
             expected_r = 0.5 * math.cos(theta) * np.array(REDUCED_SIGNS[i], dtype=float)
             worst = max(
@@ -241,22 +251,8 @@ def cmd_table1(args) -> int:
                 float(np.abs(m - expected_m).max()),
                 float(np.abs(tet[i, 0] - expected_r).max()),
             )
-            rows.append(
-                [
-                    float(z),
-                    float(phi),
-                    p.phi_z,
-                    i,
-                    float(assign.zs[i]),
-                    float(assign.phis[i]),
-                    float(m[0]),
-                    float(m[1]),
-                    float(m[2]),
-                    float(tet[i, 0, 0]),
-                    float(tet[i, 0, 1]),
-                    float(tet[i, 0, 2]),
-                ]
-            )
+            vectors = [float(x) for x in (*m, *tet[i, 0])]
+            rows.append([float(z), float(phi), p.phi_z, i, float(zs[i]), float(phis[i]), *vectors])
     header = ["z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z"]
     _emit(rows, header, args)
     return 0 if worst < TOL_TRIG else 1
@@ -356,6 +352,9 @@ def main(argv=None) -> int:
     except ParameterRangeError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,36 +11,59 @@ Three independent construction paths are provided and agree elementwise:
 the tensor-product path (basis_from_kets), the simplified coefficient path
 (build_basis, the canonical one) and the phi_z-rotated path
 (basis_phi_z_form).
+
+Everything here is array-shaped.  z, phi and theta may be broadcastable
+arrays; a basis then has shape (..., 4, 4), with state i at [..., i, :],
+and every diagnostic keeps the leading axes.  A triple of floats is the
+n = 1 case of the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import I4, inner, outer
+from .linalg import I4, outer
 from .states import (
     SQRT2,
     SQRT3,
-    ParameterRangeError,
     _check_half_angle,
+    _clip,
+    _plain,
+    _require,
+    _rotated_pair,
+    reduced_bloch,
     wrap_angle,
 )
 
 Z_MIN = 1.0 / SQRT3
 
-PHI_SHIFTS = (0.0, math.pi / 2, -math.pi, -math.pi / 2)
-Z_SIGNS = (1.0, -1.0, 1.0, -1.0)
+PHI_SHIFTS = np.array([0.0, math.pi / 2, -math.pi, -math.pi / 2])
+Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+# index pairs i < j of the four tetrahedron vertices
+_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
-def sng(x: float) -> float:
-    """Sign function with sng(0) = +1 (unreachable on the valid domain)."""
-    return -1.0 if x < 0 else 1.0
+def sng(x):
+    """Sign function with sng(0) = +1 (unreachable on the valid domain), elementwise."""
+    return _plain(1.0 - 2.0 * (np.asarray(x) < 0))
 
 
-def _root_3z2m1(z: float) -> float:
+def _per_state(x) -> np.ndarray:
+    """A per-point quantity with a trailing axis that broadcasts over the four states."""
+    return np.asarray(x)[..., None]
+
+
+def _stack(*columns) -> np.ndarray:
+    """Broadcast the columns and stack them along a new last axis."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _root_3z2m1(z):
     """sqrt(3 z^2 - 1), snapped to 0 at the representation boundary.
 
     1/sqrt(3) is not a binary float; without the snap the nearest double
@@ -48,33 +71,40 @@ def _root_3z2m1(z: float) -> float:
     derived quantity at the lower z bound.
     """
     t = 3.0 * z * z - 1.0
-    return 0.0 if t < 1e-14 else math.sqrt(t)
+    return np.sqrt(np.where(t < 1e-14, 0.0, t))
 
 
-def _check_ejm_z(z: float) -> float:
-    z = float(z)
-    if not math.isfinite(z) or abs(z) < Z_MIN - 1e-12 or abs(z) > 1.0 + 1e-12:
-        raise ParameterRangeError(
-            f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {z!r}"
-        )
-    return min(max(z, -1.0), 1.0)
+def _check_ejm_z(z):
+    z = np.asarray(z, dtype=float)
+    ok = (np.abs(z) >= Z_MIN - 1e-12) & (np.abs(z) <= 1.0 + 1e-12)
+    _require(z, ok, f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {{!r}}")
+    return _clip(z, -1.0, 1.0)
 
 
-def phi_z(z: float) -> float:
+def _cos_term(z):
+    """sqrt(1 - z^2), the |z|-dependent real part of the |00>/|11> amplitudes."""
+    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
+
+
+def phi_z(z):
     """Rotation angle with cos = sqrt(1-z^2)/(sqrt(2)|z|), sin = sqrt(3z^2-1)/(sqrt(2)|z|).
 
-    Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1.
+    Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1; elementwise on arrays.
     """
-    z = _check_ejm_z(z)
-    c = math.sqrt(max(1.0 - z * z, 0.0))
-    return math.atan2(_root_3z2m1(z), c)
+    return _phi_z(_check_ejm_z(z))
+
+
+def _phi_z(z):
+    return _plain(np.arctan2(_root_3z2m1(z), _cos_term(z)))
 
 
 @dataclass(frozen=True)
 class EjmParams:
     """The measurement-basis triple (z, phi, theta).
 
-    theta0 and phi_z are derived; phi is wrapped into [-pi, pi].
+    Each field is a float or an array; arrays broadcast against each other
+    and describe a stack of bases.  theta0 and phi_z are derived; phi is
+    wrapped into (-pi, pi].
     """
 
     z: float
@@ -87,132 +117,92 @@ class EjmParams:
         object.__setattr__(self, "theta", _check_half_angle(self.theta, "theta"))
 
     @property
-    def theta0(self) -> float:
+    def theta0(self):
         # arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
         # from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2)
-        return math.atan2(1.0, _root_3z2m1(self.z))
+        return _plain(np.arctan2(1.0, _root_3z2m1(self.z)))
+
+    @cached_property
+    def phi_z(self):
+        # computed once: the circuits read phi_prime several times per request
+        return _phi_z(self.z)
 
     @property
-    def phi_z(self) -> float:
-        return phi_z(self.z)
-
-    @property
-    def phi_prime(self) -> float:
+    def phi_prime(self):
         """phi - phi_z, the angle entering the circuits."""
         return self.phi - self.phi_z
 
+    @property
+    def zs(self) -> np.ndarray:
+        """Per-state z_i = z * Z_SIGNS, shape (..., 4)."""
+        return np.multiply.outer(self.z, Z_SIGNS)
 
-@dataclass(frozen=True)
-class ParamAssignment:
-    """Per-index (phi_i, z_i) assignment behind the four basis states."""
-
-    phis: tuple
-    zs: tuple
-
-    @classmethod
-    def from_params(cls, p: EjmParams) -> "ParamAssignment":
-        return cls(
-            phis=tuple(p.phi + d for d in PHI_SHIFTS),
-            zs=tuple(s * p.z for s in Z_SIGNS),
-        )
+    @property
+    def phis(self) -> np.ndarray:
+        """Per-state phi_i = phi + PHI_SHIFTS, shape (..., 4)."""
+        return np.add.outer(self.phi, PHI_SHIFTS)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Closed-form amplitude coefficients of the basis states.
+def _coefficients(p: EjmParams):
+    """Closed-form amplitude coefficients (a_+, a_-, b_+, b_-) of the basis states.
 
-    r_plus/r_minus are the theta0 phase combinations; a_plus/a_minus carry
-    the |00>/|11> amplitudes; b_theta[i] = (b_{i,+}, b_{i,-}) carry the
-    |01>/|10> amplitudes of state i.
+    a_+ and a_- carry the |00>/|11> amplitudes, shape (...); b_+ and b_-
+    carry the |01>/|10> amplitudes, shape (..., 4) with one column per state.
     """
+    s = _root_3z2m1(p.z)
+    c = _cos_term(p.z)
+    az_e = _per_state(np.abs(p.z) * np.exp(1j * p.theta))
+    return (1j * s + c) / SQRT2, (1j * s - c) / SQRT2, (p.zs + az_e) / SQRT2, (p.zs - az_e) / SQRT2
 
-    r_plus: complex
-    r_minus: complex
-    a_plus: complex
-    a_minus: complex
-    b_theta: tuple
 
-    @classmethod
-    def from_params(cls, p: EjmParams) -> "CoefficientSet":
-        t0 = p.theta0
-        s = _root_3z2m1(p.z)
-        c = math.sqrt(max(1.0 - p.z * p.z, 0.0))
-        az = abs(p.z)
-        e_th = np.exp(1j * p.theta)
-        assign = ParamAssignment.from_params(p)
-        return cls(
-            r_plus=complex((1.0 + np.exp(2j * t0)) / SQRT2),
-            r_minus=complex((1.0 - np.exp(2j * t0)) / SQRT2),
-            a_plus=complex((1j * s + c) / SQRT2),
-            a_minus=complex((1j * s - c) / SQRT2),
-            b_theta=tuple(
-                (complex((zi + az * e_th) / SQRT2), complex((zi - az * e_th) / SQRT2))
-                for zi in assign.zs
-            ),
-        )
+def _theta0_phase(z):
+    """e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2), formed without arcsin."""
+    return (_root_3z2m1(z) + 1j) / np.sqrt(3.0 * z * z)
 
 
 @dataclass(frozen=True)
 class EjmBasis:
-    """The four basis states together with their defining parameters."""
+    """The four basis states together with their defining parameters.
+
+    states has shape (..., 4, 4); states[..., i, :] is basis state i.
+    """
 
     params: EjmParams
-    states: tuple
+    states: np.ndarray
     phi_z: float
 
     def __iter__(self):
         return iter(self.states)
 
 
+def _basis(p: EjmParams, pre, amplitudes) -> EjmBasis:
+    states = _per_state(_per_state(pre)) * _stack(*amplitudes)
+    return EjmBasis(params=p, states=states, phi_z=p.phi_z)
+
+
 def build_basis(p: EjmParams) -> EjmBasis:
     """Canonical basis constructor via the simplified coefficient form."""
-    s = _root_3z2m1(p.z)
-    pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z)
-    coeff = CoefficientSet.from_params(p)
-    assign = ParamAssignment.from_params(p)
-    states = []
-    for i in range(4):
-        b_plus, b_minus = coeff.b_theta[i]
-        e = np.exp(1j * assign.phis[i])
-        states.append(
-            pre
-            * np.array(
-                [
-                    coeff.a_plus / e,
-                    -b_plus,
-                    -b_minus,
-                    coeff.a_minus * e,
-                ]
-            )
-        )
-    return EjmBasis(params=p, states=tuple(states), phi_z=p.phi_z)
+    a_plus, a_minus, b_plus, b_minus = _coefficients(p)
+    pre = (1.0 - 1j * _root_3z2m1(p.z)) / (2.0 * SQRT3 * p.z * p.z)
+    e = np.exp(1j * p.phis)
+    return _basis(p, pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
+
+
+def _pair(u, v) -> np.ndarray:
+    """|u, v> for stacked qubit states u and v, shape (..., 4)."""
+    return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (4,))
 
 
 def basis_from_kets(p: EjmParams) -> EjmBasis:
     """Basis via the tensor-product definition with weight a = sqrt(3).
 
-    e^{i theta0} is formed algebraically as (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2)
-    rather than through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
+    e^{i theta0} is formed algebraically (_theta0_phase) rather than
+    through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
     """
-    from .states import ket_m, ket_minus_m
-    from .linalg import kron
-
-    assign = ParamAssignment.from_params(p)
-    s = _root_3z2m1(p.z)
-    e_t0 = (s + 1j) / math.sqrt(3.0 * p.z * p.z)
-    w = 1j * e_t0
-    e_th = np.exp(1j * p.theta)
-    states = []
-    for zi, phii in zip(assign.zs, assign.phis):
-        m = ket_m(zi, phii)
-        mm = ket_minus_m(zi, phii)
-        m0 = ((1.0 - w) * m + (1.0 + w) * mm) / 2.0
-        m1 = ((1.0 + w) * m + (1.0 - w) * mm) / 2.0
-        states.append(
-            ((SQRT3 + e_th) * kron(m0, m1) + (SQRT3 - e_th) * kron(m1, m0))
-            / (2.0 * SQRT2)
-        )
-    return EjmBasis(params=p, states=tuple(states), phi_z=p.phi_z)
+    m0, m1 = _rotated_pair(p.zs, p.phis, _per_state(_per_state(1j * _theta0_phase(p.z))))
+    e_th = _per_state(_per_state(np.exp(1j * p.theta)))
+    states = ((SQRT3 + e_th) * _pair(m0, m1) + (SQRT3 - e_th) * _pair(m1, m0)) / (2.0 * SQRT2)
+    return EjmBasis(params=p, states=states, phi_z=p.phi_z)
 
 
 def basis_phi_z_form(p: EjmParams) -> EjmBasis:
@@ -223,87 +213,58 @@ def basis_phi_z_form(p: EjmParams) -> EjmBasis:
     general form below covers z < 0 as well through sng(z_i) and agrees
     elementwise with build_basis.
     """
-    s = _root_3z2m1(p.z)
-    pre = (1.0 - 1j * s) / (2.0 * math.sqrt(3.0 * p.z * p.z))
-    assign = ParamAssignment.from_params(p)
-    e_th = np.exp(1j * p.theta)
-    states = []
-    for i in range(4):
-        g = sng(assign.zs[i])
-        e = np.exp(1j * (assign.phis[i] - p.phi_z))
-        states.append(
-            pre
-            * np.array(
-                [
-                    1.0 / e,
-                    -(g + e_th) / SQRT2,
-                    -(g - e_th) / SQRT2,
-                    -e,
-                ]
-            )
-        )
-    return EjmBasis(params=p, states=tuple(states), phi_z=p.phi_z)
+    pre = (1.0 - 1j * _root_3z2m1(p.z)) / (2.0 * np.sqrt(3.0 * p.z * p.z))
+    g = sng(p.zs)
+    e = np.exp(1j * (p.phis - _per_state(p.phi_z)))
+    e_th = _per_state(np.exp(1j * p.theta))
+    return _basis(p, pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
 
 
 def gram_matrix(b: EjmBasis) -> np.ndarray:
-    """4x4 matrix of pairwise inner products <Phi_i|Phi_j>."""
-    return np.array([[inner(u, v) for v in b.states] for u in b.states])
+    """Matrix of pairwise inner products <Phi_i|Phi_j>, shape (..., 4, 4)."""
+    return b.states.conj() @ np.swapaxes(b.states, -1, -2)
 
 
 def gram_closed(b: EjmBasis) -> np.ndarray:
-    """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1]."""
-    assign = ParamAssignment.from_params(b.params)
-    out = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = 0.25 * (
-                2.0 * math.cos(assign.phis[i] - assign.phis[j])
-                + sng(assign.zs[i] * assign.zs[j])
-                + 1.0
-            )
-    return out
+    """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
+    phis, zs = b.params.phis, b.params.zs
+    return 0.25 * (
+        2.0 * np.cos(phis[..., :, None] - phis[..., None, :])
+        + sng(zs[..., :, None] * zs[..., None, :])
+        + 1.0
+    )
 
 
-def projectors(b: EjmBasis) -> list:
-    """Rank-1 projectors |Phi_i><Phi_i|."""
-    return [outer(s) for s in b.states]
+def projectors(b: EjmBasis) -> np.ndarray:
+    """Rank-1 projectors |Phi_i><Phi_i|, shape (..., 4, 4, 4) with i on axis -3."""
+    return outer(b.states)
 
 
-def completeness_residual(b: EjmBasis) -> float:
-    """Max-abs entry of sum_i |Phi_i><Phi_i| - I."""
-    acc = sum(projectors(b)) - I4
-    return float(np.abs(acc).max())
+def completeness_residual(b: EjmBasis):
+    """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
+    total = np.swapaxes(b.states, -1, -2) @ b.states.conj()
+    return _plain(np.abs(total - I4).max(axis=(-2, -1)))
 
 
 def reduced_tetrahedron(b: EjmBasis) -> np.ndarray:
-    """Per-state, per-side reduced Bloch vectors, shape (4, 2, 3).
+    """Per-state, per-side reduced Bloch vectors, shape (..., 4, 2, 3).
 
-    [:, 0] is the side-first vector, [:, 1] the side-second (its exact
-    negation).  All norms equal (sqrt(3)/2) cos theta.
+    [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
+    exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    from .states import reduced_bloch
-
-    out = np.empty((4, 2, 3))
-    for i, s in enumerate(b.states):
-        out[i, 0] = reduced_bloch(s, "first")
-        out[i, 1] = reduced_bloch(s, "second")
-    return out
+    return np.stack([reduced_bloch(b.states, "first"), reduced_bloch(b.states, "second")], axis=-2)
 
 
 def reduced_tetrahedron_closed(b: EjmBasis) -> np.ndarray:
-    """Closed form of the side-first vectors, shape (4, 3).
+    """Closed form of the side-first vectors, shape (..., 4, 3).
 
     (1/sqrt(2)) cos theta (cos(phi_i - phi_z), sin(phi_i - phi_z),
     sng(z_i)/sqrt(2)); for z > 0 the last component is (-1)^i/sqrt(2).
     """
     p = b.params
-    assign = ParamAssignment.from_params(p)
-    scale = math.cos(p.theta) / SQRT2
-    out = np.empty((4, 3))
-    for i in range(4):
-        d = assign.phis[i] - p.phi_z
-        out[i] = scale * np.array([math.cos(d), math.sin(d), sng(assign.zs[i]) / SQRT2])
-    return out
+    d = p.phis - _per_state(p.phi_z)
+    scale = _per_state(_per_state(np.cos(p.theta) / SQRT2))
+    return scale * _stack(np.cos(d), np.sin(d), sng(p.zs) / SQRT2)
 
 
 class DegenerateGeometryError(ValueError):
@@ -312,33 +273,44 @@ class DegenerateGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class GeometryReport:
+    """Worst deviations per set of four vectors; NaN where the set is degenerate."""
+
     modulus_dev: float
     pairwise_dev: float
+    degenerate: bool = False
 
 
-def tetrahedron_geometry_check(vectors, theta: float) -> GeometryReport:
+def tetrahedron_geometry_check(vectors, theta) -> GeometryReport:
     """Check four Bloch vectors against the regular-tetrahedron geometry.
 
     modulus_dev is the worst deviation of |v_i| from (sqrt(3)/2) cos theta;
     pairwise_dev the worst deviation of unit-vector dot products from -1/3.
+    vectors has shape (4, 3) or (..., 4, 3) with theta broadcasting over
+    the leading axes.  A single degenerate set (a zero-length vector, as at
+    theta = pi/2) raises DegenerateGeometryError; in a stack such sets are
+    flagged in `degenerate` instead.
     """
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != (4, 3):
+    if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms < 1e-12):
+    norms = np.linalg.norm(vectors, axis=-1)
+    degenerate = np.any(norms < 1e-12, axis=-1)
+    if vectors.ndim == 2 and degenerate:
         raise DegenerateGeometryError("zero-length reduced vectors (theta = pi/2)")
-    target = (SQRT3 / 2.0) * math.cos(theta)
-    modulus_dev = float(np.abs(norms - target).max())
-    units = vectors / norms[:, None]
-    pairwise_dev = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pairwise_dev = max(pairwise_dev, abs(float(units[i] @ units[j]) + 1.0 / 3.0))
-    return GeometryReport(modulus_dev=modulus_dev, pairwise_dev=pairwise_dev)
+    target = (SQRT3 / 2.0) * np.cos(theta)
+    modulus_dev = np.abs(norms - _per_state(target)).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        units = vectors / norms[..., None]
+    dots = units @ np.swapaxes(units, -1, -2)
+    pairwise_dev = np.abs(dots[..., _PAIRS[0], _PAIRS[1]] + 1.0 / 3.0).max(axis=-1)
+    return GeometryReport(
+        modulus_dev=_plain(np.where(degenerate, np.nan, modulus_dev)),
+        pairwise_dev=_plain(np.where(degenerate, np.nan, pairwise_dev)),
+        degenerate=degenerate,
+    )
 
 
-def single_param_reduction(z: float, theta: float) -> EjmBasis:
+def single_param_reduction(z, theta) -> EjmBasis:
     """Basis at phi = phi_z(z) + pi/4, which is independent of z.
 
     This recovers the earlier one-parameter measurement family: for any

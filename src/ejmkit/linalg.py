@@ -1,9 +1,10 @@
 """Minimal dense complex linear algebra for 2- and 4-dimensional spaces.
 
 Everything is a plain ``numpy`` array of ``complex128``: state vectors are
-1-D arrays of length 2 or 4, operators are square matrices of the same
-dimensions.  Qubit 0 is always the LEFT tensor factor, so the two-qubit
-computational basis is ordered |00>, |01>, |10>, |11>.
+arrays of length 2 or 4 along the last axis, so a stack of states has shape
+(..., 2) or (..., 4); operators are square matrices of the same dimensions.
+Qubit 0 is always the LEFT tensor factor, so the two-qubit computational
+basis is ordered |00>, |01>, |10>, |11>.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a complex 1-D array of dimension 2 or 4."""
+    """Coerce to complex state vectors: dimension 2 or 4 along the last axis."""
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] not in (2, 4):
+    if v.ndim == 0 or v.shape[-1] not in (2, 4):
         raise ValueError(f"state vector must have dimension 2 or 4, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector contains non-finite entries")
@@ -61,30 +62,26 @@ def inner(u, v) -> complex:
     """Inner product <u|v> with conjugation on the first argument."""
     u = as_state(u)
     v = as_state(v)
-    if u.shape != v.shape:
-        raise ValueError("inner product requires equal dimensions")
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError("inner product requires two vectors of equal dimension")
     return complex(np.vdot(u, v))
 
 
 def outer(u, v=None) -> np.ndarray:
-    """|u><v| (|u><u| if v is omitted)."""
+    """|u><v| (|u><u| if v is omitted), shape (..., d, d) for stacked vectors."""
     u = as_state(u)
     v = u if v is None else as_state(v)
-    return np.outer(u, v.conj())
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=complex)))
-
-
-def is_normalized(v, atol: float = ATOL_ALG) -> bool:
-    return abs(norm(v) - 1.0) < atol
+    return u[..., :, None] * v.conj()[..., None, :]
 
 
 def require_normalized(v, atol: float = ATOL_TRIG) -> np.ndarray:
+    """as_state, with every vector of unit norm to within atol."""
     v = as_state(v)
-    if not is_normalized(v, atol):
-        raise ValueError(f"state is not normalized: |v| = {norm(v)!r}")
+    norms = np.linalg.norm(v, axis=-1)
+    dev = np.abs(norms - 1.0)
+    if not (dev < atol).all():
+        worst = np.ravel(norms)[np.argmax(dev)]
+        raise ValueError(f"state is not normalized: |v| = {float(worst)!r}")
     return v
 
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    PAULIS,
-    I2,
-    kron,
-    outer,
-    partial_trace,
-    require_normalized,
-)
+from .linalg import kron, outer, require_normalized
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -31,24 +24,45 @@ class ParameterRangeError(ValueError):
     """A construction parameter lies outside its admissible range."""
 
 
-def wrap_angle(phi: float) -> float:
-    """Wrap an angle into [-pi, pi]."""
-    w = math.remainder(float(phi), 2.0 * math.pi)
-    return w
+def _plain(x):
+    """A 0-d numpy result as a Python float; arrays pass through."""
+    return float(x) if x.ndim == 0 else x
 
 
-def _check_z(z: float) -> float:
-    z = float(z)
-    if not math.isfinite(z) or abs(z) > 1.0 + 1e-15:
-        raise ParameterRangeError(f"|z| <= 1 required, got z = {z!r}")
-    return min(max(z, -1.0), 1.0)
+def _require(x: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """ParameterRangeError naming the first entry of x where ok is False.
+
+    NaN compares False, so a bounded range check rejects it as well.
+    """
+    if not ok.all():
+        raise ParameterRangeError(message.format(float(x[~ok][0])))
 
 
-def _check_half_angle(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < -1e-15 or value > math.pi / 2 + 1e-15:
-        raise ParameterRangeError(f"{name} must lie in [0, pi/2], got {value!r}")
-    return min(max(value, 0.0), math.pi / 2)
+def _clip(x, lo: float, hi: float):
+    return _plain(np.minimum(np.maximum(x, lo), hi))
+
+
+def wrap_angle(phi):
+    """Wrap an angle, or an array of angles, into (-pi, pi]."""
+    phi = np.asarray(phi, dtype=float)
+    _require(phi, np.isfinite(phi), "phi must be finite, got {!r}")
+    # fmod and the one-period shift are exact, so angles inside (-pi, pi] come back unchanged
+    w = np.fmod(phi, 2.0 * math.pi)
+    w = np.where(w > math.pi, w - 2.0 * math.pi, w)
+    return _plain(np.where(w <= -math.pi, w + 2.0 * math.pi, w))
+
+
+def _check_z(z):
+    z = np.asarray(z, dtype=float)
+    _require(z, np.abs(z) <= 1.0 + 1e-15, "|z| <= 1 required, got z = {!r}")
+    return _clip(z, -1.0, 1.0)
+
+
+def _check_half_angle(value, name: str):
+    value = np.asarray(value, dtype=float)
+    ok = (value >= -1e-15) & (value <= math.pi / 2 + 1e-15)
+    _require(value, ok, f"{name} must lie in [0, pi/2], got {{!r}}")
+    return _clip(value, 0.0, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -84,26 +98,33 @@ def unit_vector_m(z: float, phi: float) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
-def ket_m(z: float, phi: float) -> np.ndarray:
-    """Qubit state whose Bloch vector is unit_vector_m(z, phi)."""
-    z = _check_z(z)
-    return np.array(
-        [
-            math.sqrt(1.0 + z) * np.exp(-0.5j * phi),
-            math.sqrt(1.0 - z) * np.exp(0.5j * phi),
-        ]
+def _ket(upper, lower, phi) -> np.ndarray:
+    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) along a new last axis."""
+    phi = np.asarray(phi)
+    return np.stack(
+        np.broadcast_arrays(upper * np.exp(-0.5j * phi), lower * np.exp(0.5j * phi)), axis=-1
     ) / SQRT2
 
 
-def ket_minus_m(z: float, phi: float) -> np.ndarray:
+def ket_m(z, phi) -> np.ndarray:
+    """Qubit state whose Bloch vector is unit_vector_m(z, phi).
+
+    z and phi broadcast; the state is the last axis.
+    """
+    z = _check_z(z)
+    return _ket(np.sqrt(1.0 + z), np.sqrt(1.0 - z), phi)
+
+
+def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
     z = _check_z(z)
-    return np.array(
-        [
-            math.sqrt(1.0 - z) * np.exp(-0.5j * phi),
-            -math.sqrt(1.0 + z) * np.exp(0.5j * phi),
-        ]
-    ) / SQRT2
+    return _ket(np.sqrt(1.0 - z), -np.sqrt(1.0 + z), phi)
+
+
+def _rotated_pair(z, phi, w):
+    """(|m_0>, |m_1>) from |m>, |-m> with w = i e^{i theta0}; broadcasts like ket_m."""
+    m, mm = ket_m(z, phi), ket_minus_m(z, phi)
+    return ((1.0 - w) * m + (1.0 + w) * mm) / 2.0, ((1.0 + w) * m + (1.0 - w) * mm) / 2.0
 
 
 def ket_m0(z: float, phi: float, theta0: float) -> np.ndarray:
@@ -111,16 +132,12 @@ def ket_m0(z: float, phi: float, theta0: float) -> np.ndarray:
 
     Reduces to ket_m at theta0 = pi/2.
     """
-    theta0 = _check_half_angle(theta0, "theta0")
-    w = 1j * np.exp(1j * theta0)
-    return ((1.0 - w) * ket_m(z, phi) + (1.0 + w) * ket_minus_m(z, phi)) / 2.0
+    return _rotated_pair(z, phi, 1j * np.exp(1j * _check_half_angle(theta0, "theta0")))[0]
 
 
 def ket_m1(z: float, phi: float, theta0: float) -> np.ndarray:
     """Second state of the pair; reduces to ket_minus_m at theta0 = pi/2."""
-    theta0 = _check_half_angle(theta0, "theta0")
-    w = 1j * np.exp(1j * theta0)
-    return ((1.0 + w) * ket_m(z, phi) + (1.0 - w) * ket_minus_m(z, phi)) / 2.0
+    return _rotated_pair(z, phi, 1j * np.exp(1j * _check_half_angle(theta0, "theta0")))[1]
 
 
 def phi_state(p: FiveParams) -> np.ndarray:
@@ -154,40 +171,54 @@ def phi_state_tensor(p: FiveParams) -> np.ndarray:
     return v / math.sqrt(2.0 * a * a + 2.0)
 
 
-def concurrence_numeric(s) -> float:
-    """Pure-state concurrence C = sqrt(2 (1 - tr rho^2)) from the reduced state."""
+def _reduced_state(s, side: str) -> np.ndarray:
+    """Reduced density operator of one qubit of normalized two-qubit states (..., 4).
+
+    With M the (2, 2) reshape of each state, rho_first = M M^dagger and
+    rho_second = M^T conj(M).
+    """
     s = require_normalized(s)
-    if s.shape[0] != 4:
-        raise ValueError("concurrence is defined for two-qubit states")
-    rho = partial_trace(outer(s), "first")
-    purity = float(np.trace(rho @ rho).real)
-    c2 = 2.0 * (1.0 - purity)
-    return math.sqrt(min(max(c2, 0.0), 1.0))
+    if s.shape[-1] != 4:
+        raise ValueError("expected two-qubit states")
+    m = s.reshape(s.shape[:-1] + (2, 2))
+    if side == "second":
+        m = np.swapaxes(m, -1, -2)
+    elif side != "first":
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    # M M^dagger as the sum of |column><column|: numpy's matmul is slow on stacks of 2x2
+    return outer(m[..., 0]) + outer(m[..., 1])
 
 
-def concurrence_closed(a: float, theta: float) -> float:
+def concurrence_numeric(s):
+    """Pure-state concurrence C = sqrt(2 (1 - tr rho^2)) from the reduced state.
+
+    Takes one state or a stack (..., 4) and returns one value per state.
+    """
+    rho = _reduced_state(s, "first")
+    purity = np.einsum("...ij,...ji->...", rho, rho).real
+    return _plain(np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, 1.0)))
+
+
+def concurrence_closed(a: float, theta):
     """Closed-form concurrence of the five-parameter state.
 
     Depends only on a and theta:  sqrt(1 - 2 a^2 (1 + cos 2 theta) / (a^2+1)^2).
+    theta may be an array.
     """
     theta = _check_half_angle(theta, "theta")
     a = float(a)
-    val = 1.0 - 2.0 * a * a * (1.0 + math.cos(2.0 * theta)) / (a * a + 1.0) ** 2
-    return math.sqrt(min(max(val, 0.0), 1.0))
+    val = 1.0 - 2.0 * a * a * (1.0 + np.cos(2.0 * theta)) / (a * a + 1.0) ** 2
+    return _plain(np.sqrt(np.clip(val, 0.0, 1.0)))
 
 
 def reduced_bloch(s, side: str) -> np.ndarray:
-    """Pauli expectation 3-vector of one qubit of a two-qubit pure state."""
-    s = require_normalized(s)
-    if s.shape[0] != 4:
-        raise ValueError("reduced_bloch expects a two-qubit state")
-    if side == "first":
-        ops = [kron(p, I2) for p in PAULIS]
-    elif side == "second":
-        ops = [kron(I2, p) for p in PAULIS]
-    else:
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return np.array([np.vdot(s, op @ s).real for op in ops])
+    """Pauli expectation 3-vector of one qubit of a two-qubit pure state.
+
+    Takes one state or a stack (..., 4) and returns shape (..., 3).
+    """
+    rho = _reduced_state(s, side)
+    r01 = rho[..., 0, 1]
+    return np.stack([2.0 * r01.real, -2.0 * r01.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 def m_prime(z: float, phi: float, theta0: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from ejmkit.circuits import (
 )
 from ejmkit.ejm import (
     EjmParams,
-    ParamAssignment,
     basis_from_kets,
     basis_phi_z_form,
     build_basis,
@@ -149,10 +148,9 @@ def test_criterion_6_table1():
     worst = 0.0
     for z, phi, ms, scales in TABLE1:
         p = EjmParams(z, phi, theta)
-        assign = ParamAssignment.from_params(p)
         tet = reduced_tetrahedron(build_basis(p))
         for i in range(4):
-            m = unit_vector_m(assign.zs[i], assign.phis[i])
+            m = unit_vector_m(p.zs[i], p.phis[i])
             want_m = np.array(ms[i], dtype=float) * scales[i]
             want_r = 0.5 * math.cos(theta) * np.array(REDUCED_SIGNS[i], dtype=float)
             worst = max(

@@ -48,6 +48,12 @@ class TestBasis:
         assert code == 2
         assert "1/sqrt(3)" in err
 
+    def test_non_finite_phi_rejected(self, capsys):
+        for phi in ("nan", "inf"):
+            code, _, err = run(capsys, "basis", "--phi", phi)
+            assert code == 2
+            assert "phi must be finite" in err
+
     def test_upper_range_gate(self, capsys):
         code, _, _ = run(capsys, "basis", "--z", "1.2")
         assert code == 2
@@ -186,6 +192,15 @@ class TestCircuit:
         detect = Circuit.loads(blocks[1])
         assert prep.gates[0].name == "H"
         assert detect.gates[0].name == "CNOT"
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "verify", "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("output error: cannot write")
+        assert len(err.strip().splitlines()) == 1
+        assert not path.exists()
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

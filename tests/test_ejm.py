@@ -6,10 +6,10 @@ import pytest
 from ejmkit.linalg import I4, inner
 from ejmkit.states import ParameterRangeError, concurrence_closed, concurrence_numeric
 from ejmkit.ejm import (
-    CoefficientSet,
     DegenerateGeometryError,
     EjmParams,
-    ParamAssignment,
+    _coefficients,
+    _theta0_phase,
     basis_from_kets,
     basis_phi_z_form,
     build_basis,
@@ -51,16 +51,25 @@ class TestParams:
         for z in (1 / SQRT3, 1.0, -1 / SQRT3, -1.0):
             EjmParams(z=z, phi=0.0, theta=0.3)
 
+    def test_phi_minus_pi_wraps_to_pi(self):
+        assert EjmParams(0.8, -math.pi, 0.3) == EjmParams(0.8, math.pi, 0.3)
+        assert EjmParams(0.8, -math.pi, 0.3).phi == math.pi
+        assert EjmParams(0.8, 3 * math.pi, 0.3).phi == math.pi
+        assert EjmParams(0.8, -0.5, 0.3).phi == -0.5
+
+    def test_phi_minus_pi_wraps_to_pi_in_arrays(self):
+        p = EjmParams(np.full(3, 0.8), np.array([-math.pi, math.pi, -3 * math.pi]), 0.3)
+        assert list(p.phi) == [math.pi] * 3
+
     def test_derived_theta0(self):
         assert abs(EjmParams(1 / SQRT3, 0.0, 0.0).theta0 - math.pi / 2) < 1e-7
         assert abs(EjmParams(1.0, 0.0, 0.0).theta0 - math.asin(1 / SQRT3)) < 1e-12
 
     def test_assignment_sums_vanish(self):
-        assign = ParamAssignment.from_params(CANONICAL)
-        assert abs(sum(assign.zs)) < 1e-14
+        assert abs(sum(CANONICAL.zs)) < 1e-14
         for k in (1, 2):
             for sign in (1, -1):
-                s = sum(np.exp(sign * 1j * k * np.array(assign.phis)))
+                s = sum(np.exp(sign * 1j * k * CANONICAL.phis))
                 assert abs(s) < 1e-14
 
 
@@ -82,18 +91,27 @@ class TestCoefficients:
     @pytest.mark.parametrize("z,phi,theta", [(1 / SQRT3, 0.3, 0.7), (0.8, -2.0, 0.2), (1.0, 1.0, 1.2)])
     def test_invariants(self, z, phi, theta):
         p = EjmParams(z, phi, theta)
-        c = CoefficientSet.from_params(p)
+        a_plus, a_minus, b_plus, b_minus = _coefficients(p)
         t0 = p.theta0
-        assert abs(c.r_plus - (1 + np.exp(2j * t0)) / SQRT2) < 1e-7
-        assert abs(c.r_minus - (1 - np.exp(2j * t0)) / SQRT2) < 1e-7
-        assert abs(abs(c.a_plus) ** 2 - z * z) < 1e-12
-        assert abs(abs(c.a_minus) ** 2 - z * z) < 1e-12
-        assign = ParamAssignment.from_params(p)
+        e_t0 = _theta0_phase(p.z)
+        assert abs((1 + e_t0**2) / SQRT2 - (1 + np.exp(2j * t0)) / SQRT2) < 1e-7
+        assert abs((1 - e_t0**2) / SQRT2 - (1 - np.exp(2j * t0)) / SQRT2) < 1e-7
+        assert abs(abs(a_plus) ** 2 - z * z) < 1e-12
+        assert abs(abs(a_minus) ** 2 - z * z) < 1e-12
+        assert b_plus.shape == b_minus.shape == (4,)
         for i in range(4):
-            bp, bm = c.b_theta[i]
-            zi = assign.zs[i]
-            assert abs(abs(bp) ** 2 - (z * z + zi * abs(z) * math.cos(theta))) < 1e-12
-            assert abs(abs(bm) ** 2 - (z * z - zi * abs(z) * math.cos(theta))) < 1e-12
+            zi = p.zs[i]
+            assert abs(abs(b_plus[i]) ** 2 - (z * z + zi * abs(z) * math.cos(theta))) < 1e-12
+            assert abs(abs(b_minus[i]) ** 2 - (z * z - zi * abs(z) * math.cos(theta))) < 1e-12
+
+    def test_stacked_coefficients_match_single_points(self):
+        zs = np.array([1 / SQRT3, 0.8, 1.0, -0.7])
+        thetas = np.array([0.7, 0.2, 1.2, math.pi / 2])
+        stacked = _coefficients(EjmParams(zs, 0.4, thetas))
+        for n in range(len(zs)):
+            single = _coefficients(EjmParams(float(zs[n]), 0.4, float(thetas[n])))
+            for arr, one in zip(stacked, single):
+                np.testing.assert_allclose(arr[n], one, rtol=0, atol=1e-14)
 
 
 def reference_states_z_1sqrt3(phi, theta):
