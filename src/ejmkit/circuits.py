@@ -19,11 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Z, kron, require_normalized
+from .linalg import SIGMA_X, require_normalized
 from .ejm import EjmParams
-
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S = np.diag([1.0, 1j]).astype(complex)
@@ -74,18 +71,24 @@ class Gate:
             raise ValueError("control and target must differ")
         if needs_angle != (self.angle is not None):
             raise ValueError(f"{self.name} angle mismatch")
+        if needs_angle and not math.isfinite(self.angle):
+            raise ValueError(f"{self.name} angle must be finite")
 
-    def unitary(self) -> np.ndarray:
-        """The full 4x4 unitary of this gate."""
+    def act(self, m: np.ndarray) -> np.ndarray:
+        """This gate on states reshaped to (..., 2, 2), wire 0 on axis -2."""
         arity, _, factory = _GATES[self.name]
         u = factory(self.angle)
         if arity == 1:
-            q = self.qubits[0]
-            return kron(u, I2) if q == 0 else kron(I2, u)
-        control, target = self.qubits
-        if control == 0:
-            return np.kron(_P0, I2) + np.kron(_P1, u)
-        return np.kron(I2, _P0) + np.kron(u, _P1)
+            return u @ m if self.qubits[0] == 0 else m @ u.T
+        # the target wire's amplitudes where the control wire is |1>
+        on = (..., 1, slice(None)) if self.qubits[0] == 0 else (..., slice(None), 1)
+        out = m.copy()
+        out[on] = m[on] @ u.T
+        return out
+
+    def unitary(self) -> np.ndarray:
+        """The full 4x4 unitary of this gate."""
+        return Circuit((self,)).unitary()
 
     def dump(self) -> str:
         parts = [",".join(str(q) for q in self.qubits)]
@@ -99,10 +102,8 @@ class Circuit:
     gates: tuple
 
     def unitary(self) -> np.ndarray:
-        u = np.eye(4, dtype=complex)
-        for g in self.gates:
-            u = g.unitary() @ u
-        return u
+        """The full 4x4 unitary: column k is the circuit applied to basis state k."""
+        return apply(self, np.eye(4, dtype=complex)).T
 
     def dumps(self) -> str:
         """Line-oriented text form: one `GATE q[,q2][,angle]` per line."""
@@ -110,28 +111,44 @@ class Circuit:
 
     @classmethod
     def loads(cls, text: str) -> "Circuit":
+        """Read the `dumps` form; any malformed line raises CircuitParseError."""
         gates = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            name, args = line.split(None, 1)
-            fields = args.split(",")
-            arity, needs_angle, _ = _GATES[name]
-            qubits = tuple(int(x) for x in fields[:arity])
-            angle = float(fields[arity]) if needs_angle else None
-            gates.append(Gate(name, qubits, angle))
+            try:
+                gates.append(_parse_gate(line))
+            except ValueError as exc:
+                raise CircuitParseError(f"line {number}: {line!r}: {exc}") from exc
         return cls(tuple(gates))
 
 
-def apply(c: Circuit, state) -> np.ndarray:
-    """Run the circuit on a normalized two-qubit state."""
-    v = require_normalized(state)
-    if v.shape != (4,):
+class CircuitParseError(ValueError):
+    """A line of circuit text that is not a valid `GATE q[,q2][,angle]`."""
+
+
+def _parse_gate(line: str) -> Gate:
+    name, *rest = line.split(None, 1)
+    if name not in _GATES:
+        raise ValueError(f"unknown gate {name!r}")
+    arity, needs_angle, _ = _GATES[name]
+    fields = rest[0].split(",") if rest else []
+    if len(fields) != arity + needs_angle:
+        raise ValueError(f"{name} takes {arity + needs_angle} comma-separated field(s)")
+    qubits = tuple(int(x) for x in fields[:arity])
+    return Gate(name, qubits, float(fields[arity]) if needs_angle else None)
+
+
+def apply(c: Circuit, states) -> np.ndarray:
+    """Run the circuit on a normalized two-qubit state or a stack (..., 4) of them."""
+    v = require_normalized(states)
+    if v.shape[-1] != 4:
         raise ValueError("circuits act on two-qubit states")
+    m = v.reshape(*v.shape[:-1], 2, 2)
     for g in c.gates:
-        v = g.unitary() @ v
-    return v
+        m = g.act(m)
+    return m.reshape(v.shape)
 
 
 def outcome_probabilities(s) -> np.ndarray:
@@ -223,17 +240,12 @@ DETECTION_OUTCOMES = (3, 0, 2, 1)
 
 def local_unitary_u1(phi_prime: float) -> np.ndarray:
     """Local unitary with U1 |Phi_0> = -|Phi_1> (and |Phi_2> -> -|Phi_3>)."""
-    xi = 2.0 * phi_prime + math.pi / 2
-    return (
-        kron(I2, SIGMA_X)
-        @ kron(_phase(xi), _phase(-xi))
-        @ kron(SIGMA_X, I2)
-    )
+    return Circuit(tuple(_u1_gates(phi_prime))).unitary()
 
 
 def local_unitary_u2() -> np.ndarray:
     """sigma_z (x) sigma_z, with U2 |Phi_0> = -|Phi_2>."""
-    return kron(SIGMA_Z, SIGMA_Z)
+    return np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 
 
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -32,7 +31,7 @@ DEFAULT_Z = 1.0 / SQRT3
 DEFAULT_PHI = math.pi / 4
 DEFAULT_THETA = math.pi / 3
 
-# pass/fail tolerances; fixed contract, not affected by EJM_TOLERANCE
+# pass/fail tolerances
 TOL_ALG = 1e-12
 TOL_PATH = 1e-11
 TOL_TRIG = 1e-10
@@ -204,7 +203,7 @@ def cmd_verify(args) -> int:
         report.update((k, float(rep[k][0])) for k in GEOMETRY_CHECKS)
     else:
         report["geometry"] = "degenerate"
-    report["report_tolerance"] = float(os.environ.get("EJM_TOLERANCE", TOL_TRIG))
+    report["report_tolerance"] = TOL_TRIG
     ok = bool(_passes(rep)[0])
     report["pass"] = ok
     _emit_report(report, args)
@@ -283,17 +282,14 @@ def cmd_circuit(args) -> int:
         return 0
 
     b = ejm.build_basis(p)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    psi0 = circuits.apply(prep, ket00)
+    psi0 = circuits.apply(prep, [1, 0, 0, 0])
     u1 = circuits.local_unitary_u1(p.phi_prime)
     u2 = circuits.local_unitary_u2()
-    prepared = [psi0, u1 @ psi0, u2 @ psi0, u2 @ u1 @ psi0]
-    fidelities = [abs(np.vdot(b.states[i], prepared[i])) for i in range(4)]
+    prepared = np.array([psi0, u1 @ psi0, u2 @ psi0, u2 @ u1 @ psi0])
+    fidelities = np.abs((b.states.conj() * prepared).sum(axis=-1))
 
-    perm = np.zeros((4, 4))
-    for i, t in enumerate(circuits.DETECTION_OUTCOMES):
-        perm[i, t] = 1.0
-    outcome = np.array([circuits.outcome_probabilities(circuits.apply(detect, s)) for s in b.states])
+    perm = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
+    outcome = circuits.outcome_probabilities(circuits.apply(detect, b.states))
     perm_dev = float(np.abs(outcome - perm).max())
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
@@ -311,8 +307,8 @@ def cmd_circuit(args) -> int:
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if dev < TOL_TRIG else "fail"
 
-    ok = perm_dev < TOL_TRIG and all(f >= 1.0 - TOL_TRIG for f in fidelities)
-    report["pass"] = bool(ok)
+    ok = perm_dev < TOL_TRIG and bool((fidelities >= 1.0 - TOL_TRIG).all())
+    report["pass"] = ok
     _emit_report(report, args)
     return 0 if ok else 1
 
@@ -321,24 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ejm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    flags = {
+        "--z": dict(type=float, default=DEFAULT_Z),
+        "--phi": dict(type=float, default=DEFAULT_PHI),
+        "--theta": dict(type=float, default=DEFAULT_THETA),
+        "--grid": dict(type=int, default=6),
+        "--dump": dict(action="store_true"),
+    }
+    point = ("--z", "--phi", "--theta")
+    for name, func, own, help_text in (
+        ("basis", cmd_basis, point, "amplitudes of the four basis states"),
+        ("verify", cmd_verify, point, "numeric proof obligations for one triple"),
+        ("sweep", cmd_sweep, ("--grid",), "verify checks aggregated over a grid"),
+        ("table1", cmd_table1, ("--theta",), "unit vectors and reduced states for reference z values"),
+        ("concurrence", cmd_concurrence, ("--grid",), "closed-form concurrence grid and sqrt(3) slice"),
+        ("circuit", cmd_circuit, (*point, "--dump"), "preparation fidelities and detection outcomes"),
+    ):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--z", type=float, default=DEFAULT_Z)
-        sp.add_argument("--phi", type=float, default=DEFAULT_PHI)
-        sp.add_argument("--theta", type=float, default=DEFAULT_THETA)
-        sp.add_argument("--grid", type=int, default=6)
+        for flag in own:
+            sp.add_argument(flag, **flags[flag])
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--dump", action="store_true")
         sp.set_defaults(func=func)
-        return sp
-
-    add("basis", cmd_basis, "amplitudes of the four basis states")
-    add("verify", cmd_verify, "numeric proof obligations for one triple")
-    add("sweep", cmd_sweep, "verify checks aggregated over a grid")
-    add("table1", cmd_table1, "unit vectors and reduced states for reference z values")
-    add("concurrence", cmd_concurrence, "closed-form concurrence grid and sqrt(3) slice")
-    add("circuit", cmd_circuit, "preparation fidelities and detection outcomes")
     return parser
 
 

@@ -84,15 +84,36 @@ class TestVerify:
         assert json.loads(js)["geometry"] == "degenerate"
 
     def test_tolerance_env_var(self, capsys, monkeypatch):
+        # the report echoes the fixed pass/fail tolerance; no environment knob moves it
         monkeypatch.setenv("EJM_TOLERANCE", "1e-6")
         code, js, _ = run(capsys, "verify")
         assert code == 0
-        assert json.loads(js)["report_tolerance"] == 1e-6
+        assert json.loads(js)["report_tolerance"] == 1e-10
 
     def test_csv_format(self, capsys):
         code, text, _ = run(capsys, "verify", "--format", "csv")
         assert code == 0
         assert text.splitlines()[0] == "key,value"
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--dump"),
+            ("sweep", "--z", "5"),
+            ("table1", "--z", "5"),
+            ("basis", "--grid", "4"),
+            ("verify", "--dump"),
+            ("concurrence", "--theta", "1"),
+            ("circuit", "--grid", "4"),
+        ],
+    )
+    def test_foreign_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweep:
