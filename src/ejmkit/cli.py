@@ -17,6 +17,7 @@ All angles are radians.  Output is deterministic: fixed field order and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -94,10 +95,6 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(v):
-    return float(fmt(v)) if isinstance(v, float) else v
-
-
 def _emit(rows, header, args):
     """Write a table as CSV or JSON (list of objects) per the format flag."""
     if args.format == "csv":
@@ -106,8 +103,7 @@ def _emit(rows, header, args):
             lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write("\n".join(lines) + "\n", args)
     else:
-        objs = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
-        _write(json.dumps(objs, indent=2) + "\n", args)
+        _write(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n", args)
 
 
 def _emit_report(report: dict, args):
@@ -115,7 +111,7 @@ def _emit_report(report: dict, args):
     if args.format == "csv":
         _emit(report.items(), ["key", "value"], args)
     else:
-        _write(json.dumps({k: _json_value(v) for k, v in report.items()}, indent=2) + "\n", args)
+        _write(json.dumps(report, indent=2) + "\n", args)
 
 
 class OutputError(OSError):
@@ -300,7 +296,9 @@ def cmd_circuit(args) -> int:
             report[f"p_{i}_{lab}"] = float(outcome[i, k])
     report["permutation_dev"] = perm_dev
 
-    if abs(circuits._base_params(p) - math.pi / 4) < 1e-12:
+    # phi' enters the detection circuit only as RY(pi/2 - 2 phi'), of period 4 pi in its
+    # angle, so phi' = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case as well
+    if abs(math.remainder(circuits._base_params(p) - math.pi / 4, 2 * math.pi)) < 1e-12:
         dev = circuits.global_phase_deviation(
             detect.unitary(), circuits.detect_circuit(p, include_controlled_ry=False).unitary()
         )
@@ -342,10 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by every later one.
+
+    Reuse is safe: parse_args builds a fresh Namespace per call, every default
+    is immutable, and argparse looks up sys.stdout/sys.stderr when it prints.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command in ("sweep", "concurrence") and args.grid < 2:
         print("error: --grid must be >= 2", file=sys.stderr)
+        return 2
+    if args.command == "circuit" and args.dump and args.format == "csv":
+        print("error: --dump writes circuit text; --format csv does not apply", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -202,6 +202,29 @@ class TestCircuit:
         rep = json.loads(js)
         assert rep["bsm_equivalence"] == "pass"
 
+    def test_bsm_equivalence_note_after_phi_wraps(self, capsys):
+        # z < -1/sqrt(2): phi' = pi/4 - 2*pi, whose gates equal those at pi/4
+        from ejmkit.ejm import phi_z
+
+        code, js, _ = run(
+            capsys,
+            "circuit",
+            "--z", "-0.9",
+            "--phi", repr(float(phi_z(0.9)) - 5 * math.pi / 4),
+            "--theta", "0.4",
+        )
+        assert code == 0
+        rep = json.loads(js)
+        assert rep["bsm_equivalence"] == "pass"
+        assert rep["bsm_equivalence_dev"] < 1e-10
+
+    def test_dump_rejects_csv(self, capsys):
+        code, out, err = run(capsys, "circuit", "--dump", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_dump_format(self, capsys):
         code, text, _ = run(capsys, "circuit", "--dump")
         assert code == 0
@@ -229,3 +252,38 @@ class TestCircuit:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["pass"] is True
+
+
+class TestParserReuse:
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        from ejmkit import cli
+
+        build_parser = cli.build_parser
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+
+        code, before, _ = run(capsys, "verify")
+        assert code == 0
+        code, _, _ = run(capsys, "verify", "--z=-0.7", "--phi=0.3", "--theta=0.5")
+        assert code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--grid", "4"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ejm") and "unrecognized arguments: --grid 4" in err
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert "usage: ejm verify" in capsys.readouterr().out
+        code, after, _ = run(capsys, "verify")
+        assert code == 0
+        assert after == before
+        rep = json.loads(after)
+        assert (rep["z"], rep["phi"], rep["theta"]) == (1 / SQRT3, math.pi / 4, math.pi / 3)
+        assert len(builds) == 1
