@@ -9,9 +9,9 @@ Subcommands:
   concurrence  CSV grid of the closed-form concurrence plus the a=sqrt(3) slice
   circuit      preparation fidelities and detection outcome matrix
 
-All angles are radians.  Output is deterministic: fixed field order and
-17-significant-digit floats.  Exit codes: 0 success, 1 invariant failure,
-2 parameter error, 3 the --out file could not be written.
+All angles are radians.  Output is deterministic: fixed field order, shortest
+round-trip floats in JSON and %.17g in CSV.  Exit codes: 0 success, 1
+invariant failure, 2 parameter error, 3 the --out file could not be written.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def cmd_basis(args) -> int:
     b = ejm.build_basis(p)
     rows = []
     labels = ("00", "01", "10", "11")
-    for i, s in enumerate(b.states):
+    for i, s in enumerate(b):
         for k, lab in enumerate(labels):
             rows.append([i, lab, float(s[k].real), float(s[k].imag), p.phi_z, p.theta0])
     _emit(rows, ["state", "basis", "re", "im", "phi_z", "theta0"], args)
@@ -149,8 +149,8 @@ def _verify_many(z, phi, theta) -> dict:
     """Every verify metric at n triples at once, each an array of shape (n,).
 
     Runs the three construction paths and all diagnostics on the stacked
-    basis.  "geometry_ok" is False where the reduced vectors vanish; there
-    modulus_dev and pairwise_dev are NaN.
+    basis.  modulus_dev and pairwise_dev are NaN where the reduced vectors
+    vanish, and "geometry_ok" is False there.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
     b = ejm.build_basis(p)
@@ -161,25 +161,25 @@ def _verify_many(z, phi, theta) -> dict:
     gram = ejm.gram_matrix(b)
     tet = ejm.reduced_tetrahedron(b)
     first = tet[..., 0, :]
-    conc_dev = states.concurrence_numeric(b.states) - states.concurrence_closed(SQRT3, p.theta)[..., None]
-    geo = ejm.tetrahedron_geometry_check(first, p.theta)
+    conc_dev = states.concurrence_numeric(b) - states.concurrence_closed(SQRT3, p.theta)[..., None]
+    modulus_dev, pairwise_dev = ejm.tetrahedron_geometry_check(first, p.theta)
     return {
         "z": p.z,
         "phi": p.phi,
         "theta": p.theta,
         "gram_dev": worst(gram - np.eye(4)),
-        "gram_closed_dev": worst(gram - ejm.gram_closed(b)),
+        "gram_closed_dev": worst(gram - ejm.gram_closed(p)),
         "completeness_residual": ejm.completeness_residual(b),
         "path_agreement_dev": np.maximum(
-            worst(b.states - ejm.basis_from_kets(p).states),
-            worst(b.states - ejm.basis_phi_z_form(p).states),
+            worst(b - ejm.basis_from_kets(p)),
+            worst(b - ejm.basis_phi_z_form(p)),
         ),
         "antisymmetry_dev": worst(first + tet[..., 1, :]),
-        "reduced_closed_dev": worst(first - ejm.reduced_tetrahedron_closed(b)),
+        "reduced_closed_dev": worst(first - ejm.reduced_tetrahedron_closed(p)),
         "concurrence_dev": np.abs(conc_dev).max(axis=-1),
-        "geometry_ok": ~geo.degenerate,
-        "modulus_dev": geo.modulus_dev,
-        "pairwise_dev": geo.pairwise_dev,
+        "geometry_ok": ~np.isnan(modulus_dev),
+        "modulus_dev": modulus_dev,
+        "pairwise_dev": pairwise_dev,
     }
 
 
@@ -282,10 +282,11 @@ def cmd_circuit(args) -> int:
     u1 = circuits.local_unitary_u1(p.phi_prime)
     u2 = circuits.local_unitary_u2()
     prepared = np.array([psi0, u1 @ psi0, u2 @ psi0, u2 @ u1 @ psi0])
-    fidelities = np.abs((b.states.conj() * prepared).sum(axis=-1))
+    fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
 
     perm = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
-    outcome = circuits.outcome_probabilities(circuits.apply(detect, b.states))
+    # apply validated the states and is unitary: no second norm check before the Born rule
+    outcome = np.abs(circuits.apply(detect, b)) ** 2
     perm_dev = float(np.abs(outcome - perm).max())
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}

@@ -160,32 +160,16 @@ def _theta0_phase(z):
     return (_root_3z2m1(z) + 1j) / np.sqrt(3.0 * z * z)
 
 
-@dataclass(frozen=True)
-class EjmBasis:
-    """The four basis states together with their defining parameters.
-
-    states has shape (..., 4, 4); states[..., i, :] is basis state i.
-    """
-
-    params: EjmParams
-    states: np.ndarray
-    phi_z: float
-
-    def __iter__(self):
-        return iter(self.states)
+def _basis(pre, amplitudes) -> np.ndarray:
+    return _per_state(_per_state(pre)) * _stack(*amplitudes)
 
 
-def _basis(p: EjmParams, pre, amplitudes) -> EjmBasis:
-    states = _per_state(_per_state(pre)) * _stack(*amplitudes)
-    return EjmBasis(params=p, states=states, phi_z=p.phi_z)
-
-
-def build_basis(p: EjmParams) -> EjmBasis:
+def build_basis(p: EjmParams) -> np.ndarray:
     """Canonical basis constructor via the simplified coefficient form."""
     a_plus, a_minus, b_plus, b_minus = _coefficients(p)
     pre = (1.0 - 1j * _root_3z2m1(p.z)) / (2.0 * SQRT3 * p.z * p.z)
     e = np.exp(1j * p.phis)
-    return _basis(p, pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
+    return _basis(pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
 
 
 def _pair(u, v) -> np.ndarray:
@@ -193,7 +177,7 @@ def _pair(u, v) -> np.ndarray:
     return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (4,))
 
 
-def basis_from_kets(p: EjmParams) -> EjmBasis:
+def basis_from_kets(p: EjmParams) -> np.ndarray:
     """Basis via the tensor-product definition with weight a = sqrt(3).
 
     e^{i theta0} is formed algebraically (_theta0_phase) rather than
@@ -201,11 +185,10 @@ def basis_from_kets(p: EjmParams) -> EjmBasis:
     """
     m0, m1 = _rotated_pair(p.zs, p.phis, _per_state(_per_state(1j * _theta0_phase(p.z))))
     e_th = _per_state(_per_state(np.exp(1j * p.theta)))
-    states = ((SQRT3 + e_th) * _pair(m0, m1) + (SQRT3 - e_th) * _pair(m1, m0)) / (2.0 * SQRT2)
-    return EjmBasis(params=p, states=states, phi_z=p.phi_z)
+    return ((SQRT3 + e_th) * _pair(m0, m1) + (SQRT3 - e_th) * _pair(m1, m0)) / (2.0 * SQRT2)
 
 
-def basis_phi_z_form(p: EjmParams) -> EjmBasis:
+def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     """Basis via the phi_z-rotated closed form.
 
     For z > 0 the bracket of state i alternates between (e^{-i phi'},
@@ -217,17 +200,17 @@ def basis_phi_z_form(p: EjmParams) -> EjmBasis:
     g = sng(p.zs)
     e = np.exp(1j * (p.phis - _per_state(p.phi_z)))
     e_th = _per_state(np.exp(1j * p.theta))
-    return _basis(p, pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
+    return _basis(pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
 
 
-def gram_matrix(b: EjmBasis) -> np.ndarray:
+def gram_matrix(b: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products <Phi_i|Phi_j>, shape (..., 4, 4)."""
-    return b.states.conj() @ np.swapaxes(b.states, -1, -2)
+    return b.conj() @ np.swapaxes(b, -1, -2)
 
 
-def gram_closed(b: EjmBasis) -> np.ndarray:
+def gram_closed(p: EjmParams) -> np.ndarray:
     """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
-    phis, zs = b.params.phis, b.params.zs
+    phis, zs = p.phis, p.zs
     return 0.25 * (
         2.0 * np.cos(phis[..., :, None] - phis[..., None, :])
         + sng(zs[..., :, None] * zs[..., None, :])
@@ -235,86 +218,68 @@ def gram_closed(b: EjmBasis) -> np.ndarray:
     )
 
 
-def projectors(b: EjmBasis) -> np.ndarray:
+def projectors(b: np.ndarray) -> np.ndarray:
     """Rank-1 projectors |Phi_i><Phi_i|, shape (..., 4, 4, 4) with i on axis -3."""
-    return outer(b.states)
+    return outer(b)
 
 
-def completeness_residual(b: EjmBasis):
+def completeness_residual(b: np.ndarray):
     """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
-    total = np.swapaxes(b.states, -1, -2) @ b.states.conj()
+    total = np.swapaxes(b, -1, -2) @ b.conj()
     return _plain(np.abs(total - I4).max(axis=(-2, -1)))
 
 
-def reduced_tetrahedron(b: EjmBasis) -> np.ndarray:
+def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
     """Per-state, per-side reduced Bloch vectors, shape (..., 4, 2, 3).
 
     [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
     exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    return np.stack([reduced_bloch(b.states, "first"), reduced_bloch(b.states, "second")], axis=-2)
+    return np.stack([reduced_bloch(b, "first"), reduced_bloch(b, "second")], axis=-2)
 
 
-def reduced_tetrahedron_closed(b: EjmBasis) -> np.ndarray:
+def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
     """Closed form of the side-first vectors, shape (..., 4, 3).
 
     (1/sqrt(2)) cos theta (cos(phi_i - phi_z), sin(phi_i - phi_z),
     sng(z_i)/sqrt(2)); for z > 0 the last component is (-1)^i/sqrt(2).
     """
-    p = b.params
     d = p.phis - _per_state(p.phi_z)
     scale = _per_state(_per_state(np.cos(p.theta) / SQRT2))
     return scale * _stack(np.cos(d), np.sin(d), sng(p.zs) / SQRT2)
 
 
-class DegenerateGeometryError(ValueError):
-    """Raised when the reduced vectors vanish (theta = pi/2)."""
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    """Worst deviations per set of four vectors; NaN where the set is degenerate."""
-
-    modulus_dev: float
-    pairwise_dev: float
-    degenerate: bool = False
-
-
-def tetrahedron_geometry_check(vectors, theta) -> GeometryReport:
+def tetrahedron_geometry_check(vectors, theta):
     """Check four Bloch vectors against the regular-tetrahedron geometry.
 
-    modulus_dev is the worst deviation of |v_i| from (sqrt(3)/2) cos theta;
-    pairwise_dev the worst deviation of unit-vector dot products from -1/3.
-    vectors has shape (4, 3) or (..., 4, 3) with theta broadcasting over
-    the leading axes.  A single degenerate set (a zero-length vector, as at
-    theta = pi/2) raises DegenerateGeometryError; in a stack such sets are
-    flagged in `degenerate` instead.
+    Returns (modulus_dev, pairwise_dev): the worst deviation of |v_i| from
+    (sqrt(3)/2) cos theta, and the worst deviation of unit-vector dot
+    products from -1/3.  vectors has shape (4, 3) or (..., 4, 3) with theta
+    broadcasting over the leading axes.  Both are NaN for a degenerate set
+    (a zero-length vector, as at theta = pi/2).
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
     norms = np.linalg.norm(vectors, axis=-1)
     degenerate = np.any(norms < 1e-12, axis=-1)
-    if vectors.ndim == 2 and degenerate:
-        raise DegenerateGeometryError("zero-length reduced vectors (theta = pi/2)")
     target = (SQRT3 / 2.0) * np.cos(theta)
     modulus_dev = np.abs(norms - _per_state(target)).max(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         units = vectors / norms[..., None]
     dots = units @ np.swapaxes(units, -1, -2)
     pairwise_dev = np.abs(dots[..., _PAIRS[0], _PAIRS[1]] + 1.0 / 3.0).max(axis=-1)
-    return GeometryReport(
-        modulus_dev=_plain(np.where(degenerate, np.nan, modulus_dev)),
-        pairwise_dev=_plain(np.where(degenerate, np.nan, pairwise_dev)),
-        degenerate=degenerate,
+    return (
+        _plain(np.where(degenerate, np.nan, modulus_dev)),
+        _plain(np.where(degenerate, np.nan, pairwise_dev)),
     )
 
 
-def single_param_reduction(z, theta) -> EjmBasis:
-    """Basis at phi = phi_z(z) + pi/4, which is independent of z.
+def single_param_reduction(z, theta) -> EjmParams:
+    """The triple at phi = phi_z(z) + pi/4, whose basis is independent of z.
 
     This recovers the earlier one-parameter measurement family: for any
-    admissible z the resulting states coincide (up to a global phase per
-    state) with the z = 1/sqrt(3), phi = pi/4 basis.
+    admissible z, build_basis of the result coincides (up to a global phase
+    per state) with the z = 1/sqrt(3), phi = pi/4 basis.
     """
-    return build_basis(EjmParams(z=z, phi=phi_z(z) + math.pi / 4, theta=theta))
+    return EjmParams(z=z, phi=phi_z(z) + math.pi / 4, theta=theta)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ATOL_ALG = 1e-12   # plain algebraic identities
 ATOL_TRIG = 1e-10  # quantities passing through arcsin/sqrt chains
 
 I2 = np.eye(2, dtype=complex)

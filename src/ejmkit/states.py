@@ -58,6 +58,13 @@ def _check_z(z):
     return _clip(z, -1.0, 1.0)
 
 
+def _check_weight(a) -> float:
+    a = float(a)
+    if not math.isfinite(a):
+        raise ParameterRangeError(f"a must be finite, got {a!r}")
+    return a
+
+
 def _check_half_angle(value, name: str):
     value = np.asarray(value, dtype=float)
     ok = (value >= -1e-15) & (value <= math.pi / 2 + 1e-15)
@@ -71,7 +78,7 @@ class FiveParams:
 
     a is an arbitrary real weight; z and phi fix the cylindrical unit
     vector; theta0 and theta are half-angle phases in [0, pi/2].  phi is
-    wrapped into [-pi, pi] on construction.
+    wrapped into (-pi, pi] on construction.
     """
 
     a: float
@@ -81,10 +88,7 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        a = float(self.a)
-        if not math.isfinite(a):
-            raise ParameterRangeError(f"a must be finite, got {a!r}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _check_weight(self.a))
         object.__setattr__(self, "z", _check_z(self.z))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "theta0", _check_half_angle(self.theta0, "theta0"))
@@ -206,7 +210,7 @@ def concurrence_closed(a: float, theta):
     theta may be an array.
     """
     theta = _check_half_angle(theta, "theta")
-    a = float(a)
+    a = _check_weight(a)
     val = 1.0 - 2.0 * a * a * (1.0 + np.cos(2.0 * theta)) / (a * a + 1.0) ** 2
     return _plain(np.sqrt(np.clip(val, 0.0, 1.0)))
 

@@ -110,7 +110,7 @@ def test_criterion_3_concurrence():
 def test_criterion_4_reduced_antisymmetry():
     worst = 0.0
     for p in GRID:
-        for s in build_basis(p).states:
+        for s in build_basis(p):
             total = reduced_bloch(s, "first") + reduced_bloch(s, "second")
             worst = max(worst, float(np.abs(total).max()))
     report("4 reduced-state antisymmetry", worst, 1e-12)
@@ -125,9 +125,9 @@ def test_criterion_5_tetrahedron_geometry():
         neg_worst = max(neg_worst, float(np.abs(tet[:, 0] + tet[:, 1]).max()))
         if p.theta > math.pi / 2 - 0.05:
             continue
-        rep = tetrahedron_geometry_check(tet[:, 0], p.theta)
-        mod_worst = max(mod_worst, rep.modulus_dev)
-        pair_worst = max(pair_worst, rep.pairwise_dev)
+        modulus_dev, pairwise_dev = tetrahedron_geometry_check(tet[:, 0], p.theta)
+        mod_worst = max(mod_worst, modulus_dev)
+        pair_worst = max(pair_worst, pairwise_dev)
     report("5 modulus vs (sqrt3/2) cos theta", mod_worst, 1e-10)
     report("5 pairwise dot vs -1/3", pair_worst, 1e-10)
     report("5 side-second negation", neg_worst, 1e-12)
@@ -164,7 +164,7 @@ def test_criterion_6_table1():
 def test_criterion_7_construction_paths():
     worst = 0.0
     for p in GRID:
-        paths = [build_basis(p).states, basis_from_kets(p).states, basis_phi_z_form(p).states]
+        paths = [build_basis(p), basis_from_kets(p), basis_phi_z_form(p)]
         for x in range(3):
             for y in range(x + 1, 3):
                 for u, v in zip(paths[x], paths[y]):
@@ -181,9 +181,9 @@ def test_criterion_8_circuits():
     for p in GRID:
         b = build_basis(p)
         psi = apply(prep_circuit(p), KET00)
-        fid_worst = max(fid_worst, 1.0 - abs(np.vdot(b.states[0], psi)))
+        fid_worst = max(fid_worst, 1.0 - abs(np.vdot(b[0], psi)))
         u1 = local_unitary_u1(p.phi_prime)
-        s = b.states
+        s = b
         u_worst = max(
             u_worst,
             float(np.abs(u1 @ s[0] + s[1]).max()),
@@ -206,12 +206,12 @@ def test_criterion_9_reductions():
         ref = build_basis(EjmParams(1 / SQRT3, phi_z(1 / SQRT3) + math.pi / 4, th))
         for z in np.linspace(1 / SQRT3, 1.0, 5):
             b = build_basis(EjmParams(float(z), phi_z(float(z)) + math.pi / 4, th))
-            for u, v in zip(ref.states, b.states):
+            for u, v in zip(ref, b):
                 worst = max(worst, 1.0 - abs(np.vdot(u, v)))
     report("9 single-parameter reduction fidelity shortfall", worst, 1e-10)
     conc_worst = 0.0
     for z in np.linspace(1 / SQRT3, 1.0, 5):
-        for s in build_basis(EjmParams(float(z), 0.3, math.pi / 2)).states:
+        for s in build_basis(EjmParams(float(z), 0.3, math.pi / 2)):
             conc_worst = max(conc_worst, abs(concurrence_numeric(s) - 1.0))
     report("9 theta = pi/2 concurrence vs 1", conc_worst, 1e-12)
 

@@ -226,13 +226,13 @@ class TestPrep:
         for p in PARAM_GRID:
             b = build_basis(p)
             psi = apply(prep_circuit(p), KET00)
-            assert abs(abs(np.vdot(b.states[0], psi)) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(b[0], psi)) - 1.0) < 1e-10
 
     def test_negative_z(self):
         for p in NEG_PARAMS:
             b = build_basis(p)
             psi = apply(prep_circuit(p), KET00)
-            assert abs(abs(np.vdot(b.states[0], psi)) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(b[0], psi)) - 1.0) < 1e-10
 
     def test_controlled_ry_identity_at_pi_over_4(self):
         z = 1 / SQRT2
@@ -269,7 +269,7 @@ class TestLocalUnitaries:
             b = build_basis(p)
             u1 = local_unitary_u1(p.phi_prime)
             u2 = local_unitary_u2()
-            s = b.states
+            s = b
             assert np.abs(u1 @ s[0] + s[1]).max() < 1e-12
             assert np.abs(u2 @ s[0] + s[2]).max() < 1e-12
             assert np.abs(u2 @ u1 @ s[0] - s[3]).max() < 1e-12
@@ -281,7 +281,7 @@ class TestDetect:
             b = build_basis(p)
             d = detect_circuit(p)
             for i, target in enumerate(DETECTION_OUTCOMES):
-                probs = outcome_probabilities(apply(d, b.states[i]))
+                probs = outcome_probabilities(apply(d, b[i]))
                 assert probs[target] > 1.0 - 1e-10
                 off = np.delete(probs, target)
                 assert off.max() < 1e-10
@@ -291,14 +291,14 @@ class TestDetect:
             b = build_basis(p)
             d = detect_circuit(p)
             for i, target in enumerate(DETECTION_OUTCOMES):
-                probs = outcome_probabilities(apply(d, b.states[i]))
+                probs = outcome_probabilities(apply(d, b[i]))
                 assert probs[target] > 1.0 - 1e-10
 
     def test_uniform_mixture_outcomes(self):
         p = EjmParams(0.8, 0.9, 0.5)
         b = build_basis(p)
         d = detect_circuit(p)
-        avg = sum(outcome_probabilities(apply(d, s)) for s in b.states) / 4.0
+        avg = sum(outcome_probabilities(apply(d, s)) for s in b) / 4.0
         np.testing.assert_allclose(avg, 0.25, atol=1e-12)
 
     def test_round_trip_permutation_matrix(self):
@@ -335,7 +335,7 @@ class TestOutcomeProbabilities:
 
     def test_sums_to_one(self):
         p = EjmParams(0.9, -1.0, 0.4)
-        for s in build_basis(p).states:
+        for s in build_basis(p):
             assert abs(outcome_probabilities(s).sum() - 1.0) < 1e-12
 
 
@@ -365,7 +365,7 @@ def test_circuits_at_range_boundaries(z, phi, theta):
     u1 = local_unitary_u1(p.phi_prime)
     u2 = local_unitary_u2()
     prepared = np.array([psi, u1 @ psi, u2 @ psi, u2 @ u1 @ psi])
-    fidelities = np.abs((b.states.conj() * prepared).sum(axis=-1))
+    fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
     assert (fidelities >= 1.0 - 1e-10).all()
-    outcome = outcome_probabilities(apply(detect_circuit(p), b.states))
+    outcome = outcome_probabilities(apply(detect_circuit(p), b))
     assert np.abs(outcome - np.eye(4)[list(DETECTION_OUTCOMES)]).max() < 1e-10

@@ -6,7 +6,6 @@ import pytest
 from ejmkit.linalg import I4, inner
 from ejmkit.states import ParameterRangeError, concurrence_closed, concurrence_numeric
 from ejmkit.ejm import (
-    DegenerateGeometryError,
     EjmParams,
     _coefficients,
     _theta0_phase,
@@ -132,12 +131,12 @@ class TestBuildBasis:
         phi, theta = math.pi / 4, 0.9
         b = build_basis(EjmParams(1 / SQRT3, phi, theta))
         ref = reference_states_z_1sqrt3(phi, theta)
-        for got, want in zip(b.states, ref):
+        for got, want in zip(b, ref):
             assert np.abs(got - want).max() < 1e-7
 
     def test_theta_half_pi_all_maximally_entangled(self):
         b = build_basis(EjmParams(0.8, 0.3, math.pi / 2))
-        for s in b.states:
+        for s in b:
             assert abs(concurrence_numeric(s) - 1.0) < 1e-10
 
     def test_below_range_errors(self):
@@ -147,7 +146,7 @@ class TestBuildBasis:
     @pytest.mark.parametrize("z,phi,theta", [(0.7, 0.5, 0.3), (-0.9, -1.0, 1.1), (1.0, 3.0, 0.0)])
     def test_concurrence_matches_sqrt3_closed_form(self, z, phi, theta):
         b = build_basis(EjmParams(z, phi, theta))
-        for s in b.states:
+        for s in b:
             assert abs(concurrence_numeric(s) - concurrence_closed(SQRT3, theta)) < 1e-10
 
 
@@ -161,8 +160,8 @@ class TestOrthonormalityCompleteness:
 
     def test_gram_closed_formula(self):
         for z, phi, th in GRID[:: 17]:
-            b = build_basis(EjmParams(z, phi, th))
-            assert np.abs(gram_matrix(b) - gram_closed(b)).max() < 1e-12
+            p = EjmParams(z, phi, th)
+            assert np.abs(gram_matrix(build_basis(p)) - gram_closed(p)).max() < 1e-12
 
     def test_completeness_on_grid(self):
         worst = max(completeness_residual(build_basis(EjmParams(*t))) for t in GRID)
@@ -187,7 +186,7 @@ class TestConstructionPaths:
             for i in range(3):
                 for j in range(i + 1, 3):
                     d = np.abs(
-                        np.array(paths[i].states) - np.array(paths[j].states)
+                        np.array(paths[i]) - np.array(paths[j])
                     ).max()
                     worst = max(worst, float(d))
         assert worst < 1e-11
@@ -196,16 +195,16 @@ class TestConstructionPaths:
         for z in (-1 / SQRT3, -0.8, -1.0):
             p = EjmParams(z, 0.7, 0.4)
             a, b, c = build_basis(p), basis_from_kets(p), basis_phi_z_form(p)
-            assert np.abs(np.array(a.states) - np.array(b.states)).max() < 1e-11
-            assert np.abs(np.array(a.states) - np.array(c.states)).max() < 1e-11
+            assert np.abs(np.array(a) - np.array(b)).max() < 1e-11
+            assert np.abs(np.array(a) - np.array(c)).max() < 1e-11
 
 
 class TestReducedTetrahedron:
     def test_closed_form_and_antisymmetry(self):
         for z, phi, th in GRID[:: 11]:
-            b = build_basis(EjmParams(z, phi, th))
-            tet = reduced_tetrahedron(b)
-            assert np.abs(tet[:, 0] - reduced_tetrahedron_closed(b)).max() < 1e-10
+            p = EjmParams(z, phi, th)
+            tet = reduced_tetrahedron(build_basis(p))
+            assert np.abs(tet[:, 0] - reduced_tetrahedron_closed(p)).max() < 1e-10
             assert np.abs(tet[:, 0] + tet[:, 1]).max() < 1e-12
 
     def test_canonical_vertex(self):
@@ -240,9 +239,9 @@ class TestGeometry:
             if th > math.pi / 2 - 0.05:
                 continue
             b = build_basis(EjmParams(z, phi, th))
-            rep = tetrahedron_geometry_check(reduced_tetrahedron(b)[:, 0], th)
-            assert rep.modulus_dev < 1e-10
-            assert rep.pairwise_dev < 1e-10
+            modulus_dev, pairwise_dev = tetrahedron_geometry_check(reduced_tetrahedron(b)[:, 0], th)
+            assert modulus_dev < 1e-10
+            assert pairwise_dev < 1e-10
 
     def test_theta_zero_modulus(self):
         b = build_basis(EjmParams(1 / SQRT3, math.pi / 4, 0.0))
@@ -256,31 +255,36 @@ class TestGeometry:
         vecs = reduced_tetrahedron(b)[:, 0]
         a = tetrahedron_geometry_check(vecs, th)
         r = tetrahedron_geometry_check(-vecs, th)
-        assert abs(a.modulus_dev - r.modulus_dev) < 1e-15
-        assert abs(a.pairwise_dev - r.pairwise_dev) < 1e-15
+        assert abs(a[0] - r[0]) < 1e-15
+        assert abs(a[1] - r[1]) < 1e-15
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateGeometryError):
-            tetrahedron_geometry_check(np.zeros((4, 3)), math.pi / 2)
+    def test_degenerate_gives_nan(self):
+        single = tetrahedron_geometry_check(np.zeros((4, 3)), math.pi / 2)
+        assert all(math.isnan(d) for d in single)
+        stack = np.stack([np.zeros((4, 3)), reduced_tetrahedron(build_basis(CANONICAL))[:, 0]])
+        stacked = tetrahedron_geometry_check(stack, np.array([math.pi / 2, CANONICAL.theta]))
+        for one, many in zip(single, stacked):
+            np.testing.assert_equal(many[0], one)
+            assert many[1] < 1e-10
 
 
 class TestSingleParamReduction:
     def test_phi_choices(self):
-        assert abs(single_param_reduction(1 / SQRT3, 0.3).params.phi - math.pi / 4) < 1e-7
-        assert abs(single_param_reduction(1 / SQRT2, 0.3).params.phi - math.pi / 2) < 1e-12
-        assert abs(single_param_reduction(1.0, 0.3).params.phi - 3 * math.pi / 4) < 1e-12
+        assert abs(single_param_reduction(1 / SQRT3, 0.3).phi - math.pi / 4) < 1e-7
+        assert abs(single_param_reduction(1 / SQRT2, 0.3).phi - math.pi / 2) < 1e-12
+        assert abs(single_param_reduction(1.0, 0.3).phi - 3 * math.pi / 4) < 1e-12
 
     def test_independent_of_z_up_to_phase(self):
         th = 0.6
-        ref = single_param_reduction(1 / SQRT3, th)
+        ref = build_basis(single_param_reduction(1 / SQRT3, th))
         for z in (1 / SQRT2, 0.8, 0.95, 1.0):
-            other = single_param_reduction(z, th)
-            for u, v in zip(ref.states, other.states):
+            other = build_basis(single_param_reduction(z, th))
+            for u, v in zip(ref, other):
                 assert abs(abs(inner(u, v)) - 1.0) < 1e-10
 
     def test_matches_special_case_form(self):
         th = 0.5
-        b = single_param_reduction(1 / SQRT3, th)
+        b = build_basis(single_param_reduction(1 / SQRT3, th))
         ref = reference_states_z_1sqrt3(math.pi / 4, th)
-        for u, v in zip(b.states, ref):
+        for u, v in zip(b, ref):
             assert abs(abs(inner(u, v)) - 1.0) < 1e-10

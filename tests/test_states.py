@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ejmkit.ejm import EjmParams, build_basis
 from ejmkit.linalg import inner, outer, partial_trace
 from ejmkit.states import (
     FiveParams,
@@ -179,6 +180,39 @@ class TestConcurrence:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             concurrence_numeric([1, 1, 0, 0])
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_closed_rejects_non_finite_weight(self, a):
+        with pytest.raises(ParameterRangeError, match="a must be finite"):
+            concurrence_closed(a, 0.3)
+
+
+def concurrence_det(s):
+    """C = 2|det M| with M the (2, 2) reshape of each pure state."""
+    m = np.asarray(s, dtype=complex).reshape(np.shape(s)[:-1] + (2, 2))
+    return 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+
+
+class TestConcurrenceDeterminant:
+    """C = 2|det M| as a third route, independent of the reduced state and the closed form."""
+
+    def test_matches_numeric_and_closed_on_basis_stacks(self):
+        z = np.array([1 / SQRT3, -1 / SQRT3, 0.6, -0.8, 0.95, 1.0, -1.0])
+        phi = np.linspace(-math.pi, math.pi, 9)
+        theta = np.array([0.0, 0.3, 0.9, math.pi / 2 - 1e-9, math.pi / 2])
+        p = EjmParams(z[:, None, None], phi[None, :, None], theta[None, None, :])
+        b = build_basis(p)
+        det = concurrence_det(b)
+        assert det.shape == (7, 9, 5, 4)
+        assert np.abs(det - concurrence_numeric(b)).max() < 1e-12
+        assert np.abs(det - concurrence_closed(SQRT3, p.theta)[..., None]).max() < 1e-12
+
+    def test_product_and_bell(self):
+        product = np.array([1, 0, 1, 0], dtype=complex) / math.sqrt(2)
+        bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+        assert concurrence_det(product) < 1e-12
+        assert abs(concurrence_det(bell) - 1.0) < 1e-12
+        assert abs(concurrence_numeric(bell) - 1.0) < 1e-12
 
 
 class TestReducedBloch:
