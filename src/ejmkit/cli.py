@@ -52,7 +52,7 @@ GEOMETRY_CHECKS = {"modulus_dev": TOL_TRIG, "pairwise_dev": TOL_TRIG}
 GEOMETRY_THETA_MAX = math.pi / 2 - 0.05
 
 # points per _verify_many call in sweep; bounds its working memory
-SWEEP_CHUNK = 256
+SWEEP_CHUNK = 768
 
 # Reference blocks: (z, phi) with, per state index, the unit vector m_i and
 # the sign pattern of the side-first reduced vector (1/2) cos(theta) * signs.
@@ -159,9 +159,9 @@ def _verify_many(z, phi, theta) -> dict:
         return np.abs(x).max(axis=(-2, -1))
 
     gram = ejm.gram_matrix(b)
-    tet = ejm.reduced_tetrahedron(b)
+    tet = ejm.reduced_tetrahedron(b)  # the one norm check of the basis
     first = tet[..., 0, :]
-    conc_dev = states.concurrence_numeric(b) - states.concurrence_closed(SQRT3, p.theta)[..., None]
+    conc_dev = states._concurrence(b) - states.concurrence_closed(SQRT3, p.theta)[..., None]
     modulus_dev, pairwise_dev = ejm.tetrahedron_geometry_check(first, p.theta)
     return {
         "z": p.z,
@@ -255,17 +255,13 @@ def cmd_table1(args) -> int:
 
 def cmd_concurrence(args) -> int:
     n = args.grid
-    rows = []
-    for a in np.linspace(0.0, 2.0, n):
-        for theta in np.linspace(0.0, math.pi / 2, n):
-            rows.append(["grid", float(a), float(theta), states.concurrence_closed(a, theta)])
-    slice_vals = []
-    for theta in np.linspace(0.0, math.pi / 2, n):
-        c = states.concurrence_closed(SQRT3, theta)
-        slice_vals.append(c)
-        rows.append(["slice", SQRT3, float(theta), c])
+    weights, thetas = np.linspace(0.0, 2.0, n).tolist(), np.linspace(0.0, math.pi / 2, n).tolist()
+    grid = states.concurrence_closed(np.array(weights)[:, None], thetas).tolist()
+    rows = [["grid", a, th, c] for a, row in zip(weights, grid) for th, c in zip(thetas, row)]
+    slice_vals = states.concurrence_closed(SQRT3, thetas)
+    rows += (["slice", SQRT3, th, c] for th, c in zip(thetas, slice_vals.tolist()))
     _emit(rows, ["kind", "a", "theta", "concurrence"], args)
-    ok = abs(min(slice_vals) - 0.5) < TOL_ALG and abs(max(slice_vals) - 1.0) < TOL_ALG
+    ok = abs(slice_vals.min() - 0.5) < TOL_ALG and abs(slice_vals.max() - 1.0) < TOL_ALG
     return 0 if ok else 1
 
 

@@ -34,8 +34,9 @@ from .states import (
     _clip,
     _plain,
     _require,
+    _reduced_blochs,
     _rotated_pair,
-    reduced_bloch,
+    _two_qubit,
     wrap_angle,
 )
 
@@ -235,7 +236,7 @@ def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
     [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
     exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    return np.stack([reduced_bloch(b, "first"), reduced_bloch(b, "second")], axis=-2)
+    return _reduced_blochs(_two_qubit(b))
 
 
 def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, outer, require_normalized
+from .linalg import kron, require_normalized
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -58,11 +58,10 @@ def _check_z(z):
     return _clip(z, -1.0, 1.0)
 
 
-def _check_weight(a) -> float:
-    a = float(a)
-    if not math.isfinite(a):
-        raise ParameterRangeError(f"a must be finite, got {a!r}")
-    return a
+def _check_weight(a):
+    a = np.asarray(a, dtype=float)
+    _require(a, np.isfinite(a), "a must be finite, got {!r}")
+    return _plain(a)
 
 
 def _check_half_angle(value, name: str):
@@ -88,7 +87,7 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_weight(self.a))
+        object.__setattr__(self, "a", float(_check_weight(self.a)))
         object.__setattr__(self, "z", _check_z(self.z))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "theta0", _check_half_angle(self.theta0, "theta0"))
@@ -175,39 +174,48 @@ def phi_state_tensor(p: FiveParams) -> np.ndarray:
     return v / math.sqrt(2.0 * a * a + 2.0)
 
 
-def _reduced_state(s, side: str) -> np.ndarray:
-    """Reduced density operator of one qubit of normalized two-qubit states (..., 4).
+_POPULATION_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
-    With M the (2, 2) reshape of each state, rho_first = M M^dagger and
-    rho_second = M^T conj(M).
-    """
+
+def _two_qubit(s) -> np.ndarray:
+    """Normalized two-qubit states (..., 4): the one check at a public entry point."""
     s = require_normalized(s)
     if s.shape[-1] != 4:
         raise ValueError("expected two-qubit states")
-    m = s.reshape(s.shape[:-1] + (2, 2))
-    if side == "second":
-        m = np.swapaxes(m, -1, -2)
-    elif side != "first":
-        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    # M M^dagger as the sum of |column><column|: numpy's matmul is slow on stacks of 2x2
-    return outer(m[..., 0]) + outer(m[..., 1])
+    return s
+
+
+def _reduced_blochs(s: np.ndarray) -> np.ndarray:
+    """Side-first and side-second reduced Bloch vectors of checked states, shape (..., 2, 3).
+
+    For amplitudes (a, b, c, d) on |00>, |01>, |10>, |11> and rho_01 = a c* + b d*, the
+    side-first vector is (2 Re rho_01, -2 Im rho_01, |a|^2 + |b|^2 - |c|^2 - |d|^2).
+    The side-second vector swaps b and c.
+    """
+    x = s[..., [0, 1, 0, 2]] * s[..., [2, 3, 1, 3]].conj()  # a c*, b d*, a b*, c d*
+    rho01 = 2.0 * (x[..., ::2] + x[..., 1::2])
+    return np.stack([rho01.real, -rho01.imag, (s.real**2 + s.imag**2) @ _POPULATION_SIGNS], axis=-1)
+
+
+def _concurrence(s: np.ndarray) -> np.ndarray:
+    """C = 2|ad - bc| of checked states (..., 4)."""
+    return 2.0 * np.abs(s[..., 0] * s[..., 3] - s[..., 1] * s[..., 2])
 
 
 def concurrence_numeric(s):
-    """Pure-state concurrence C = sqrt(2 (1 - tr rho^2)) from the reduced state.
+    """Pure-state concurrence C = 2|ad - bc| from the amplitudes (a, b, c, d).
 
     Takes one state or a stack (..., 4) and returns one value per state.
+    On a product state ad = bc exactly, so C there is a rounding of order 1e-16.
     """
-    rho = _reduced_state(s, "first")
-    purity = np.einsum("...ij,...ji->...", rho, rho).real
-    return _plain(np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, 1.0)))
+    return _plain(_concurrence(_two_qubit(s)))
 
 
-def concurrence_closed(a: float, theta):
+def concurrence_closed(a, theta):
     """Closed-form concurrence of the five-parameter state.
 
     Depends only on a and theta:  sqrt(1 - 2 a^2 (1 + cos 2 theta) / (a^2+1)^2).
-    theta may be an array.
+    a and theta may be arrays that broadcast against each other.
     """
     theta = _check_half_angle(theta, "theta")
     a = _check_weight(a)
@@ -220,9 +228,9 @@ def reduced_bloch(s, side: str) -> np.ndarray:
 
     Takes one state or a stack (..., 4) and returns shape (..., 3).
     """
-    rho = _reduced_state(s, side)
-    r01 = rho[..., 0, 1]
-    return np.stack([2.0 * r01.real, -2.0 * r01.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    return _reduced_blochs(_two_qubit(s))[..., int(side == "second"), :]
 
 
 def m_prime(z: float, phi: float, theta0: float) -> np.ndarray:

@@ -86,10 +86,8 @@ def test_criterion_2_completeness():
 
 def test_criterion_3_concurrence():
     worst = 0.0
-    # a = +/-1 with theta = 0 sits exactly at C = 0, where the numeric
-    # sqrt(2(1 - tr rho^2)) amplifies machine roundoff to ~1e-8; the grid
-    # stays off that locus so both formulas are well conditioned
-    for a in np.linspace(-2.0, 2.0, 4):
+    # a = +/-1 with theta = 0 is the product-state locus C = 0
+    for a in (*np.linspace(-2.0, 2.0, 4), -1.0, 1.0):
         for z in np.linspace(-1.0, 1.0, 4):
             for phi in np.linspace(-math.pi, math.pi, 4):
                 for t0 in np.linspace(0.0, math.pi / 2, 4):

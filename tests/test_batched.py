@@ -13,13 +13,14 @@ and so magnifies that by 1/cos theta: it is compared times cos theta.
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejmkit import ejm, states
+from ejmkit import cli, ejm, linalg, states
 from ejmkit.cli import _passes, _verify_many, main
 from ejmkit.ejm import EjmParams
 
@@ -117,6 +118,56 @@ def test_sweep_matches_per_point_oracle(capsys, n):
     assert code == (0 if want["pass"] else 1)
     for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
+
+
+@pytest.mark.parametrize("n,chunk", [(3, 10), (5, 12)])
+def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
+    """Several full chunks plus a partial last one give the per-point result."""
+    assert n**3 > 2 * chunk and n**3 % chunk
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    code, got = run_json(capsys, "sweep", "--grid", str(n))
+    want = sweep_oracle(n)
+    assert list(got) == list(want)
+    assert (got["points"], got["pass"], code) == (want["points"], want["pass"], 0 if want["pass"] else 1)
+    for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
+        assert abs(got[k] - want[k]) <= METRIC_TOL, k
+
+    # a worst value planted in the second chunk must outlive every later chunk
+    verify_many, sizes = cli._verify_many, []
+
+    def planted(*columns):
+        rep = verify_many(*columns)
+        sizes.append(len(rep["z"]))
+        if len(sizes) == 2:
+            for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
+                rep[k][-1] = 0.5
+        return rep
+
+    monkeypatch.setattr(cli, "_verify_many", planted)
+    code, got = run_json(capsys, "sweep", "--grid", str(n))
+    assert sizes == [chunk] * (n**3 // chunk) + [n**3 % chunk]
+    assert (got["pass"], code) == (False, 1)
+    for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
+        assert got[k] == 0.5, k
+
+
+def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
+    original = linalg.require_normalized
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ejmkit")]:
+        for attr, obj in vars(module).items():
+            if obj is original:
+                monkeypatch.setattr(module, attr, counted)
+    rng = np.random.default_rng(64)
+    z = rng.uniform(1 / SQRT3, 1.0, 64) * rng.choice((-1.0, 1.0), 64)
+    rep = _verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
+    assert _passes(rep).all()
+    assert len(calls) <= 1
 
 
 def test_verify_report_matches_per_point_oracle(capsys):

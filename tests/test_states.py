@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejmkit.ejm import EjmParams, build_basis
-from ejmkit.linalg import inner, outer, partial_trace
+from ejmkit.ejm import EjmParams, build_basis, reduced_tetrahedron
+from ejmkit.linalg import PAULIS, inner, outer, partial_trace
 from ejmkit.states import (
     FiveParams,
     ParameterRangeError,
@@ -33,8 +33,6 @@ weights = st.floats(-4.0, 4.0)
 
 
 def bloch_of(ket):
-    from ejmkit.linalg import PAULIS
-
     return np.array([np.vdot(ket, p @ ket).real for p in PAULIS])
 
 
@@ -105,8 +103,7 @@ class TestPhiState:
         s = phi_state(p)
         prod = np.kron(ket_m0(p.z, p.phi, p.theta0), ket_m1(p.z, p.phi, p.theta0))
         assert abs(abs(inner(prod, s)) - 1.0) < 1e-12
-        # sqrt amplifies the ~1e-16 purity rounding near C = 0
-        assert concurrence_numeric(s) < 1e-7
+        assert concurrence_numeric(s) < 1e-12
 
     def test_a_sqrt3_theta0_half_pi_form(self):
         # reduces to the (sqrt3 +- e^{i theta}) combination of |m,-m>, |-m,m>
@@ -194,7 +191,7 @@ def concurrence_det(s):
 
 
 class TestConcurrenceDeterminant:
-    """C = 2|det M| as a third route, independent of the reduced state and the closed form."""
+    """C = 2|det M| of the (2, 2) reshape, written apart from the library's amplitude form."""
 
     def test_matches_numeric_and_closed_on_basis_stacks(self):
         z = np.array([1 / SQRT3, -1 / SQRT3, 0.6, -0.8, 0.95, 1.0, -1.0])
@@ -213,6 +210,77 @@ class TestConcurrenceDeterminant:
         assert concurrence_det(product) < 1e-12
         assert abs(concurrence_det(bell) - 1.0) < 1e-12
         assert abs(concurrence_numeric(bell) - 1.0) < 1e-12
+
+
+def reduced_states_oracle(s):
+    """Reduced states of both qubits, shape (..., 2, 2, 2), one partial_trace(outer) per state."""
+    s = np.asarray(s, dtype=complex)
+    rho = np.empty(s.shape[:-1] + (2, 2, 2), dtype=complex)
+    for idx in np.ndindex(s.shape[:-1]):
+        rho[idx] = [partial_trace(outer(s[idx]), keep) for keep in ("first", "second")]
+    return rho
+
+
+def bloch_oracle(rho):
+    """(tr rho X, tr rho Y, tr rho Z) along a new last axis."""
+    return np.stack([np.einsum("...ij,ji->...", rho, p).real for p in PAULIS], axis=-1)
+
+
+def purity_concurrence_sq(rho):
+    """C^2 = 2(1 - tr rho^2) of a pure state from either reduced state.
+
+    Returned squared: the sqrt of the purity formula turns a 1e-16 rounding of
+    tr rho^2 into 1e-8 near C = 0, so C itself is compared only on EJM bases,
+    where C >= 1/2.
+    """
+    return 2.0 * (1.0 - np.einsum("...ij,...ji->...", rho, rho).real)
+
+
+EDGE_Z = np.array([1 / SQRT3, -1 / SQRT3, 1.0, -1.0, 0.6, -0.8])
+EDGE_PHI = np.array([-math.pi, -1.0, 0.5, math.pi])
+EDGE_THETA = np.array([0.0, 0.4, math.pi / 2 - 1e-9, math.pi / 2])
+
+
+class TestAmplitudeKernelOracles:
+    """The amplitude formulas for r_first, r_second and C against a partial trace and the purity."""
+
+    @given(weights, zs, angles, half_angles, half_angles)
+    @settings(max_examples=60, deadline=None)
+    def test_five_parameter_states(self, a, z, phi, t0, th):
+        s = phi_state(FiveParams(a, z, phi, t0, th))
+        rho = reduced_states_oracle(s)
+        want = bloch_oracle(rho)
+        for k, side in enumerate(("first", "second")):
+            np.testing.assert_allclose(reduced_bloch(s, side), want[k], rtol=0, atol=1e-12)
+        assert abs(concurrence_numeric(s) ** 2 - purity_concurrence_sq(rho[0])) < 1e-12
+        assert abs(concurrence_numeric(s) ** 2 - purity_concurrence_sq(rho[1])) < 1e-12
+
+    def test_basis_stacks_on_the_edges(self):
+        p = EjmParams(EDGE_Z[:, None, None], EDGE_PHI[None, :, None], EDGE_THETA[None, None, :])
+        b = build_basis(p)
+        rho = reduced_states_oracle(b)
+        tet = reduced_tetrahedron(b)
+        assert tet.shape == (6, 4, 4, 4, 2, 3)
+        np.testing.assert_allclose(tet, bloch_oracle(rho), rtol=0, atol=1e-12)
+        for k, side in enumerate(("first", "second")):
+            np.testing.assert_allclose(reduced_bloch(b, side), tet[..., k, :], rtol=0, atol=0)
+        purity_c = np.sqrt(purity_concurrence_sq(rho[..., 0, :, :]))
+        assert np.abs(concurrence_numeric(b) - purity_c).max() < 1e-12
+        assert np.abs(concurrence_numeric(b) - concurrence_closed(SQRT3, p.theta)[..., None]).max() < 1e-12
+
+    def test_product_state_is_exactly_zero(self):
+        product = np.array([1, 0, 1, 0], dtype=complex) / math.sqrt(2)
+        assert concurrence_numeric(product) == 0.0
+        np.testing.assert_allclose(reduced_bloch(product, "first"), [1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(reduced_bloch(product, "second"), [0, 0, 1], atol=1e-15)
+
+    def test_entry_checks(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            reduced_bloch([1, 1, 0, 0], "first")
+        with pytest.raises(ValueError, match="two-qubit"):
+            concurrence_numeric([1, 0])
+        with pytest.raises(ValueError, match="side must be"):
+            reduced_bloch([1, 0, 0, 0], "third")
 
 
 class TestReducedBloch:
