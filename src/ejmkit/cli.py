@@ -54,41 +54,15 @@ GEOMETRY_THETA_MAX = math.pi / 2 - 0.05
 # points per _verify_many call in sweep; bounds its working memory
 SWEEP_CHUNK = 768
 
-# Reference blocks: (z, phi) with, per state index, the unit vector m_i and
-# the sign pattern of the side-first reduced vector (1/2) cos(theta) * signs.
+# Reference blocks: (z, phi) and, per state index, the unit vector m_i as a
+# sign pattern times z.  The side-first reduced vector of state i is
+# (1/2) cos(theta) * REDUCED_SIGNS[i] in every block.
 TABLE1_BLOCKS = [
-    (
-        1.0 / SQRT3,
-        math.pi / 4,
-        [
-            ((1, 1, 1), 1.0 / SQRT3),
-            ((-1, 1, -1), 1.0 / SQRT3),
-            ((-1, -1, 1), 1.0 / SQRT3),
-            ((1, -1, -1), 1.0 / SQRT3),
-        ],
-    ),
-    (
-        1.0 / SQRT2,
-        math.pi / 2,
-        [
-            ((0, 1, 1), 1.0 / SQRT2),
-            ((-1, 0, -1), 1.0 / SQRT2),
-            ((0, -1, 1), 1.0 / SQRT2),
-            ((1, 0, -1), 1.0 / SQRT2),
-        ],
-    ),
-    (
-        1.0,
-        3 * math.pi / 4,
-        [
-            ((0, 0, 1), 1.0),
-            ((0, 0, -1), 1.0),
-            ((0, 0, 1), 1.0),
-            ((0, 0, -1), 1.0),
-        ],
-    ),
+    (1.0 / SQRT3, math.pi / 4, [(1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)]),
+    (1.0 / SQRT2, math.pi / 2, [(0, 1, 1), (-1, 0, -1), (0, -1, 1), (1, 0, -1)]),
+    (1.0, 3 * math.pi / 4, [(0, 0, 1), (0, 0, -1), (0, 0, 1), (0, 0, -1)]),
 ]
-REDUCED_SIGNS = [(1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)]
+REDUCED_SIGNS = np.array([(1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)], dtype=float)
 
 
 def fmt(x: float) -> str:
@@ -230,24 +204,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    theta = args.theta
     rows = []
     worst = 0.0
-    for z, phi, entries in TABLE1_BLOCKS:
-        p = EjmParams(z=z, phi=phi, theta=theta)
-        zs, phis = p.zs, p.phis
-        tet = ejm.reduced_tetrahedron(ejm.build_basis(p))
-        for i in range(4):
-            m = states.unit_vector_m(zs[i], phis[i])
-            expected_m = np.array(entries[i][0], dtype=float) * entries[i][1]
-            expected_r = 0.5 * math.cos(theta) * np.array(REDUCED_SIGNS[i], dtype=float)
-            worst = max(
-                worst,
-                float(np.abs(m - expected_m).max()),
-                float(np.abs(tet[i, 0] - expected_r).max()),
-            )
-            vectors = [float(x) for x in (*m, *tet[i, 0])]
-            rows.append([float(z), float(phi), p.phi_z, i, float(zs[i]), float(phis[i]), *vectors])
+    for z, phi, m_signs in TABLE1_BLOCKS:
+        p = EjmParams(z=z, phi=phi, theta=args.theta)
+        m = states.unit_vector_m(p.zs, p.phis)
+        first = ejm.reduced_tetrahedron(ejm.build_basis(p))[:, 0]
+        m_dev = np.abs(m - z * np.array(m_signs, dtype=float)).max()
+        r_dev = np.abs(first - 0.5 * math.cos(p.theta) * REDUCED_SIGNS).max()
+        worst = max(worst, float(m_dev), float(r_dev))
+        table = np.column_stack([p.zs, p.phis, m, first]).tolist()
+        rows += ([float(z), float(phi), p.phi_z, i, *row] for i, row in enumerate(table))
     header = ["z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z"]
     _emit(rows, header, args)
     return 0 if worst < TOL_TRIG else 1

@@ -8,9 +8,10 @@ and per-index parameters
     phi_i = phi + (0, pi/2, -pi, -pi/2)[i],    z_i = (z, -z, z, -z)[i].
 
 Three independent construction paths are provided and agree elementwise:
-the tensor-product path (basis_from_kets), the simplified coefficient path
-(build_basis, the canonical one) and the phi_z-rotated path
-(basis_phi_z_form).
+the tensor-product path (basis_from_kets, which is that five-parameter state
+at a = sqrt(3), built by the same kernel as states.phi_state_tensor), the
+simplified coefficient path (build_basis, the canonical one) and the
+phi_z-rotated path (basis_phi_z_form).
 
 Everything here is array-shaped.  z, phi and theta may be broadcastable
 arrays; a basis then has shape (..., 4, 4), with state i at [..., i, :],
@@ -32,10 +33,11 @@ from .states import (
     SQRT3,
     _check_half_angle,
     _clip,
+    _phi_tensor,
     _plain,
     _require,
     _reduced_blochs,
-    _rotated_pair,
+    _stack,
     _two_qubit,
     wrap_angle,
 )
@@ -57,11 +59,6 @@ def sng(x):
 def _per_state(x) -> np.ndarray:
     """A per-point quantity with a trailing axis that broadcasts over the four states."""
     return np.asarray(x)[..., None]
-
-
-def _stack(*columns) -> np.ndarray:
-    """Broadcast the columns and stack them along a new last axis."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def _root_3z2m1(z):
@@ -173,20 +170,14 @@ def build_basis(p: EjmParams) -> np.ndarray:
     return _basis(pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
 
 
-def _pair(u, v) -> np.ndarray:
-    """|u, v> for stacked qubit states u and v, shape (..., 4)."""
-    return (u[..., :, None] * v[..., None, :]).reshape(u.shape[:-1] + (4,))
-
-
 def basis_from_kets(p: EjmParams) -> np.ndarray:
-    """Basis via the tensor-product definition with weight a = sqrt(3).
+    """Basis via the tensor-product definition: the five-parameter state at a = sqrt(3).
 
     e^{i theta0} is formed algebraically (_theta0_phase) rather than
     through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
     """
-    m0, m1 = _rotated_pair(p.zs, p.phis, _per_state(_per_state(1j * _theta0_phase(p.z))))
-    e_th = _per_state(_per_state(np.exp(1j * p.theta)))
-    return ((SQRT3 + e_th) * _pair(m0, m1) + (SQRT3 - e_th) * _pair(m1, m0)) / (2.0 * SQRT2)
+    w = _per_state(1j * _theta0_phase(p.z))
+    return _phi_tensor(SQRT3, p.zs, p.phis, w, _per_state(np.exp(1j * p.theta)))
 
 
 def basis_phi_z_form(p: EjmParams) -> np.ndarray:

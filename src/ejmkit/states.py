@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, require_normalized
+from .linalg import require_normalized
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -42,10 +42,20 @@ def _clip(x, lo: float, hi: float):
     return _plain(np.minimum(np.maximum(x, lo), hi))
 
 
+def _check_finite(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _require(x, np.isfinite(x), f"{name} must be finite, got {{!r}}")
+    return x
+
+
+def _stack(*columns) -> np.ndarray:
+    """Broadcast the columns and stack them along a new last axis."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
 def wrap_angle(phi):
     """Wrap an angle, or an array of angles, into (-pi, pi]."""
-    phi = np.asarray(phi, dtype=float)
-    _require(phi, np.isfinite(phi), "phi must be finite, got {!r}")
+    phi = _check_finite(phi, "phi")
     # fmod and the one-period shift are exact, so angles inside (-pi, pi] come back unchanged
     w = np.fmod(phi, 2.0 * math.pi)
     w = np.where(w > math.pi, w - 2.0 * math.pi, w)
@@ -59,9 +69,7 @@ def _check_z(z):
 
 
 def _check_weight(a):
-    a = np.asarray(a, dtype=float)
-    _require(a, np.isfinite(a), "a must be finite, got {!r}")
-    return _plain(a)
+    return _plain(_check_finite(a, "a"))
 
 
 def _check_half_angle(value, name: str):
@@ -77,7 +85,8 @@ class FiveParams:
 
     a is an arbitrary real weight; z and phi fix the cylindrical unit
     vector; theta0 and theta are half-angle phases in [0, pi/2].  phi is
-    wrapped into (-pi, pi] on construction.
+    wrapped into (-pi, pi] on construction.  Like EjmParams, each field may
+    be an array; the fields broadcast against each other.
     """
 
     a: float
@@ -87,26 +96,32 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(_check_weight(self.a)))
+        object.__setattr__(self, "a", _check_weight(self.a))
         object.__setattr__(self, "z", _check_z(self.z))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "theta0", _check_half_angle(self.theta0, "theta0"))
         object.__setattr__(self, "theta", _check_half_angle(self.theta, "theta"))
 
 
-def unit_vector_m(z: float, phi: float) -> np.ndarray:
-    """Cylindrical unit vector (sqrt(1-z^2) cos phi, sqrt(1-z^2) sin phi, z)."""
+def _check_phi(phi) -> np.ndarray:
+    # not wrapped: the kets carry e^{-+i phi/2}, of period 4 pi, so a 2 pi shift flips their sign
+    return _check_finite(phi, "phi")
+
+
+def unit_vector_m(z, phi) -> np.ndarray:
+    """Cylindrical unit vector (sqrt(1-z^2) cos phi, sqrt(1-z^2) sin phi, z).
+
+    z and phi broadcast; the vector is the last axis.
+    """
     z = _check_z(z)
-    r = math.sqrt(1.0 - z * z)
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
+    phi = _check_phi(phi)
+    r = np.sqrt(1.0 - z * z)
+    return _stack(r * np.cos(phi), r * np.sin(phi), z)
 
 
 def _ket(upper, lower, phi) -> np.ndarray:
     """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) along a new last axis."""
-    phi = np.asarray(phi)
-    return np.stack(
-        np.broadcast_arrays(upper * np.exp(-0.5j * phi), lower * np.exp(0.5j * phi)), axis=-1
-    ) / SQRT2
+    return _stack(upper * np.exp(-0.5j * phi), lower * np.exp(0.5j * phi)) / SQRT2
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -115,63 +130,80 @@ def ket_m(z, phi) -> np.ndarray:
     z and phi broadcast; the state is the last axis.
     """
     z = _check_z(z)
-    return _ket(np.sqrt(1.0 + z), np.sqrt(1.0 - z), phi)
+    return _ket(np.sqrt(1.0 + z), np.sqrt(1.0 - z), _check_phi(phi))
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
     z = _check_z(z)
-    return _ket(np.sqrt(1.0 - z), -np.sqrt(1.0 + z), phi)
+    return _ket(np.sqrt(1.0 - z), -np.sqrt(1.0 + z), _check_phi(phi))
 
 
 def _rotated_pair(z, phi, w):
-    """(|m_0>, |m_1>) from |m>, |-m> with w = i e^{i theta0}; broadcasts like ket_m."""
-    m, mm = ket_m(z, phi), ket_minus_m(z, phi)
+    """(|m_0>, |m_1>) with w = i e^{i theta0}; z, phi and w broadcast, and nothing is checked."""
+    u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
+    m, mm = _ket(u, v, phi), _ket(v, -u, phi)
+    w = np.asarray(w)[..., None]
     return ((1.0 - w) * m + (1.0 + w) * mm) / 2.0, ((1.0 + w) * m + (1.0 - w) * mm) / 2.0
 
 
-def ket_m0(z: float, phi: float, theta0: float) -> np.ndarray:
-    """First state of the theta0-rotated orthonormal pair.
+def _checked_pair(z, phi, theta0):
+    return _rotated_pair(
+        _check_z(z), _check_phi(phi), 1j * np.exp(1j * _check_half_angle(theta0, "theta0"))
+    )
+
+
+def ket_m0(z, phi, theta0) -> np.ndarray:
+    """First state of the theta0-rotated orthonormal pair; broadcasts like ket_m.
 
     Reduces to ket_m at theta0 = pi/2.
     """
-    return _rotated_pair(z, phi, 1j * np.exp(1j * _check_half_angle(theta0, "theta0")))[0]
+    return _checked_pair(z, phi, theta0)[0]
 
 
-def ket_m1(z: float, phi: float, theta0: float) -> np.ndarray:
+def ket_m1(z, phi, theta0) -> np.ndarray:
     """Second state of the pair; reduces to ket_minus_m at theta0 = pi/2."""
-    return _rotated_pair(z, phi, 1j * np.exp(1j * _check_half_angle(theta0, "theta0")))[1]
+    return _checked_pair(z, phi, theta0)[1]
 
 
 def phi_state(p: FiveParams) -> np.ndarray:
     """Five-parameter two-qubit state, built in the computational basis.
 
     This is the canonical constructor; phi_state_tensor builds the same
-    state from the m-basis tensor products and agrees elementwise.
+    state from the m-basis tensor products and agrees elementwise.  The
+    fields of p broadcast; the state is the last axis.
     """
     a, z, phi, t0, th = p.a, p.z, p.phi, p.theta0, p.theta
     r_plus = (1.0 + np.exp(2j * t0)) / SQRT2
     r_minus = (1.0 - np.exp(2j * t0)) / SQRT2
-    c = math.sqrt(1.0 - z * z)
+    c = np.sqrt(1.0 - z * z)
     e = SQRT2 * 1j * np.exp(1j * (t0 + th))
-    v = np.array(
-        [
-            a * (r_plus + c * r_minus) * np.exp(-1j * phi),
-            -(a * z * r_minus - e),
-            -(a * z * r_minus + e),
-            a * (r_plus - c * r_minus) * np.exp(1j * phi),
-        ]
+    v = _stack(
+        a * (r_plus + c * r_minus) * np.exp(-1j * phi),
+        -(a * z * r_minus - e),
+        -(a * z * r_minus + e),
+        a * (r_plus - c * r_minus) * np.exp(1j * phi),
     )
-    return v / (2.0 * math.sqrt(a * a + 1.0))
+    return v / (2.0 * np.sqrt(a * a + 1.0))[..., None]
+
+
+def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
+    """[(a + e_th)|m0,m1> + (a - e_th)|m1,m0>] / sqrt(2 a^2 + 2), shape (..., 4).
+
+    w = i e^{i theta0} and e_th = e^{i theta}; all five arguments broadcast.
+    Nothing is checked: callers pass validated parameters.
+    """
+    m0, m1 = _rotated_pair(z, phi, w)
+    norm = np.sqrt(2.0 * a * a + 2.0)
+    plus, minus = (np.asarray(c / norm)[..., None] for c in (a + e_th, a - e_th))
+    # |u,v> is the (2, 2) outer product u v^T; the weights scale the 2-vectors, not the products
+    v = (plus * m0)[..., :, None] * m1[..., None, :] + (minus * m1)[..., :, None] * m0[..., None, :]
+    return v.reshape(v.shape[:-2] + (4,))
 
 
 def phi_state_tensor(p: FiveParams) -> np.ndarray:
-    """Same state as phi_state, built from |m0,m1> and |m1,m0| tensor products."""
-    a, z, phi, t0, th = p.a, p.z, p.phi, p.theta0, p.theta
-    m0 = ket_m0(z, phi, t0)
-    m1 = ket_m1(z, phi, t0)
-    v = (a + np.exp(1j * th)) * kron(m0, m1) + (a - np.exp(1j * th)) * kron(m1, m0)
-    return v / math.sqrt(2.0 * a * a + 2.0)
+    """Same state as phi_state, built from the |m0,m1> and |m1,m0> tensor products."""
+    return _phi_tensor(p.a, p.z, p.phi, 1j * np.exp(1j * p.theta0), np.exp(1j * p.theta))
 
 
 _POPULATION_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -233,25 +265,25 @@ def reduced_bloch(s, side: str) -> np.ndarray:
     return _reduced_blochs(_two_qubit(s))[..., int(side == "second"), :]
 
 
-def m_prime(z: float, phi: float, theta0: float) -> np.ndarray:
+def m_prime(z, phi, theta0) -> np.ndarray:
     """Unit direction of the side-first reduced Bloch vector of phi_state.
 
-    Reduces to unit_vector_m(z, phi) at theta0 = pi/2.
+    Reduces to unit_vector_m(z, phi) at theta0 = pi/2.  The arguments
+    broadcast; the vector is the last axis.
     """
     z = _check_z(z)
+    phi = _check_phi(phi)
     theta0 = _check_half_angle(theta0, "theta0")
-    c = math.sqrt(1.0 - z * z)
-    s0, c0 = math.sin(theta0), math.cos(theta0)
-    return np.array(
-        [
-            c * math.cos(phi) * s0 + math.sin(phi) * c0,
-            c * math.sin(phi) * s0 - math.cos(phi) * c0,
-            z * s0,
-        ]
+    c = np.sqrt(1.0 - z * z)
+    s0, c0 = np.sin(theta0), np.cos(theta0)
+    return _stack(
+        c * np.cos(phi) * s0 + np.sin(phi) * c0,
+        c * np.sin(phi) * s0 - np.cos(phi) * c0,
+        z * s0,
     )
 
 
 def reduced_bloch_closed(p: FiveParams) -> np.ndarray:
-    """Closed form of reduced_bloch(phi_state(p), 'first')."""
-    scale = 2.0 * p.a * math.cos(p.theta) / (p.a * p.a + 1.0)
-    return scale * m_prime(p.z, p.phi, p.theta0)
+    """Closed form of reduced_bloch(phi_state(p), 'first'); broadcasts like phi_state."""
+    scale = 2.0 * p.a * np.cos(p.theta) / (p.a * p.a + 1.0)
+    return scale[..., None] * m_prime(p.z, p.phi, p.theta0)

@@ -151,8 +151,8 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
         assert got[k] == 0.5, k
 
 
-def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
-    original = linalg.require_normalized
+def count_calls(monkeypatch, original) -> list:
+    """Record every call of `original` through any of its bindings in the package."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -163,11 +163,27 @@ def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
         for attr, obj in vars(module).items():
             if obj is original:
                 monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def verify_random_points():
     rng = np.random.default_rng(64)
     z = rng.uniform(1 / SQRT3, 1.0, 64) * rng.choice((-1.0, 1.0), 64)
     rep = _verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
     assert _passes(rep).all()
+
+
+def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
+    calls = count_calls(monkeypatch, linalg.require_normalized)
+    verify_random_points()
     assert len(calls) <= 1
+
+
+def test_verify_many_does_not_revalidate_its_parameters(monkeypatch):
+    # the tensor path builds its kets from parameters EjmParams already checked
+    calls = [count_calls(monkeypatch, f) for f in (states.ket_m, states.ket_minus_m)]
+    verify_random_points()
+    assert calls == [[], []]
 
 
 def test_verify_report_matches_per_point_oracle(capsys):

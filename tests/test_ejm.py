@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from ejmkit.linalg import I4, inner
-from ejmkit.states import ParameterRangeError, concurrence_closed, concurrence_numeric
+from ejmkit.states import (
+    FiveParams,
+    ParameterRangeError,
+    concurrence_closed,
+    concurrence_numeric,
+    phi_state,
+    phi_state_tensor,
+)
 from ejmkit.ejm import (
     EjmParams,
     _coefficients,
@@ -197,6 +204,20 @@ class TestConstructionPaths:
             a, b, c = build_basis(p), basis_from_kets(p), basis_phi_z_form(p)
             assert np.abs(np.array(a) - np.array(b)).max() < 1e-11
             assert np.abs(np.array(a) - np.array(c)).max() < 1e-11
+
+    def test_five_parameter_state_at_sqrt3_is_the_basis(self):
+        # the fourth route: state i is the five-parameter state at (sqrt3, z_i, phi_i, theta0, theta)
+        near_min = 1 / SQRT3 + np.array([-16, -4, -1, 0, 1, 4, 16]) * np.spacing(1 / SQRT3)
+        z = np.concatenate([near_min, -near_min, [0.8, -0.8, 1.0, -1.0]])
+        phi = np.array([-math.pi, -1.0, 0.5, math.pi])
+        theta = np.array([0.0, 0.4, math.pi / 2 - 1e-9, math.pi / 2])
+        p = EjmParams(z[:, None, None], phi[None, :, None], theta[None, None, :])
+        f = FiveParams(SQRT3, p.zs, p.phis, p.theta0[..., None], p.theta[..., None])
+        b = build_basis(p)
+        for route in (phi_state, phi_state_tensor):
+            got = route(f)
+            assert got.shape == b.shape == (18, 4, 4, 4, 4)
+            assert np.abs(got - b).max() < 1e-11, route.__name__
 
 
 class TestReducedTetrahedron:

@@ -57,6 +57,68 @@ class TestUnitVector:
             unit_vector_m(1.5, 0.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("phi", NON_FINITE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi: ket_m(0.5, phi),
+        lambda phi: ket_minus_m(0.5, phi),
+        lambda phi: ket_m0(0.5, phi, 0.3),
+        lambda phi: ket_m1(0.5, phi, 0.3),
+        lambda phi: unit_vector_m(0.5, phi),
+        lambda phi: m_prime(0.5, phi, 0.3),
+        lambda phi: ket_m([0.5, 0.2], [0.1, phi]),
+    ],
+    ids=["ket_m", "ket_minus_m", "ket_m0", "ket_m1", "unit_vector_m", "m_prime", "stacked"],
+)
+def test_non_finite_phi_is_a_range_error(call, phi):
+    with pytest.raises(ParameterRangeError, match="phi must be finite"):
+        call(phi)
+
+
+class TestBroadcasting:
+    """Stacked parameters give the per-point results, stacked along the leading axes."""
+
+    def test_stacked_calls_match_single_points(self):
+        rng = np.random.default_rng(11)
+        n = 16
+        a, z, phi = rng.uniform(-4, 4, n), rng.uniform(-1, 1, n), rng.uniform(-4, 4, n)
+        t0, th = rng.uniform(0, math.pi / 2, n), rng.uniform(0, math.pi / 2, n)
+        p = FiveParams(a, z, phi, t0, th)
+        stacked = {
+            "phi_state": phi_state(p),
+            "phi_state_tensor": phi_state_tensor(p),
+            "reduced_bloch_closed": reduced_bloch_closed(p),
+            "unit_vector_m": unit_vector_m(z, phi),
+            "m_prime": m_prime(z, phi, t0),
+            "ket_m0": ket_m0(z, phi, t0),
+            "ket_m1": ket_m1(z, phi, t0),
+        }
+        for k in range(n):
+            q = FiveParams(a[k], z[k], phi[k], t0[k], th[k])
+            single = {
+                "phi_state": phi_state(q),
+                "phi_state_tensor": phi_state_tensor(q),
+                "reduced_bloch_closed": reduced_bloch_closed(q),
+                "unit_vector_m": unit_vector_m(z[k], phi[k]),
+                "m_prime": m_prime(z[k], phi[k], t0[k]),
+                "ket_m0": ket_m0(z[k], phi[k], t0[k]),
+                "ket_m1": ket_m1(z[k], phi[k], t0[k]),
+            }
+            for name, value in single.items():
+                assert stacked[name][k].shape == value.shape, name
+                np.testing.assert_allclose(stacked[name][k], value, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_fields_broadcast_against_each_other(self):
+        p = FiveParams(np.array([1.0, 2.0]), 0.3, np.array([[0.1], [0.2], [0.4]]), 0.5, 0.6)
+        assert phi_state(p).shape == phi_state_tensor(p).shape == (3, 2, 4)
+        assert reduced_bloch_closed(p).shape == (3, 2, 3)
+        np.testing.assert_allclose(phi_state(p), phi_state_tensor(p), rtol=0, atol=1e-12)
+
+
 class TestKets:
     def test_pole_is_ket0(self):
         np.testing.assert_allclose(ket_m(1.0, 0.0), [1, 0], atol=1e-15)
@@ -185,9 +247,9 @@ class TestConcurrence:
 
 
 def concurrence_det(s):
-    """C = 2|det M| with M the (2, 2) reshape of each pure state."""
+    """C = 2|det M| with M the (2, 2) reshape of each pure state, det by LU factorization."""
     m = np.asarray(s, dtype=complex).reshape(np.shape(s)[:-1] + (2, 2))
-    return 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+    return 2.0 * np.abs(np.linalg.det(m))
 
 
 class TestConcurrenceDeterminant:
