@@ -37,8 +37,7 @@ TOL_ALG = 1e-12
 TOL_PATH = 1e-11
 TOL_TRIG = 1e-10
 
-# verify metric -> the bound it must stay below; modulus_dev and pairwise_dev
-# count only where the geometry is non-degenerate and theta <= GEOMETRY_THETA_MAX
+# verify metric -> the bound it must stay below, at every point
 CHECKS = {
     "gram_dev": TOL_ALG,
     "gram_closed_dev": TOL_ALG,
@@ -47,9 +46,9 @@ CHECKS = {
     "antisymmetry_dev": TOL_ALG,
     "reduced_closed_dev": TOL_TRIG,
     "concurrence_dev": TOL_TRIG,
+    "modulus_dev": TOL_TRIG,
+    "pairwise_dev": TOL_ALG,
 }
-GEOMETRY_CHECKS = {"modulus_dev": TOL_TRIG, "pairwise_dev": TOL_TRIG}
-GEOMETRY_THETA_MAX = math.pi / 2 - 0.05
 
 # points per _verify_many call in sweep; bounds its working memory
 SWEEP_CHUNK = 768
@@ -123,8 +122,8 @@ def _verify_many(z, phi, theta) -> dict:
     """Every verify metric at n triples at once, each an array of shape (n,).
 
     Runs the three construction paths and all diagnostics on the stacked
-    basis.  modulus_dev and pairwise_dev are NaN where the reduced vectors
-    vanish, and "geometry_ok" is False there.
+    basis.  Every metric is finite on the whole domain, theta = pi/2
+    included; the keys after theta are those of CHECKS, in its order.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
     b = ejm.build_basis(p)
@@ -151,28 +150,21 @@ def _verify_many(z, phi, theta) -> dict:
         "antisymmetry_dev": worst(first + tet[..., 1, :]),
         "reduced_closed_dev": worst(first - ejm.reduced_tetrahedron_closed(p)),
         "concurrence_dev": np.abs(conc_dev).max(axis=-1),
-        "geometry_ok": ~np.isnan(modulus_dev),
         "modulus_dev": modulus_dev,
         "pairwise_dev": pairwise_dev,
     }
 
 
 def _passes(rep: dict) -> np.ndarray:
-    """Per-point pass flags of a _verify_many report."""
-    ok = np.logical_and.reduce([rep[k] < tol for k, tol in CHECKS.items()])
-    geometry = np.logical_and.reduce([rep[k] < tol for k, tol in GEOMETRY_CHECKS.items()])
-    checked = rep["geometry_ok"] & (rep["theta"] <= GEOMETRY_THETA_MAX)
-    return ok & (geometry | ~checked)
+    """Per-point pass flags of a _verify_many report; a NaN metric fails."""
+    return np.logical_and.reduce([rep[k] < tol for k, tol in CHECKS.items()])
 
 
 def cmd_verify(args) -> int:
     rep = _verify_many([args.z], [args.phi], [args.theta])
     report = {k: float(rep[k][0]) for k in ("z", "phi", "theta", *CHECKS)}
-    if rep["geometry_ok"][0]:
-        report["geometry"] = "ok"
-        report.update((k, float(rep[k][0])) for k in GEOMETRY_CHECKS)
-    else:
-        report["geometry"] = "degenerate"
+    # the geometry is checked at every theta; the key stays for report readers
+    report["geometry"] = "ok"
     report["report_tolerance"] = TOL_TRIG
     ok = bool(_passes(rep)[0])
     report["pass"] = ok
@@ -193,9 +185,8 @@ def cmd_sweep(args) -> int:
         flat = np.arange(start, min(start + SWEEP_CHUNK, n**3))
         rep = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
         ok = ok and bool(_passes(rep).all())
-        for k in (*CHECKS, *GEOMETRY_CHECKS):
-            # fmax skips the NaN of degenerate points
-            agg[k] = float(np.fmax.reduce(rep[k], initial=agg.get(k, 0.0)))
+        for k in CHECKS:
+            agg[k] = float(np.maximum.reduce(rep[k], initial=agg.get(k, 0.0)))
     agg["grid"] = n
     agg["points"] = int(n**3)
     agg["pass"] = ok

@@ -245,26 +245,23 @@ def tetrahedron_geometry_check(vectors, theta):
     """Check four Bloch vectors against the regular-tetrahedron geometry.
 
     Returns (modulus_dev, pairwise_dev): the worst deviation of |v_i| from
-    (sqrt(3)/2) cos theta, and the worst deviation of unit-vector dot
-    products from -1/3.  vectors has shape (4, 3) or (..., 4, 3) with theta
-    broadcasting over the leading axes.  Both are NaN for a degenerate set
-    (a zero-length vector, as at theta = pi/2).
+    (sqrt(3)/2) cos theta, and D = max over i < j of
+    |v_i . v_j + cos^2(theta)/4| / cos theta, the unnormalized form of
+    "unit-vector dot products equal -1/3".  vectors has shape (4, 3) or
+    (..., 4, 3) with theta in [0, pi/2] broadcasting over the leading axes.
+    The float cos theta is positive on the whole range, pi/2 included, so
+    both values are finite at every theta.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
+    # a negative cos theta would make D negative, and so pass any bound
+    cos = np.cos(_check_half_angle(theta, "theta"))
     norms = np.linalg.norm(vectors, axis=-1)
-    degenerate = np.any(norms < 1e-12, axis=-1)
-    target = (SQRT3 / 2.0) * np.cos(theta)
-    modulus_dev = np.abs(norms - _per_state(target)).max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        units = vectors / norms[..., None]
-    dots = units @ np.swapaxes(units, -1, -2)
-    pairwise_dev = np.abs(dots[..., _PAIRS[0], _PAIRS[1]] + 1.0 / 3.0).max(axis=-1)
-    return (
-        _plain(np.where(degenerate, np.nan, modulus_dev)),
-        _plain(np.where(degenerate, np.nan, pairwise_dev)),
-    )
+    modulus_dev = np.abs(norms - _per_state(SQRT3 / 2.0 * cos)).max(axis=-1)
+    dots = (vectors @ np.swapaxes(vectors, -1, -2))[..., _PAIRS[0], _PAIRS[1]]
+    pairwise_dev = np.abs(dots + _per_state(cos * cos / 4.0)).max(axis=-1) / cos
+    return _plain(modulus_dev), _plain(pairwise_dev)
 
 
 def single_param_reduction(z, theta) -> EjmParams:

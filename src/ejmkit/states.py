@@ -271,9 +271,11 @@ def m_prime(z, phi, theta0) -> np.ndarray:
     Reduces to unit_vector_m(z, phi) at theta0 = pi/2.  The arguments
     broadcast; the vector is the last axis.
     """
-    z = _check_z(z)
-    phi = _check_phi(phi)
-    theta0 = _check_half_angle(theta0, "theta0")
+    return _m_prime(_check_z(z), _check_phi(phi), _check_half_angle(theta0, "theta0"))
+
+
+def _m_prime(z, phi, theta0) -> np.ndarray:
+    """m_prime of validated arguments; nothing is checked."""
     c = np.sqrt(1.0 - z * z)
     s0, c0 = np.sin(theta0), np.cos(theta0)
     return _stack(
@@ -286,4 +288,4 @@ def m_prime(z, phi, theta0) -> np.ndarray:
 def reduced_bloch_closed(p: FiveParams) -> np.ndarray:
     """Closed form of reduced_bloch(phi_state(p), 'first'); broadcasts like phi_state."""
     scale = 2.0 * p.a * np.cos(p.theta) / (p.a * p.a + 1.0)
-    return scale[..., None] * m_prime(p.z, p.phi, p.theta0)
+    return scale[..., None] * _m_prime(p.z, p.phi, p.theta0)

@@ -121,13 +121,11 @@ def test_criterion_5_tetrahedron_geometry():
     for p in GRID:
         tet = reduced_tetrahedron(build_basis(p))
         neg_worst = max(neg_worst, float(np.abs(tet[:, 0] + tet[:, 1]).max()))
-        if p.theta > math.pi / 2 - 0.05:
-            continue
         modulus_dev, pairwise_dev = tetrahedron_geometry_check(tet[:, 0], p.theta)
         mod_worst = max(mod_worst, modulus_dev)
         pair_worst = max(pair_worst, pairwise_dev)
     report("5 modulus vs (sqrt3/2) cos theta", mod_worst, 1e-10)
-    report("5 pairwise dot vs -1/3", pair_worst, 1e-10)
+    report("5 pairwise dot vs -cos^2(theta)/4, over cos theta", pair_worst, 1e-12)
     report("5 side-second negation", neg_worst, 1e-12)
 
 

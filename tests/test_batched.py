@@ -6,8 +6,6 @@ core must give the same report keys, order, pass flags and exit codes, and
 metrics equal to within 1e-14.  Stacked and single-point numpy calls may
 round differently in the last digit (numpy picks other SIMD loops for
 broadcast operands), so states agree to a few ulp, not bitwise.
-pairwise_dev compares unit vectors v/|v| with |v| = (sqrt(3)/2) cos theta
-and so magnifies that by 1/cos theta: it is compared times cos theta.
 """
 
 import json
@@ -62,18 +60,14 @@ def verify_one(p: EjmParams) -> dict:
             for s in b
         ),
     }
-    modulus_dev, pairwise_dev = ejm.tetrahedron_geometry_check(tet[:, 0], p.theta)
-    if math.isnan(modulus_dev):
-        report["geometry"] = "degenerate"
-    else:
-        report["geometry"] = "ok"
-        report["modulus_dev"] = modulus_dev
-        report["pairwise_dev"] = pairwise_dev
+    report["modulus_dev"], report["pairwise_dev"] = ejm.tetrahedron_geometry_check(tet[:, 0], p.theta)
+    report["geometry"] = "ok"
     return report
 
 
 def verify_pass(report: dict) -> bool:
-    ok = (
+    """The one rule at every point: each metric below its bound; NaN fails."""
+    return (
         report["gram_dev"] < 1e-12
         and report["gram_closed_dev"] < 1e-12
         and report["completeness_residual"] < 1e-12
@@ -81,10 +75,9 @@ def verify_pass(report: dict) -> bool:
         and report["antisymmetry_dev"] < 1e-12
         and report["reduced_closed_dev"] < 1e-10
         and report["concurrence_dev"] < 1e-10
+        and report["modulus_dev"] < 1e-10
+        and report["pairwise_dev"] < 1e-12
     )
-    if report["geometry"] == "ok" and report["theta"] <= math.pi / 2 - 0.05:
-        ok = ok and report["modulus_dev"] < 1e-10 and report["pairwise_dev"] < 1e-10
-    return ok
 
 
 def sweep_oracle(n: int) -> dict:
@@ -235,13 +228,8 @@ def test_verify_many_equals_scalar_calls(points):
     for n, triple in enumerate(points):
         want = verify_one(EjmParams(*triple))
         assert (rep["z"][n], rep["phi"][n], rep["theta"][n]) == (want["z"], want["phi"], want["theta"])
-        assert bool(rep["geometry_ok"][n]) == (want["geometry"] == "ok")
-        for k in CHECK_KEYS:
+        for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
             assert abs(rep[k][n] - want[k]) <= METRIC_TOL, k
-        if want["geometry"] == "ok":
-            assert abs(rep["modulus_dev"][n] - want["modulus_dev"]) <= METRIC_TOL
-            scale = math.cos(want["theta"])
-            assert abs(rep["pairwise_dev"][n] - want["pairwise_dev"]) * scale <= METRIC_TOL
         assert bool(passed[n]) == verify_pass(want)
 
 
@@ -250,6 +238,15 @@ def _shifted(f, delta=1e-9):
 
     def tampered(*args):
         return f(*args) + delta
+
+    return tampered
+
+
+def _shifted_input(f, delta=1e-9):
+    """f with 1e-9 added to its first argument."""
+
+    def tampered(x, *args):
+        return f(x + delta, *args)
 
     return tampered
 
@@ -265,11 +262,19 @@ def _shifted(f, delta=1e-9):
         (ejm, "reduced_tetrahedron"),
         (ejm, "reduced_tetrahedron_closed"),
         (states, "concurrence_closed"),
+        (ejm, "tetrahedron_geometry_check"),
     ],
 )
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
-    monkeypatch.setattr(module, name, _shifted(getattr(module, name)))
-    points = [(0.8, 0.3, 0.2), (-1 / SQRT3, -math.pi, math.pi / 2 - 0.05), (1.0, 2.0, math.pi / 2)]
+    tamper = _shifted_input if name == "tetrahedron_geometry_check" else _shifted
+    monkeypatch.setattr(module, name, tamper(getattr(module, name)))
+    points = [
+        (0.8, 0.3, 0.2),
+        (-1 / SQRT3, -math.pi, math.pi / 2 - 0.05),
+        (1.0, 2.0, math.pi / 2),
+        (0.7, 1.0, math.pi / 2 - 1e-3),
+        (-0.9, -1.2, math.pi / 2),
+    ]
     rep = _verify_many(*(np.array(column) for column in zip(*points)))
     passed = _passes(rep)
     for n, triple in enumerate(points):
@@ -280,7 +285,6 @@ def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
             assert abs(rep[k][n] - want[k]) <= METRIC_TOL, k
 
 
-BAND = math.pi / 2 - 0.05
 TOLERANCES = {
     "gram_dev": 1e-12,
     "gram_closed_dev": 1e-12,
@@ -290,20 +294,17 @@ TOLERANCES = {
     "reduced_closed_dev": 1e-10,
     "concurrence_dev": 1e-10,
     "modulus_dev": 1e-10,
-    "pairwise_dev": 1e-10,
+    "pairwise_dev": 1e-12,
 }
 
 
 def test_pass_rule_matches_per_point_rule():
-    """One metric at a time just below, just above and at NaN, across the theta band edge."""
-    thetas = (0.0, 0.7, BAND, math.nextafter(BAND, 2.0), math.pi / 2 - 0.045, math.pi / 2)
+    """One metric at a time just below, at, just above its bound and at NaN, at any theta."""
+    thetas = (0.0, 0.7, math.pi / 2 - 0.05, math.pi / 2 - 1e-3, math.pi / 2)
     for key, tol in TOLERANCES.items():
         for value in (0.5 * tol, tol, 2.0 * tol, math.nan):
             for theta in thetas:
-                for geometry_ok in (True, False):
-                    want = dict.fromkeys(TOLERANCES, 0.0)
-                    want.update({key: value, "theta": theta})
-                    want["geometry"] = "ok" if geometry_ok else "degenerate"
-                    rep = {k: np.array([v]) for k, v in want.items() if k != "geometry"}
-                    rep["geometry_ok"] = np.array([geometry_ok])
-                    assert bool(_passes(rep)[0]) == verify_pass(want), (key, value, theta, geometry_ok)
+                want = dict.fromkeys(TOLERANCES, 0.0)
+                want.update({key: value, "theta": theta})
+                rep = {k: np.array([v]) for k, v in want.items()}
+                assert bool(_passes(rep)[0]) == verify_pass(want), (key, value, theta)

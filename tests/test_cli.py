@@ -78,10 +78,14 @@ class TestVerify:
         assert rep["gram_dev"] < 1e-12
         assert rep["completeness_residual"] < 1e-12
 
-    def test_degenerate_geometry_reported(self, capsys):
-        code, js, _ = run(capsys, "verify", "--theta", str(math.pi / 2))
+    def test_geometry_checked_at_theta_half_pi(self, capsys):
+        # the reduced vectors vanish here, and the geometry is still checked
+        code, js, _ = run(capsys, "verify", "--theta", repr(math.pi / 2))
+        rep = json.loads(js)
         assert code == 0
-        assert json.loads(js)["geometry"] == "degenerate"
+        assert rep["geometry"] == "ok"
+        assert rep["pass"] is True
+        assert math.isfinite(rep["modulus_dev"]) and math.isfinite(rep["pairwise_dev"])
 
     def test_tolerance_env_var(self, capsys, monkeypatch):
         # the report echoes the fixed pass/fail tolerance; no environment knob moves it

@@ -257,12 +257,10 @@ class TestReducedTetrahedron:
 class TestGeometry:
     def test_grid_geometry(self):
         for z, phi, th in GRID:
-            if th > math.pi / 2 - 0.05:
-                continue
             b = build_basis(EjmParams(z, phi, th))
             modulus_dev, pairwise_dev = tetrahedron_geometry_check(reduced_tetrahedron(b)[:, 0], th)
             assert modulus_dev < 1e-10
-            assert pairwise_dev < 1e-10
+            assert pairwise_dev < 1e-12
 
     def test_theta_zero_modulus(self):
         b = build_basis(EjmParams(1 / SQRT3, math.pi / 4, 0.0))
@@ -279,14 +277,22 @@ class TestGeometry:
         assert abs(a[0] - r[0]) < 1e-15
         assert abs(a[1] - r[1]) < 1e-15
 
-    def test_degenerate_gives_nan(self):
+    def test_zero_vectors_at_theta_half_pi_are_finite(self):
+        # pytest turns a RuntimeWarning (a 0/0 or x/0) into an error
         single = tetrahedron_geometry_check(np.zeros((4, 3)), math.pi / 2)
-        assert all(math.isnan(d) for d in single)
+        assert all(math.isfinite(d) and d < 1e-15 for d in single)
         stack = np.stack([np.zeros((4, 3)), reduced_tetrahedron(build_basis(CANONICAL))[:, 0]])
         stacked = tetrahedron_geometry_check(stack, np.array([math.pi / 2, CANONICAL.theta]))
         for one, many in zip(single, stacked):
             np.testing.assert_equal(many[0], one)
-            assert many[1] < 1e-10
+            assert many[1] < 1e-12
+
+    def test_theta_outside_its_range_is_rejected(self):
+        # a negative cos theta would turn pairwise_dev negative, below any bound
+        vecs = reduced_tetrahedron(build_basis(CANONICAL))[:, 0]
+        for th in (-0.1, math.pi / 2 + 0.1, math.pi, math.nan):
+            with pytest.raises(ParameterRangeError):
+                tetrahedron_geometry_check(vecs, th)
 
 
 class TestSingleParamReduction:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ejmkit import states
 from ejmkit.ejm import EjmParams, build_basis, reduced_tetrahedron
 from ejmkit.linalg import PAULIS, inner, outer, partial_trace
 from ejmkit.states import (
@@ -377,6 +378,19 @@ class TestReducedBloch:
         vp = reduced_bloch(phi_state(pos), "first")
         vn = reduced_bloch(phi_state(neg), "first")
         np.testing.assert_allclose(vp, -vn, atol=1e-12)
+
+    def test_closed_form_does_not_recheck_its_params(self, monkeypatch):
+        # FiveParams checked z, phi and theta0 when it was built
+        p = FiveParams(1.3, np.array([0.5, -0.9]), 0.8, 1.0, 0.4)
+        check_z, calls = states._check_z, []
+
+        def counted(z):
+            calls.append(z)
+            return check_z(z)
+
+        monkeypatch.setattr(states, "_check_z", counted)
+        reduced_bloch_closed(p)
+        assert calls == []
 
 
 class TestMPrime:
