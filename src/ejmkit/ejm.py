@@ -256,7 +256,11 @@ def tetrahedron_geometry_check(vectors, theta):
     if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
     # a negative cos theta would make D negative, and so pass any bound
-    cos = np.cos(_check_half_angle(theta, "theta"))
+    return _tetrahedron_geometry(vectors, np.cos(_check_half_angle(theta, "theta")))
+
+
+def _tetrahedron_geometry(vectors: np.ndarray, cos):
+    """tetrahedron_geometry_check on (..., 4, 3) vectors and cos theta > 0, unchecked."""
     norms = np.linalg.norm(vectors, axis=-1)
     modulus_dev = np.abs(norms - _per_state(SQRT3 / 2.0 * cos)).max(axis=-1)
     dots = (vectors @ np.swapaxes(vectors, -1, -2))[..., _PAIRS[0], _PAIRS[1]]

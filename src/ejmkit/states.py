@@ -250,7 +250,11 @@ def concurrence_closed(a, theta):
     a and theta may be arrays that broadcast against each other.
     """
     theta = _check_half_angle(theta, "theta")
-    a = _check_weight(a)
+    return _concurrence_closed(_check_weight(a), theta)
+
+
+def _concurrence_closed(a, theta):
+    """concurrence_closed on a checked weight and theta, unchecked."""
     val = 1.0 - 2.0 * a * a * (1.0 + np.cos(2.0 * theta)) / (a * a + 1.0) ** 2
     return _plain(np.sqrt(np.clip(val, 0.0, 1.0)))
 

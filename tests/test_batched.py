@@ -5,7 +5,9 @@ one EjmParams, one basis and one diagnostic call per point.  The batched
 core must give the same report keys, order, pass flags and exit codes, and
 metrics equal to within 1e-14.  Stacked and single-point numpy calls may
 round differently in the last digit (numpy picks other SIMD loops for
-broadcast operands), so states agree to a few ulp, not bitwise.
+broadcast operands), so states agree to a few ulp, not bitwise.  The
+sweep's broadcast block layout is compared bit for bit with the flat-chunk
+layout it replaced, since both run the same core on the same points.
 """
 
 import json
@@ -113,10 +115,13 @@ def test_sweep_matches_per_point_oracle(capsys, n):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
 
-@pytest.mark.parametrize("n,chunk", [(3, 10), (5, 12)])
+@pytest.mark.parametrize("n,chunk", [(5, 50), (5, 12), (3, 6)])
 def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
-    """Several full chunks plus a partial last one give the per-point result."""
-    assert n**3 > 2 * chunk and n**3 % chunk
+    """Several full blocks plus a partial last one give the per-point result.
+
+    A chunk of N^2 points or more runs whole z slabs (5, 50); a smaller one
+    splits each slab along phi (5, 12) and (3, 6).
+    """
     monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     want = sweep_oracle(n)
@@ -125,12 +130,12 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
     for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
-    # a worst value planted in the second chunk must outlive every later chunk
+    # a worst value planted in the second block must outlive every later block
     verify_many, sizes = cli._verify_many, []
 
     def planted(*columns):
         rep = verify_many(*columns)
-        sizes.append(len(rep["z"]))
+        sizes.append(rep["gram_dev"].size)
         if len(sizes) == 2:
             for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
                 rep[k][-1] = 0.5
@@ -138,10 +143,45 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
 
     monkeypatch.setattr(cli, "_verify_many", planted)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
-    assert sizes == [chunk] * (n**3 // chunk) + [n**3 % chunk]
+    assert sum(sizes) == n**3
+    assert len(sizes) > 2
+    assert sizes[-1] < sizes[0]
     assert (got["pass"], code) == (False, 1)
     for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
         assert got[k] == 0.5, k
+
+
+def flat_sweep(n: int) -> tuple:
+    """The sweep report and exit code of flat SWEEP_CHUNK-point chunks gathered by unravel_index."""
+    axes = (
+        np.linspace(ejm.Z_MIN, 1.0, n),
+        np.linspace(-math.pi, math.pi, n),
+        np.linspace(0.0, math.pi / 2, n),
+    )
+    agg: dict = {}
+    ok = True
+    for start in range(0, n**3, cli.SWEEP_CHUNK):
+        flat = np.arange(start, min(start + cli.SWEEP_CHUNK, n**3))
+        rep = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
+        ok = ok and bool(_passes(rep).all())
+        for k in cli.CHECKS:
+            agg[k] = float(np.maximum.reduce(rep[k], initial=agg.get(k, 0.0)))
+    agg["grid"] = n
+    agg["points"] = int(n**3)
+    agg["pass"] = ok
+    return agg, 0 if ok else 1
+
+
+@pytest.mark.parametrize("n,chunk", [(2, None), (3, None), (7, None), (14, None), (6, 20)])
+def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
+    """Broadcast (z, phi, theta) blocks give the flat-chunk report bit for bit, no tolerance."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    code, got = run_json(capsys, "sweep", "--grid", str(n))
+    want, want_code = flat_sweep(n)
+    assert list(got) == list(want)
+    assert got == want
+    assert code == want_code
 
 
 def count_calls(monkeypatch, original) -> list:
@@ -177,6 +217,13 @@ def test_verify_many_does_not_revalidate_its_parameters(monkeypatch):
     calls = [count_calls(monkeypatch, f) for f in (states.ket_m, states.ket_minus_m)]
     verify_random_points()
     assert calls == [[], []]
+
+
+def test_verify_many_checks_theta_once(monkeypatch):
+    # EjmParams checks theta; the closed-form concurrence and the geometry take it as checked
+    calls = count_calls(monkeypatch, states._check_half_angle)
+    verify_random_points()
+    assert len(calls) == 1
 
 
 def test_verify_report_matches_per_point_oracle(capsys):
@@ -261,12 +308,14 @@ def _shifted_input(f, delta=1e-9):
         (ejm, "completeness_residual"),
         (ejm, "reduced_tetrahedron"),
         (ejm, "reduced_tetrahedron_closed"),
-        (states, "concurrence_closed"),
-        (ejm, "tetrahedron_geometry_check"),
+        (states, "_concurrence_closed"),
+        (ejm, "_tetrahedron_geometry"),
     ],
 )
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
-    tamper = _shifted_input if name == "tetrahedron_geometry_check" else _shifted
+    # the unchecked cores are what _verify_many calls; the public
+    # concurrence_closed and tetrahedron_geometry_check, and so verify_one, call them too
+    tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
     monkeypatch.setattr(module, name, tamper(getattr(module, name)))
     points = [
         (0.8, 0.3, 0.2),
