@@ -93,7 +93,7 @@ class OutputError(OSError):
 
 
 def _write(text: str, args):
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
@@ -200,19 +200,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_table1(args) -> int:
     rows = []
-    worst = 0.0
+    ok = True
     for z, phi, m_signs in TABLE1_BLOCKS:
         p = EjmParams(z=z, phi=phi, theta=args.theta)
         m = states.unit_vector_m(p.zs, p.phis)
         first = ejm.reduced_tetrahedron(ejm.build_basis(p))[:, 0]
         m_dev = np.abs(m - z * np.array(m_signs, dtype=float)).max()
         r_dev = np.abs(first - 0.5 * math.cos(p.theta) * REDUCED_SIGNS).max()
-        worst = max(worst, float(m_dev), float(r_dev))
+        ok = ok and bool(m_dev < TOL_TRIG and r_dev < TOL_TRIG)  # a NaN deviation fails
         table = np.column_stack([p.zs, p.phis, m, first]).tolist()
         rows += ([float(z), float(phi), p.phi_z, i, *row] for i, row in enumerate(table))
     header = ["z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z"]
     _emit(rows, header, args)
-    return 0 if worst < TOL_TRIG else 1
+    return 0 if ok else 1
 
 
 def cmd_concurrence(args) -> int:

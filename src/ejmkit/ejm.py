@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import I4, outer
+from .linalg import I4, require_normalized
 from .states import (
     SQRT2,
     SQRT3,
@@ -38,7 +38,6 @@ from .states import (
     _require,
     _reduced_blochs,
     _stack,
-    _two_qubit,
     wrap_angle,
 )
 
@@ -210,11 +209,6 @@ def gram_closed(p: EjmParams) -> np.ndarray:
     )
 
 
-def projectors(b: np.ndarray) -> np.ndarray:
-    """Rank-1 projectors |Phi_i><Phi_i|, shape (..., 4, 4, 4) with i on axis -3."""
-    return outer(b)
-
-
 def completeness_residual(b: np.ndarray):
     """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
     total = np.swapaxes(b, -1, -2) @ b.conj()
@@ -227,7 +221,7 @@ def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
     [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
     exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    return _reduced_blochs(_two_qubit(b))
+    return _reduced_blochs(require_normalized(b))
 
 
 def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:

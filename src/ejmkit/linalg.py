@@ -13,12 +13,8 @@ import numpy as np
 
 ATOL_TRIG = 1e-10  # quantities passing through arcsin/sqrt chains
 
-I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_state(v) -> np.ndarray:
@@ -31,16 +27,6 @@ def as_state(v) -> np.ndarray:
     return v
 
 
-def as_operator(m) -> np.ndarray:
-    """Coerce to a complex square matrix of dimension 2 or 4."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise ValueError(f"operator must be 2x2 or 4x4, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("operator contains non-finite entries")
-    return m
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two dim-2 objects (qubit 0 on the left)."""
     a = np.asarray(a, dtype=complex)
@@ -50,11 +36,6 @@ def kron(a, b) -> np.ndarray:
     if a.ndim != b.ndim:
         raise ValueError("kron operands must both be vectors or both be matrices")
     return np.kron(a, b)
-
-
-def dagger(op) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(op).conj().T
 
 
 def inner(u, v) -> complex:
@@ -73,12 +54,14 @@ def outer(u, v=None) -> np.ndarray:
     return u[..., :, None] * v.conj()[..., None, :]
 
 
-def require_normalized(v, atol: float = ATOL_TRIG) -> np.ndarray:
-    """as_state, with every vector of unit norm to within atol."""
+def require_normalized(v) -> np.ndarray:
+    """as_state for two-qubit states (..., 4) of unit norm to within ATOL_TRIG: the one entry check."""
     v = as_state(v)
+    if v.shape[-1] != 4:
+        raise ValueError(f"expected two-qubit states, got shape {v.shape}")
     norms = np.linalg.norm(v, axis=-1)
     dev = np.abs(norms - 1.0)
-    if not (dev < atol).all():
+    if not (dev < ATOL_TRIG).all():
         worst = np.ravel(norms)[np.argmax(dev)]
         raise ValueError(f"state is not normalized: |v| = {float(worst)!r}")
     return v
@@ -90,9 +73,11 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     keep='first' returns the reduced operator of qubit 0, keep='second'
     that of qubit 1.  Trace is preserved exactly.
     """
-    rho = as_operator(rho)
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 operator")
+        raise ValueError(f"partial_trace expects a 4x4 operator, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("operator contains non-finite entries")
     r = rho.reshape(2, 2, 2, 2)
     if keep == "first":
         return np.einsum("ikjk->ij", r)

@@ -209,14 +209,6 @@ def phi_state_tensor(p: FiveParams) -> np.ndarray:
 _POPULATION_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
-def _two_qubit(s) -> np.ndarray:
-    """Normalized two-qubit states (..., 4): the one check at a public entry point."""
-    s = require_normalized(s)
-    if s.shape[-1] != 4:
-        raise ValueError("expected two-qubit states")
-    return s
-
-
 def _reduced_blochs(s: np.ndarray) -> np.ndarray:
     """Side-first and side-second reduced Bloch vectors of checked states, shape (..., 2, 3).
 
@@ -240,7 +232,7 @@ def concurrence_numeric(s):
     Takes one state or a stack (..., 4) and returns one value per state.
     On a product state ad = bc exactly, so C there is a rounding of order 1e-16.
     """
-    return _plain(_concurrence(_two_qubit(s)))
+    return _plain(_concurrence(require_normalized(s)))
 
 
 def concurrence_closed(a, theta):
@@ -266,7 +258,7 @@ def reduced_bloch(s, side: str) -> np.ndarray:
     """
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return _reduced_blochs(_two_qubit(s))[..., int(side == "second"), :]
+    return _reduced_blochs(require_normalized(s))[..., int(side == "second"), :]
 
 
 def m_prime(z, phi, theta0) -> np.ndarray:

@@ -6,22 +6,35 @@ a wrong echo or a non-zero exit code).  Running a slice of each stream
 through cli.main here makes a report change that the benchmark would count
 as a failure fail the test suite first.  The module needs only the standard
 library; it is loaded from its file and never modified.
+
+perfbench/tracer.py wraps ejmkit's public functions by name, and the benchmark
+reads per-function counts from it.  Loaded the same way, it checks that every
+function the benchmark reads is still one the tracer can wrap.
 """
 
 import importlib.util
 import itertools
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import ejmkit
 from ejmkit.cli import main
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 
 SEED = 11
 
@@ -41,3 +54,13 @@ def test_benchmark_accepts_every_response(capsys, workload, rounds):
         if reason is not None:
             failures.append((req.argv, reason))
     assert failures == []
+
+
+def test_tracer_wraps_every_function_the_benchmark_reads():
+    names = set(tracer.Tracer(ejmkit).names)  # built, never installed
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    # drop the metric; a bare module name left over (cli.calls, trace.spans) is an aggregate
+    read = {name.rsplit(".", 1)[0] for name in per_layer} - {"trace", *tracer.MODULES}
+    # client.py reads these counts to derive its ratios
+    read |= {"linalg.as_state", "circuits.apply", "ejm.tetrahedron_geometry_check"}
+    assert sorted(read - names) == []

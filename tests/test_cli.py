@@ -161,6 +161,24 @@ class TestTable1:
             atol=1e-10,
         )
 
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        from ejmkit import ejm
+
+        reduced_tetrahedron = ejm.reduced_tetrahedron
+        blocks = []
+
+        def one_nan(b):
+            tet = reduced_tetrahedron(b)
+            blocks.append(1)
+            if len(blocks) == 2:
+                tet[1, 0, 2] = np.nan
+            return tet
+
+        monkeypatch.setattr(ejm, "reduced_tetrahedron", one_nan)
+        code, text, _ = run(capsys, "table1", "--format", "csv")
+        assert "nan" in text.lower()
+        assert code == 1
+
 
 class TestConcurrence:
     def test_slice_endpoints(self, capsys):
@@ -256,6 +274,13 @@ class TestCircuit:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["pass"] is True
+
+    def test_empty_out_path(self, capsys):
+        code, out, err = run(capsys, "verify", "--out", "")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("output error: cannot write")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestParserReuse:

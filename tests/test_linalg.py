@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ejmkit.linalg import (
-    I2,
     I4,
     SIGMA_X,
-    dagger,
     inner,
     kron,
     outer,
@@ -15,6 +13,7 @@ from ejmkit.linalg import (
 )
 from ejmkit.states import FiveParams, phi_state
 
+I2 = np.eye(2)
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -50,21 +49,6 @@ class TestKron:
             lhs = kron(a, b) @ kron(u, v)
             rhs = kron(a @ u, b @ v)
             assert np.abs(lhs - rhs).max() < 1e-12
-
-
-class TestDagger:
-    def test_identity(self):
-        np.testing.assert_allclose(dagger(I2), I2)
-
-    def test_diagonal_conjugation(self):
-        s = np.diag([1, 1j]).astype(complex)
-        np.testing.assert_allclose(dagger(s), np.diag([1, -1j]))
-
-    def test_involution_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            np.testing.assert_allclose(dagger(dagger(a)), a)
 
 
 class TestPartialTrace:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ejmkit import states
 from ejmkit.ejm import EjmParams, build_basis, reduced_tetrahedron
-from ejmkit.linalg import PAULIS, inner, outer, partial_trace
+from ejmkit.circuits import Circuit, apply, outcome_probabilities
+from ejmkit.linalg import inner, outer, partial_trace
 from ejmkit.states import (
     FiveParams,
     ParameterRangeError,
@@ -26,6 +27,11 @@ from ejmkit.states import (
 )
 
 SQRT3 = math.sqrt(3.0)
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 zs = st.floats(-1.0, 1.0)
 angles = st.floats(-math.pi, math.pi)
@@ -338,10 +344,19 @@ class TestAmplitudeKernelOracles:
         np.testing.assert_allclose(reduced_bloch(product, "second"), [0, 0, 1], atol=1e-15)
 
     def test_entry_checks(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            reduced_bloch([1, 1, 0, 0], "first")
-        with pytest.raises(ValueError, match="two-qubit"):
-            concurrence_numeric([1, 0])
+        # every two-qubit entry point against every kind of bad state
+        entries = [
+            lambda s: apply(Circuit(()), s),
+            outcome_probabilities,
+            concurrence_numeric,
+            lambda s: reduced_bloch(s, "first"),
+            reduced_tetrahedron,
+        ]
+        bad = [([1, 0], "two-qubit"), ([1, 1, 0, 0], "not normalized"), ([1, 0, np.nan, 0], "non-finite")]
+        for entry in entries:
+            for state, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    entry(state)
         with pytest.raises(ValueError, match="side must be"):
             reduced_bloch([1, 0, 0, 0], "third")
 
