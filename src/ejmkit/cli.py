@@ -11,7 +11,8 @@ Subcommands:
 
 All angles are radians.  Output is deterministic: fixed field order, shortest
 round-trip floats in JSON and %.17g in CSV.  Exit codes: 0 success, 1
-invariant failure, 2 parameter error, 3 the --out file could not be written.
+invariant failure, 2 parameter error, 3 the --out file could not be written,
+4 out of memory (a resource error, e.g. a --grid too large to hold).
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

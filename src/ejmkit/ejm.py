@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _check_ejm_z(z):
     return _clip(z, -1.0, 1.0)
 
 
-def _cos_term(z):
+def _root_1mz2(z):
     """sqrt(1 - z^2), the |z|-dependent real part of the |00>/|11> amplitudes."""
     return np.sqrt(np.maximum(1.0 - z * z, 0.0))
 
@@ -88,11 +88,28 @@ def phi_z(z):
 
     Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1; elementwise on arrays.
     """
-    return _phi_z(_check_ejm_z(z))
+    z = _check_ejm_z(z)
+    return _phi_z(_root_3z2m1(z), _root_1mz2(z))
 
 
-def _phi_z(z):
-    return _plain(np.arctan2(_root_3z2m1(z), _cos_term(z)))
+def _phi_z(root_3z2m1, root_1mz2):
+    return _plain(np.arctan2(root_3z2m1, root_1mz2))
+
+
+def _read_only(x):
+    """x with its writeable flag cleared if it is an array; floats pass through."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    return x
+
+
+def _derived(f):
+    """A derived field of EjmParams: computed on its first read, then cached read-only.
+
+    Every later basis built from the same EjmParams reads the cached array,
+    so an in-place write to it raises ValueError instead of corrupting them.
+    """
+    return cached_property(wraps(f)(lambda self: _read_only(f(self))))
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,10 @@ class EjmParams:
     """The measurement-basis triple (z, phi, theta).
 
     Each field is a float or an array; arrays broadcast against each other
-    and describe a stack of bases.  theta0 and phi_z are derived; phi is
-    wrapped into (-pi, pi].
+    and describe a stack of bases.  phi is wrapped into (-pi, pi].  The
+    per-axis factors that the construction paths and the closed forms share
+    (root_3z2m1, root_1mz2, e_theta, zs, phis, theta0 and phi_z) are derived
+    once per instance; they and the three fields are read-only.
     """
 
     z: float
@@ -109,32 +128,51 @@ class EjmParams:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _check_ejm_z(self.z))
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
-        object.__setattr__(self, "theta", _check_half_angle(self.theta, "theta"))
+        # read-only, like the fields derived from them: a write would leave those stale
+        object.__setattr__(self, "z", _read_only(_check_ejm_z(self.z)))
+        object.__setattr__(self, "phi", _read_only(wrap_angle(self.phi)))
+        object.__setattr__(self, "theta", _read_only(_check_half_angle(self.theta, "theta")))
 
-    @property
+    @_derived
+    def root_3z2m1(self):
+        """sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3)."""
+        return _root_3z2m1(self.z)
+
+    @_derived
+    def root_1mz2(self):
+        """sqrt(1 - z^2)."""
+        return _root_1mz2(self.z)
+
+    @_derived
+    def e_theta(self):
+        """e^{i theta}."""
+        return np.exp(1j * self.theta)
+
+    @_derived
     def theta0(self):
-        # arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
-        # from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2)
-        return _plain(np.arctan2(1.0, _root_3z2m1(self.z)))
+        """arcsin(1/sqrt(3 z^2)) on the principal branch.
 
-    @cached_property
+        Formed via atan2 from sin theta0 = 1/sqrt(3 z^2) and
+        cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2).
+        """
+        return _plain(np.arctan2(1.0, self.root_3z2m1))
+
+    @_derived
     def phi_z(self):
-        # computed once: the circuits read phi_prime several times per request
-        return _phi_z(self.z)
+        """phi_z(z); the circuits read it, through phi_prime, several times per request."""
+        return _phi_z(self.root_3z2m1, self.root_1mz2)
 
     @property
     def phi_prime(self):
         """phi - phi_z, the angle entering the circuits."""
         return self.phi - self.phi_z
 
-    @property
+    @_derived
     def zs(self) -> np.ndarray:
         """Per-state z_i = z * Z_SIGNS, shape (..., 4)."""
         return np.multiply.outer(self.z, Z_SIGNS)
 
-    @property
+    @_derived
     def phis(self) -> np.ndarray:
         """Per-state phi_i = phi + PHI_SHIFTS, shape (..., 4)."""
         return np.add.outer(self.phi, PHI_SHIFTS)
@@ -146,15 +184,14 @@ def _coefficients(p: EjmParams):
     a_+ and a_- carry the |00>/|11> amplitudes, shape (...); b_+ and b_-
     carry the |01>/|10> amplitudes, shape (..., 4) with one column per state.
     """
-    s = _root_3z2m1(p.z)
-    c = _cos_term(p.z)
-    az_e = _per_state(np.abs(p.z) * np.exp(1j * p.theta))
+    s, c = p.root_3z2m1, p.root_1mz2
+    az_e = _per_state(np.abs(p.z) * p.e_theta)
     return (1j * s + c) / SQRT2, (1j * s - c) / SQRT2, (p.zs + az_e) / SQRT2, (p.zs - az_e) / SQRT2
 
 
-def _theta0_phase(z):
+def _theta0_phase(p: EjmParams):
     """e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2), formed without arcsin."""
-    return (_root_3z2m1(z) + 1j) / np.sqrt(3.0 * z * z)
+    return (p.root_3z2m1 + 1j) / np.sqrt(3.0 * p.z * p.z)
 
 
 def _basis(pre, amplitudes) -> np.ndarray:
@@ -164,7 +201,7 @@ def _basis(pre, amplitudes) -> np.ndarray:
 def build_basis(p: EjmParams) -> np.ndarray:
     """Canonical basis constructor via the simplified coefficient form."""
     a_plus, a_minus, b_plus, b_minus = _coefficients(p)
-    pre = (1.0 - 1j * _root_3z2m1(p.z)) / (2.0 * SQRT3 * p.z * p.z)
+    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * SQRT3 * p.z * p.z)
     e = np.exp(1j * p.phis)
     return _basis(pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
 
@@ -175,8 +212,8 @@ def basis_from_kets(p: EjmParams) -> np.ndarray:
     e^{i theta0} is formed algebraically (_theta0_phase) rather than
     through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
     """
-    w = _per_state(1j * _theta0_phase(p.z))
-    return _phi_tensor(SQRT3, p.zs, p.phis, w, _per_state(np.exp(1j * p.theta)))
+    w = _per_state(1j * _theta0_phase(p))
+    return _phi_tensor(SQRT3, p.zs, p.phis, w, _per_state(p.e_theta))
 
 
 def basis_phi_z_form(p: EjmParams) -> np.ndarray:
@@ -187,10 +224,10 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     general form below covers z < 0 as well through sng(z_i) and agrees
     elementwise with build_basis.
     """
-    pre = (1.0 - 1j * _root_3z2m1(p.z)) / (2.0 * np.sqrt(3.0 * p.z * p.z))
+    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * np.sqrt(3.0 * p.z * p.z))
     g = sng(p.zs)
     e = np.exp(1j * (p.phis - _per_state(p.phi_z)))
-    e_th = _per_state(np.exp(1j * p.theta))
+    e_th = _per_state(p.e_theta)
     return _basis(pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
 
 

@@ -49,8 +49,16 @@ def _check_finite(x, name: str) -> np.ndarray:
 
 
 def _stack(*columns) -> np.ndarray:
-    """Broadcast the columns and stack them along a new last axis."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    """Broadcast the columns and stack them along a new last axis.
+
+    Equal to np.stack(np.broadcast_arrays(*columns), axis=-1), dtype included,
+    without numpy's Python-level broadcaster: one allocation, one copy per column.
+    """
+    columns = [np.asarray(c) for c in columns]
+    out = np.empty(np.broadcast(*columns).shape + (len(columns),), np.result_type(*columns))
+    for k, c in enumerate(columns):
+        out[..., k] = c
+    return out
 
 
 def wrap_angle(phi):

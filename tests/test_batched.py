@@ -226,6 +226,22 @@ def test_verify_many_checks_theta_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkeypatch):
+    # the three paths and the closed forms read the root from EjmParams; _stack
+    # allocates its output itself instead of calling numpy's pure-Python broadcaster
+    roots = count_calls(monkeypatch, ejm._root_3z2m1)
+    broadcasts = []
+    broadcast_arrays = np.broadcast_arrays
+
+    def counted(*args, **kwargs):
+        broadcasts.append(args)
+        return broadcast_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_arrays", counted)
+    verify_random_points()
+    assert (len(roots), len(broadcasts)) == (1, 0)
+
+
 def test_verify_report_matches_per_point_oracle(capsys):
     for z, theta in ((-0.7, 0.4), (1.0, math.pi / 2), (1 / SQRT3, math.pi / 2 - 0.04)):
         code, got = run_json(capsys, "verify", "--z", repr(z), "--phi", "-2.5", "--theta", repr(theta))

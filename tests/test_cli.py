@@ -199,6 +199,20 @@ class TestConcurrence:
             if abs(th - math.pi / 2) < 1e-12 or a == 0.0:
                 assert abs(c - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 2.98 GiB for an array", ""])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_error_is_exit_4(self, capsys, monkeypatch, message, fmt):
+        from ejmkit import states
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(states, "concurrence_closed", exhausted)
+        code, out, err = run(capsys, "concurrence", "--grid", "20000", "--format", fmt)
+        assert code == 4
+        assert out == ""
+        assert err == f"resource error: {message or 'out of memory'}\n"
+
 
 class TestCircuit:
     def test_defaults_pass(self, capsys):

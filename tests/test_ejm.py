@@ -70,6 +70,26 @@ class TestParams:
         assert abs(EjmParams(1 / SQRT3, 0.0, 0.0).theta0 - math.pi / 2) < 1e-7
         assert abs(EjmParams(1.0, 0.0, 0.0).theta0 - math.asin(1 / SQRT3)) < 1e-12
 
+    DERIVED = ("root_3z2m1", "root_1mz2", "e_theta", "theta0", "phi_z", "zs", "phis")
+
+    def test_fields_are_read_only_and_derived_once(self):
+        z, phi, theta = np.array([0.7, -0.9, 1 / SQRT3]), np.array([0.4, -2.0, 3.0]), np.array([0.6, 0.0, 1.5])
+        p = EjmParams(z, phi, theta)
+        before = build_basis(p)
+        for name in ("z", "phi", "theta", *self.DERIVED):
+            field = getattr(p, name)
+            assert getattr(p, name) is field, name
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
+        assert np.array_equal(build_basis(p), before)
+        z[0] = 0.8  # the caller's own arrays stay writeable
+
+    def test_derived_fields_of_a_float_triple_are_scalars(self):
+        p = EjmParams(0.8, 0.3, 0.7)
+        for name in ("root_3z2m1", "root_1mz2", "theta0", "phi_z"):
+            assert isinstance(getattr(p, name), float), name
+        assert p.phi_z == phi_z(0.8)
+
     def test_assignment_sums_vanish(self):
         assert abs(sum(CANONICAL.zs)) < 1e-14
         for k in (1, 2):
@@ -98,7 +118,7 @@ class TestCoefficients:
         p = EjmParams(z, phi, theta)
         a_plus, a_minus, b_plus, b_minus = _coefficients(p)
         t0 = p.theta0
-        e_t0 = _theta0_phase(p.z)
+        e_t0 = _theta0_phase(p)
         assert abs((1 + e_t0**2) / SQRT2 - (1 + np.exp(2j * t0)) / SQRT2) < 1e-7
         assert abs((1 - e_t0**2) / SQRT2 - (1 - np.exp(2j * t0)) / SQRT2) < 1e-7
         assert abs(abs(a_plus) ** 2 - z * z) < 1e-12
