@@ -14,6 +14,7 @@ Controls activate on |1>.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ def _ry(zeta: float) -> np.ndarray:
 
 
 def _phase(xi: float) -> np.ndarray:
-    return np.diag([1.0, np.exp(1j * xi)]).astype(complex)
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * xi)]], dtype=complex)
 
 
 # name -> (arity, needs angle, 2x2 matrix factory)
@@ -103,7 +104,7 @@ class Circuit:
 
     def unitary(self) -> np.ndarray:
         """The full 4x4 unitary: column k is the circuit applied to basis state k."""
-        return apply(self, np.eye(4, dtype=complex)).T
+        return _run(self.gates, np.eye(4, dtype=complex)).T
 
     def dumps(self) -> str:
         """Line-oriented text form: one `GATE q[,q2][,angle]` per line."""
@@ -142,9 +143,13 @@ def _parse_gate(line: str) -> Gate:
 
 def apply(c: Circuit, states) -> np.ndarray:
     """Run the circuit on a normalized two-qubit state or a stack (..., 4) of them."""
-    v = require_normalized(states)
+    return _run(c.gates, require_normalized(states))
+
+
+def _run(gates, v: np.ndarray) -> np.ndarray:
+    """apply without its entry check, for complex states (..., 4) the library built."""
     m = v.reshape(*v.shape[:-1], 2, 2)
-    for g in c.gates:
+    for g in gates:
         m = g.act(m)
     return m.reshape(v.shape)
 
@@ -154,14 +159,20 @@ def outcome_probabilities(s) -> np.ndarray:
     return np.abs(require_normalized(s)) ** 2
 
 
+@functools.cache
+def _fixed(name: str, qubits: tuple) -> Gate:
+    """The angle-free gate on these wires, built once per process; Gate is frozen, so shared."""
+    return Gate(name, qubits)
+
+
 def _u1_gates(phi_prime: float) -> list:
     # (I (x) X) [Phase (x) PhaseDagger] (X (x) I), applied left wire first
     xi = 2.0 * phi_prime + math.pi / 2
     return [
-        Gate("X", (0,)),
+        _fixed("X", (0,)),
         Gate("PHASE", (0,), xi),
         Gate("PHASEDG", (1,), xi),
-        Gate("X", (1,)),
+        _fixed("X", (1,)),
     ]
 
 
@@ -181,19 +192,19 @@ def prep_circuit(p: EjmParams) -> Circuit:
     """Circuit mapping |00> onto basis state 0 (up to global phase)."""
     fp = _base_params(p)
     gates = [
-        Gate("H", (0,)),
-        Gate("H", (1,)),
-        Gate("S", (0,)),
-        Gate("S", (1,)),
+        _fixed("H", (0,)),
+        _fixed("H", (1,)),
+        _fixed("S", (0,)),
+        _fixed("S", (1,)),
         Gate("CRY", (0, 1), math.pi / 2 - 2.0 * fp),
-        Gate("X", (0,)),
+        _fixed("X", (0,)),
         Gate("CPHASEDG", (0, 1), math.pi / 2 - p.theta),
-        Gate("H", (1,)),
-        Gate("CNOT", (1, 0)),
+        _fixed("H", (1,)),
+        _fixed("CNOT", (1, 0)),
         Gate("CPHASEDG", (0, 1), 2.0 * fp),
-        Gate("Y", (0,)),
-        Gate("Y", (1,)),
-        Gate("CS", (0, 1)),
+        _fixed("Y", (0,)),
+        _fixed("Y", (1,)),
+        _fixed("CS", (0, 1)),
     ]
     if p.z < 0:
         gates += _u1_gates(fp)
@@ -209,23 +220,23 @@ def detect_circuit(p: EjmParams, include_controlled_ry: bool = True) -> Circuit:
     """
     fp = _base_params(p)
     gates = [
-        Gate("CNOT", (0, 1)),
-        Gate("H", (0,)),
+        _fixed("CNOT", (0, 1)),
+        _fixed("H", (0,)),
         Gate("CPHASE", (0, 1), math.pi / 2 - p.theta),
-        Gate("S", (0,)),
-        Gate("X", (1,)),
+        _fixed("S", (0,)),
+        _fixed("X", (1,)),
     ]
     if include_controlled_ry:
         gates.append(Gate("CRY", (1, 0), math.pi / 2 - 2.0 * fp))
     gates += [
-        Gate("S", (1,)),
-        Gate("X", (1,)),
-        Gate("H", (0,)),
-        Gate("H", (1,)),
+        _fixed("S", (1,)),
+        _fixed("X", (1,)),
+        _fixed("H", (0,)),
+        _fixed("H", (1,)),
     ]
     if p.z < 0:
         # relabel outcomes back to the canonical permutation
-        gates += [Gate("CNOT", (0, 1)), Gate("X", (0,)), Gate("X", (1,))]
+        gates += [_fixed("CNOT", (0, 1)), _fixed("X", (0,)), _fixed("X", (1,))]
     return Circuit(tuple(gates))
 
 

@@ -135,7 +135,8 @@ def _verify_many(z, phi, theta) -> dict:
         return np.abs(x).max(axis=(-2, -1))
 
     gram = ejm.gram_matrix(b)
-    tet = ejm.reduced_tetrahedron(b)  # the one norm check of the basis
+    # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report
+    tet = states._reduced_blochs(b)
     first = tet[..., 0, :]
     conc_dev = states._concurrence(b) - states._concurrence_closed(SQRT3, p.theta)[..., None]
     modulus_dev, pairwise_dev = ejm._tetrahedron_geometry(first, np.cos(p.theta))
@@ -236,16 +237,17 @@ def cmd_circuit(args) -> int:
         _write(prep.dumps() + "\n" + detect.dumps(), args)
         return 0
 
+    # the library built |00> and the basis: the gates run on them unchecked
     b = ejm.build_basis(p)
-    psi0 = circuits.apply(prep, [1, 0, 0, 0])
+    psi0 = circuits._run(prep.gates, np.array([1, 0, 0, 0], dtype=complex))
     u1 = circuits.local_unitary_u1(p.phi_prime)
     u2 = circuits.local_unitary_u2()
     prepared = np.array([psi0, u1 @ psi0, u2 @ psi0, u2 @ u1 @ psi0])
     fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
 
     perm = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
-    # apply validated the states and is unitary: no second norm check before the Born rule
-    outcome = np.abs(circuits.apply(detect, b)) ** 2
+    # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
+    outcome = np.abs(circuits._run(detect.gates, b)) ** 2
     perm_dev = float(np.abs(outcome - perm).max())
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}

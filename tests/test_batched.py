@@ -8,6 +8,8 @@ round differently in the last digit (numpy picks other SIMD loops for
 broadcast operands), so states agree to a few ulp, not bitwise.  The
 sweep's broadcast block layout is compared bit for bit with the flat-chunk
 layout it replaced, since both run the same core on the same points.
+The counting tests pin how often one request re-checks what the library
+built itself.
 """
 
 import json
@@ -184,6 +186,14 @@ def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
     assert code == want_code
 
 
+def replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every binding of `original` in the package to `replacement`."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("ejmkit")]:
+        for attr, obj in vars(module).items():
+            if obj is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def count_calls(monkeypatch, original) -> list:
     """Record every call of `original` through any of its bindings in the package."""
     calls = []
@@ -192,10 +202,7 @@ def count_calls(monkeypatch, original) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("ejmkit")]:
-        for attr, obj in vars(module).items():
-            if obj is original:
-                monkeypatch.setattr(module, attr, counted)
+    replace_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -240,6 +247,23 @@ def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkey
     monkeypatch.setattr(np, "broadcast_arrays", counted)
     verify_random_points()
     assert (len(roots), len(broadcasts)) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "z,phi,bsm",
+    [
+        (0.7, 0.3, False),
+        (-0.8, -2.0, False),
+        (1 / math.sqrt(2), float(ejm.phi_z(1 / math.sqrt(2))) + math.pi / 4, True),
+        (-0.9, float(ejm.phi_z(0.9)) - 5 * math.pi / 4, True),  # phi' = pi/4 - 2 pi
+    ],
+)
+def test_circuit_request_checks_no_state(capsys, monkeypatch, z, phi, bsm):
+    # |00>, the basis and the identity are the library's own: the gates run on them unchecked
+    calls = count_calls(monkeypatch, linalg.require_normalized)
+    assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", "--theta=0.9"]) == 0
+    assert ("bsm_equivalence" in json.loads(capsys.readouterr().out)) is bsm
+    assert calls == []
 
 
 def test_verify_report_matches_per_point_oracle(capsys):
@@ -322,17 +346,18 @@ def _shifted_input(f, delta=1e-9):
         (ejm, "gram_matrix"),
         (ejm, "gram_closed"),
         (ejm, "completeness_residual"),
-        (ejm, "reduced_tetrahedron"),
+        (states, "_reduced_blochs"),
         (ejm, "reduced_tetrahedron_closed"),
         (states, "_concurrence_closed"),
         (ejm, "_tetrahedron_geometry"),
     ],
 )
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
-    # the unchecked cores are what _verify_many calls; the public
-    # concurrence_closed and tetrahedron_geometry_check, and so verify_one, call them too
+    # the unchecked cores are what _verify_many calls; the public concurrence_closed,
+    # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too
     tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
-    monkeypatch.setattr(module, name, tamper(getattr(module, name)))
+    original = getattr(module, name)
+    replace_everywhere(monkeypatch, original, tamper(original))
     points = [
         (0.8, 0.3, 0.2),
         (-1 / SQRT3, -math.pi, math.pi / 2 - 0.05),

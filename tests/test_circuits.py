@@ -12,6 +12,9 @@ from ejmkit.circuits import (
     Circuit,
     CircuitParseError,
     Gate,
+    _fixed,
+    _run,
+    _u1_gates,
     apply,
     detect_circuit,
     global_phase_deviation,
@@ -20,6 +23,7 @@ from ejmkit.circuits import (
     outcome_probabilities,
     prep_circuit,
 )
+from ejmkit.cli import main
 from ejmkit.ejm import EjmParams, build_basis, phi_z
 
 SQRT2 = math.sqrt(2.0)
@@ -170,6 +174,64 @@ class TestApply:
     def test_non_two_qubit_rejected(self):
         with pytest.raises(ValueError):
             apply(Circuit(()), [1, 0])
+
+
+def bsm_phi(z: float) -> float:
+    """The phi at which the circuits' angle phi' is pi/4, for either sign of z."""
+    return float(phi_z(z)) + math.pi / 4 + (math.pi / 2 if z < 0 else 0.0)
+
+
+# z < 0, both |z| bounds, both theta bounds and the BSM branch at either sign of z
+EDGE_PARAMS = [
+    EjmParams(-0.8, 0.3, 0.7),
+    EjmParams(1 / SQRT3, -2.0, 0.0),
+    EjmParams(-1 / SQRT3, 1.5, math.pi / 2),
+    EjmParams(1.0, -math.pi, math.pi / 2),
+    EjmParams(-1.0, 2.5, 0.0),
+    EjmParams(1 / SQRT2, bsm_phi(1 / SQRT2), 0.4),
+    EjmParams(-0.9, bsm_phi(-0.9), 1.1),
+]
+
+
+class TestSharedGates:
+    def test_unchecked_loop_equals_apply_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        z = rng.uniform(1 / SQRT3, 1.0, 6) * rng.choice((-1.0, 1.0), 6)
+        phis, thetas = rng.uniform(-3.0, 3.0, 6), rng.uniform(0.0, 1.5, 6)
+        seeded = [EjmParams(*triple) for triple in zip(z, phis, thetas)]
+        eye = np.eye(4, dtype=complex)
+        for p in EDGE_PARAMS + seeded:
+            for c in (prep_circuit(p), detect_circuit(p), detect_circuit(p, include_controlled_ry=False)):
+                for states in (KET00, build_basis(p), eye):
+                    assert np.array_equal(_run(c.gates, states), apply(c, states))
+                assert np.array_equal(c.unitary(), apply(c, eye).T)
+                assert Circuit.loads(c.dumps()) == c
+
+    def test_gate_cache_stays_bounded(self, capsys):
+        # every request has its own angles; the cache holds only the angle-free gates
+        rng = np.random.default_rng(500)
+        pairs, angled, signs, sizes = set(), set(), set(), []
+        for n in range(500):
+            z = float(rng.uniform(1 / SQRT3, 1.0) * rng.choice((-1.0, 1.0)))
+            phi = bsm_phi(z) if n % 4 == 0 else float(rng.uniform(-math.pi, math.pi))
+            theta = float(rng.uniform(0.0, math.pi / 2))
+            assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", f"--theta={theta!r}"]) == 0
+            report = capsys.readouterr().out
+            assert ("bsm_equivalence" in report) == (n % 4 == 0)
+            signs.add(z < 0)
+            p = EjmParams(z, phi, theta)
+            u1 = Circuit(tuple(_u1_gates(p.phi_prime)))
+            built = (prep_circuit(p), detect_circuit(p), detect_circuit(p, False), u1)
+            for g in (g for c in built for g in c.gates):
+                if g.angle is None:
+                    assert g is _fixed(g.name, g.qubits)
+                    pairs.add((g.name, g.qubits))
+                else:
+                    angled.add(g)
+            sizes.append(_fixed.cache_info().currsize)
+        assert signs == {True, False}
+        assert len(angled) > 1000
+        assert max(sizes) <= len(pairs)
 
 
 def gates_named(name):

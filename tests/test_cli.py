@@ -297,6 +297,27 @@ class TestCircuit:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestBrokenBasis:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["sweep", "--grid", "3"], ["circuit"]], ids=["verify", "sweep", "circuit"]
+    )
+    def test_is_a_failing_report(self, capsys, monkeypatch, argv, fmt):
+        # the library's own basis is never re-checked at entry: its report must fail it
+        from ejmkit import ejm
+
+        build_basis = ejm.build_basis
+        monkeypatch.setattr(ejm, "build_basis", lambda p: build_basis(p) * (1.0 + 1e-9))
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["pass"] is False
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "key,value"
+            assert dict(line.split(",", 1) for line in lines[1:])["pass"] == "False"
+
+
 class TestParserReuse:
     def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
         from ejmkit import cli
