@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import circuits, ejm, states
+from . import circuits, ejm, linalg, states
 from .ejm import EjmParams
 from .states import SQRT2, SQRT3, ParameterRangeError
 
@@ -206,10 +206,13 @@ def cmd_table1(args) -> int:
     for z, phi, m_signs in TABLE1_BLOCKS:
         p = EjmParams(z=z, phi=phi, theta=args.theta)
         m = states.unit_vector_m(p.zs, p.phis)
-        first = ejm.reduced_tetrahedron(ejm.build_basis(p))[:, 0]
+        b = ejm.build_basis(p)
+        first = states._reduced_blochs(b)[:, 0]
         m_dev = np.abs(m - z * np.array(m_signs, dtype=float)).max()
         r_dev = np.abs(first - 0.5 * math.cos(p.theta) * REDUCED_SIGNS).max()
-        ok = ok and bool(m_dev < TOL_TRIG and r_dev < TOL_TRIG)  # a NaN deviation fails
+        norm_dev = np.abs(np.linalg.norm(b, axis=-1) - 1.0).max()
+        # norm_dev at require_normalized's bound fails a broken basis; a NaN deviation fails
+        ok = ok and bool(m_dev < TOL_TRIG and r_dev < TOL_TRIG and norm_dev < linalg.ATOL_TRIG)
         table = np.column_stack([p.zs, p.phis, m, first]).tolist()
         rows += ([float(z), float(phi), p.phi_z, i, *row] for i, row in enumerate(table))
     header = ["z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z"]

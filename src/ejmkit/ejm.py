@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
 
 import numpy as np
 
@@ -103,24 +102,24 @@ def _read_only(x):
     return x
 
 
-def _derived(f):
-    """A derived field of EjmParams: computed on its first read, then cached read-only.
-
-    Every later basis built from the same EjmParams reads the cached array,
-    so an in-place write to it raises ValueError instead of corrupting them.
-    """
-    return cached_property(wraps(f)(lambda self: _read_only(f(self))))
-
-
 @dataclass(frozen=True)
 class EjmParams:
     """The measurement-basis triple (z, phi, theta).
 
     Each field is a float or an array; arrays broadcast against each other
-    and describe a stack of bases.  phi is wrapped into (-pi, pi].  The
-    per-axis factors that the construction paths and the closed forms share
-    (root_3z2m1, root_1mz2, e_theta, zs, phis, theta0 and phi_z) are derived
-    once per instance; they and the three fields are read-only.
+    and describe a stack of bases.  phi is wrapped into (-pi, pi].  On
+    construction, from the checked triple, it derives the per-axis factors
+    that the construction paths, the closed forms and the circuits share:
+
+    - root_3z2m1 = sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3);
+    - root_1mz2 = sqrt(1 - z^2) and e_theta = e^{i theta};
+    - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
+      from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
+    - phi_z = phi_z(z), and phi_prime = phi - phi_z, the angle entering the circuits;
+    - zs = z * Z_SIGNS and phis = phi + PHI_SHIFTS, shape (..., 4): z_i and phi_i.
+
+    These and the three fields are read-only, so an in-place write raises
+    ValueError instead of corrupting every later basis built from them.
     """
 
     z: float
@@ -128,54 +127,19 @@ class EjmParams:
     theta: float
 
     def __post_init__(self):
-        # read-only, like the fields derived from them: a write would leave those stale
-        object.__setattr__(self, "z", _read_only(_check_ejm_z(self.z)))
-        object.__setattr__(self, "phi", _read_only(wrap_angle(self.phi)))
-        object.__setattr__(self, "theta", _read_only(_check_half_angle(self.theta, "theta")))
-
-    @_derived
-    def root_3z2m1(self):
-        """sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3)."""
-        return _root_3z2m1(self.z)
-
-    @_derived
-    def root_1mz2(self):
-        """sqrt(1 - z^2)."""
-        return _root_1mz2(self.z)
-
-    @_derived
-    def e_theta(self):
-        """e^{i theta}."""
-        return np.exp(1j * self.theta)
-
-    @_derived
-    def theta0(self):
-        """arcsin(1/sqrt(3 z^2)) on the principal branch.
-
-        Formed via atan2 from sin theta0 = 1/sqrt(3 z^2) and
-        cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2).
-        """
-        return _plain(np.arctan2(1.0, self.root_3z2m1))
-
-    @_derived
-    def phi_z(self):
-        """phi_z(z); the circuits read it, through phi_prime, several times per request."""
-        return _phi_z(self.root_3z2m1, self.root_1mz2)
-
-    @property
-    def phi_prime(self):
-        """phi - phi_z, the angle entering the circuits."""
-        return self.phi - self.phi_z
-
-    @_derived
-    def zs(self) -> np.ndarray:
-        """Per-state z_i = z * Z_SIGNS, shape (..., 4)."""
-        return np.multiply.outer(self.z, Z_SIGNS)
-
-    @_derived
-    def phis(self) -> np.ndarray:
-        """Per-state phi_i = phi + PHI_SHIFTS, shape (..., 4)."""
-        return np.add.outer(self.phi, PHI_SHIFTS)
+        z = _check_ejm_z(self.z)
+        phi = wrap_angle(self.phi)
+        theta = _check_half_angle(self.theta, "theta")
+        s, c = _root_3z2m1(z), _root_1mz2(z)
+        phi_z = _phi_z(s, c)
+        attrs = dict(
+            z=z, phi=phi, theta=theta,
+            root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
+            phi_z=phi_z, phi_prime=phi - phi_z,
+            zs=np.multiply.outer(z, Z_SIGNS), phis=np.add.outer(phi, PHI_SHIFTS),
+        )
+        for name, value in attrs.items():
+            object.__setattr__(self, name, _read_only(value))
 
 
 def _coefficients(p: EjmParams):

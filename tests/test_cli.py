@@ -99,6 +99,22 @@ class TestVerify:
         assert code == 0
         assert text.splitlines()[0] == "key,value"
 
+    @pytest.mark.parametrize(
+        "triple,named",
+        [
+            (("0.1", "nan", "5.0"), "|z| must"),
+            (("0.7", "nan", "5.0"), "phi must"),
+            (("0.7", "0.1", "5.0"), "theta must"),
+        ],
+        ids=["z", "phi", "theta"],
+    )
+    def test_names_the_first_bad_parameter(self, capsys, triple, named):
+        z, phi, theta = triple
+        code, out, err = run(capsys, "verify", "--z", z, "--phi", phi, "--theta", theta)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("parameter error: " + named)
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -162,19 +178,19 @@ class TestTable1:
         )
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        from ejmkit import ejm
+        from ejmkit import states
 
-        reduced_tetrahedron = ejm.reduced_tetrahedron
+        reduced_blochs = states._reduced_blochs
         blocks = []
 
         def one_nan(b):
-            tet = reduced_tetrahedron(b)
+            tet = reduced_blochs(b)
             blocks.append(1)
             if len(blocks) == 2:
                 tet[1, 0, 2] = np.nan
             return tet
 
-        monkeypatch.setattr(ejm, "reduced_tetrahedron", one_nan)
+        monkeypatch.setattr(states, "_reduced_blochs", one_nan)
         code, text, _ = run(capsys, "table1", "--format", "csv")
         assert "nan" in text.lower()
         assert code == 1
@@ -316,6 +332,23 @@ class TestBrokenBasis:
             lines = out.splitlines()
             assert lines[0] == "key,value"
             assert dict(line.split(",", 1) for line in lines[1:])["pass"] == "False"
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table1_is_a_failing_table(self, capsys, monkeypatch, fmt):
+        from ejmkit import ejm
+
+        build_basis = ejm.build_basis
+        monkeypatch.setattr(ejm, "build_basis", lambda p: build_basis(p) * (1.0 + 1e-9))
+        code, out, err = run(capsys, "table1", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            lines = out.splitlines()
+            rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == 12
+        assert all(len(row) == 12 and math.isfinite(row["r_z"]) for row in rows)
 
 
 class TestParserReuse:

@@ -70,7 +70,7 @@ class TestParams:
         assert abs(EjmParams(1 / SQRT3, 0.0, 0.0).theta0 - math.pi / 2) < 1e-7
         assert abs(EjmParams(1.0, 0.0, 0.0).theta0 - math.asin(1 / SQRT3)) < 1e-12
 
-    DERIVED = ("root_3z2m1", "root_1mz2", "e_theta", "theta0", "phi_z", "zs", "phis")
+    DERIVED = ("root_3z2m1", "root_1mz2", "e_theta", "theta0", "phi_z", "phi_prime", "zs", "phis")
 
     def test_fields_are_read_only_and_derived_once(self):
         z, phi, theta = np.array([0.7, -0.9, 1 / SQRT3]), np.array([0.4, -2.0, 3.0]), np.array([0.6, 0.0, 1.5])
@@ -86,9 +86,28 @@ class TestParams:
 
     def test_derived_fields_of_a_float_triple_are_scalars(self):
         p = EjmParams(0.8, 0.3, 0.7)
-        for name in ("root_3z2m1", "root_1mz2", "theta0", "phi_z"):
+        for name in ("root_3z2m1", "root_1mz2", "theta0", "phi_z", "phi_prime"):
             assert isinstance(getattr(p, name), float), name
         assert p.phi_z == phi_z(0.8)
+
+    def test_derived_from_the_checked_triple(self):
+        # z is clipped to 1 and phi wrapped to pi before anything is derived from them
+        p, q = EjmParams(1 + 5e-13, 3 * math.pi, 0.4), EjmParams(1.0, math.pi, 0.4)
+        for name in ("z", "phi", "theta", *self.DERIVED):
+            assert np.array_equal(getattr(p, name), getattr(q, name)), name
+
+    @pytest.mark.parametrize(
+        "triple,named",
+        [
+            ((0.1, math.nan, 5.0), r"\|z\| must"),
+            ((0.7, math.nan, 5.0), "phi must"),
+            ((0.7, 0.1, 5.0), "theta must"),
+        ],
+        ids=["z", "phi", "theta"],
+    )
+    def test_checks_z_then_phi_then_theta(self, triple, named):
+        with pytest.raises(ParameterRangeError, match="^" + named):
+            EjmParams(*triple)
 
     def test_assignment_sums_vanish(self):
         assert abs(sum(CANONICAL.zs)) < 1e-14
