@@ -15,7 +15,9 @@ Controls activate on |1>.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,16 @@ _GATES = {
 }
 
 
+def _wire(q) -> int:
+    """A qubit index as a Python int; a bool or a non-integer raises ValueError."""
+    if isinstance(q, (bool, np.bool_)):
+        raise ValueError(f"qubit {q!r} is a bool, not 0 or 1")
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"qubit {q!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate: single-qubit, or controlled with (control, target) qubits."""
@@ -66,9 +78,14 @@ class Gate:
         if self.name not in _GATES:
             raise ValueError(f"unknown gate {self.name!r}")
         arity, needs_angle, _ = _GATES[self.name]
-        if len(self.qubits) != arity or any(q not in (0, 1) for q in self.qubits):
+        qubits = self.qubits
+        if type(qubits) is not tuple or any(type(q) is not int for q in qubits):
+            # a tuple of Python ints, so that equal gates hash, compare and dump alike
+            qubits = tuple(map(_wire, qubits))
+            object.__setattr__(self, "qubits", qubits)
+        if len(qubits) != arity or any(q not in (0, 1) for q in qubits):
             raise ValueError(f"{self.name} expects {arity} distinct qubit(s) in {{0,1}}")
-        if arity == 2 and self.qubits[0] == self.qubits[1]:
+        if arity == 2 and qubits[0] == qubits[1]:
             raise ValueError("control and target must differ")
         if needs_angle != (self.angle is not None):
             raise ValueError(f"{self.name} angle mismatch")
@@ -146,12 +163,42 @@ def apply(c: Circuit, states) -> np.ndarray:
     return _run(c.gates, require_normalized(states))
 
 
+_ANGLE = operator.attrgetter("angle")
+
+
 def _run(gates, v: np.ndarray) -> np.ndarray:
-    """apply without its entry check, for complex states (..., 4) the library built."""
-    m = v.reshape(*v.shape[:-1], 2, 2)
-    for g in gates:
+    """apply without its entry check, for complex states (..., 4) the library built.
+
+    Each maximal run of angle-free gates acts as one cached 4x4 operator
+    (`_fused`); a gate with an angle acts through `Gate.act`, in circuit order.
+    """
+    shape, pairs = v.shape, v.shape[:-1] + (2, 2)
+    # grouped by angle: None marks a run of angle-free gates
+    for angle, run in itertools.groupby(gates, _ANGLE):
+        if angle is None:
+            v = v @ _fused(tuple(run))
+        else:
+            for g in run:
+                v = g.act(v.reshape(pairs)).reshape(shape)
+    return v
+
+
+@functools.lru_cache(maxsize=256)
+def _fused(run: tuple) -> np.ndarray:
+    """A run of angle-free gates as one operator on row states: `v @ _fused(run)`.
+
+    Built once per distinct run by taking the four basis rows through
+    `Gate.act`, so it is the transpose of the run's unitary; read-only,
+    because every caller shares it.  The library's circuits hold 12
+    distinct runs; the bound keeps arbitrary user circuits from growing
+    the cache for the life of the process.
+    """
+    m = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    for g in run:
         m = g.act(m)
-    return m.reshape(v.shape)
+    op = m.reshape(4, 4)
+    op.flags.writeable = False
+    return op
 
 
 def outcome_probabilities(s) -> np.ndarray:

@@ -86,7 +86,9 @@ def _emit_report(report: dict, args):
     if args.format == "csv":
         _emit(report.items(), ["key", "value"], args)
     else:
-        _write(json.dumps(report, indent=2) + "\n", args)
+        # json.dumps(report, indent=2) for a flat report, through the C encoder,
+        # which indent turns off
+        _write("{\n  " + json.dumps(report, separators=(",\n  ", ": "))[1:-1] + "\n}\n", args)
 
 
 class OutputError(OSError):
@@ -232,6 +234,16 @@ def cmd_concurrence(args) -> int:
     return 0 if ok else 1
 
 
+# per-request constants of cmd_circuit: row i is the outcome that detects basis state i
+_DETECTION_PERMUTATION = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
+_U2 = circuits.local_unitary_u2()
+# report keys of the four fidelities and the 4x4 outcome matrix, in row order
+_CIRCUIT_KEYS = (
+    *(f"prep_fidelity_{i}" for i in range(4)),
+    *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")),
+)
+
+
 def cmd_circuit(args) -> int:
     p = _params(args)
     prep = circuits.prep_circuit(p)
@@ -243,22 +255,16 @@ def cmd_circuit(args) -> int:
     # the library built |00> and the basis: the gates run on them unchecked
     b = ejm.build_basis(p)
     psi0 = circuits._run(prep.gates, np.array([1, 0, 0, 0], dtype=complex))
-    u1 = circuits.local_unitary_u1(p.phi_prime)
-    u2 = circuits.local_unitary_u2()
-    prepared = np.array([psi0, u1 @ psi0, u2 @ psi0, u2 @ u1 @ psi0])
+    u1_psi0 = circuits._run(circuits._u1_gates(p.phi_prime), psi0)
+    prepared = np.array([psi0, u1_psi0, _U2 @ psi0, _U2 @ u1_psi0])
     fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
 
-    perm = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
     # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
     outcome = np.abs(circuits._run(detect.gates, b)) ** 2
-    perm_dev = float(np.abs(outcome - perm).max())
+    perm_dev = float(np.abs(outcome - _DETECTION_PERMUTATION).max())
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
-    for i in range(4):
-        report[f"prep_fidelity_{i}"] = float(fidelities[i])
-    for i in range(4):
-        for k, lab in enumerate(("00", "01", "10", "11")):
-            report[f"p_{i}_{lab}"] = float(outcome[i, k])
+    report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
 
     # phi' enters the detection circuit only as RY(pi/2 - 2 phi'), of period 4 pi in its

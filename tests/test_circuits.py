@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 
@@ -13,6 +14,7 @@ from ejmkit.circuits import (
     CircuitParseError,
     Gate,
     _fixed,
+    _fused,
     _run,
     _u1_gates,
     apply,
@@ -112,6 +114,25 @@ class TestGates:
         with pytest.raises(ValueError):
             Gate("H", (0,), 1.0)
 
+    def test_qubits_are_a_tuple_of_python_ints(self):
+        for qubits in ([1], (np.int64(1),), np.array([1]), range(1, 2)):
+            g = Gate("X", qubits)
+            assert g.qubits == (1,) and type(g.qubits) is tuple and type(g.qubits[0]) is int
+            assert g == Gate("X", (1,)) and hash(g) == hash(Gate("X", (1,)))
+            assert g.dump() == "X 1"
+        # hashable, so a run holding it is a valid key of the fusion cache
+        np.testing.assert_array_equal(_run((Gate("X", [1]),), KET00), [0, 1, 0, 0])
+        assert Circuit.loads(Circuit((Gate("CNOT", [1, 0]),)).dumps()) == Circuit((Gate("CNOT", (1, 0)),))
+
+    @pytest.mark.parametrize(
+        "name, qubits, angle",
+        [("X", (True,), None), ("H", (False,), None), ("CNOT", (False, True), None),
+         ("CRY", (0, True), 0.3), ("RY", (np.True_,), 0.3), ("X", (0.0,), None), ("X", ("0",), None)],
+    )
+    def test_non_integer_qubits_rejected(self, name, qubits, angle):
+        with pytest.raises(ValueError):
+            Gate(name, qubits, angle)
+
     def test_circuit_unitary(self):
         c = Circuit(tuple(all_gate_variants()))
         u = c.unitary()
@@ -176,6 +197,18 @@ class TestApply:
             apply(Circuit(()), [1, 0])
 
 
+def gates_named(name):
+    """Strategy: a gate of this name on any valid wires, with any finite angle."""
+    arity, needs_angle, _ = _GATES[name]
+    angles = st.floats(allow_nan=False, allow_infinity=False) if needs_angle else st.none()
+    return st.builds(Gate, st.just(name), st.sampled_from(WIRES[arity]), angles)
+
+
+ANGLE_FREE = [Gate(name, wires) for name, (arity, needs_angle, _) in _GATES.items()
+              if not needs_angle for wires in WIRES[arity]]
+ANGLED = sorted(name for name, (_, needs_angle, _) in _GATES.items() if needs_angle)
+
+
 def bsm_phi(z: float) -> float:
     """The phi at which the circuits' angle phi' is pi/4, for either sign of z."""
     return float(phi_z(z)) + math.pi / 4 + (math.pi / 2 if z < 0 else 0.0)
@@ -193,36 +226,52 @@ EDGE_PARAMS = [
 ]
 
 
+def seeded_params(seed, n=6):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(1 / SQRT3, 1.0, n) * rng.choice((-1.0, 1.0), n)
+    phis, thetas = rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, 1.5, n)
+    return [EjmParams(*triple) for triple in zip(z, phis, thetas)]
+
+
 class TestSharedGates:
     def test_unchecked_loop_equals_apply_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        z = rng.uniform(1 / SQRT3, 1.0, 6) * rng.choice((-1.0, 1.0), 6)
-        phis, thetas = rng.uniform(-3.0, 3.0, 6), rng.uniform(0.0, 1.5, 6)
-        seeded = [EjmParams(*triple) for triple in zip(z, phis, thetas)]
         eye = np.eye(4, dtype=complex)
-        for p in EDGE_PARAMS + seeded:
+        for p in EDGE_PARAMS + seeded_params(21):
             for c in (prep_circuit(p), detect_circuit(p), detect_circuit(p, include_controlled_ry=False)):
                 for states in (KET00, build_basis(p), eye):
                     assert np.array_equal(_run(c.gates, states), apply(c, states))
                 assert np.array_equal(c.unitary(), apply(c, eye).T)
                 assert Circuit.loads(c.dumps()) == c
 
+    def test_fused_runs_equal_gate_by_gate(self):
+        eye = np.eye(4, dtype=complex)
+        for p in EDGE_PARAMS + seeded_params(22):
+            for c in built_circuits(p):
+                for states in (KET00, build_basis(p), eye):
+                    assert np.abs(_run(c.gates, states) - gate_by_gate(c.gates, states)).max() < 1e-15
+                assert np.abs(c.unitary() - gate_by_gate(c.gates, eye).T).max() < 1e-15
+        # consecutive angle gates that share an angle and do not commute
+        same = [Gate("RY", (0,), 0.5), Gate("PHASE", (0,), 0.5), Gate("CRY", (0, 1), 0.5), Gate("H", (1,)),
+                Gate("RY", (1,), 0.5), Gate("CPHASE", (1, 0), 0.5), Gate("PHASEDG", (1,), 0.5)]
+        states = random_states(np.random.default_rng(22), (5,))
+        assert np.abs(_run(same, states) - gate_by_gate(same, states)).max() < 1e-15
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(ANGLE_FREE), max_size=6),
+                              st.sampled_from(ANGLED).flatmap(gates_named)), min_size=1, max_size=4),
+           st.lists(st.sampled_from(ANGLE_FREE), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_split_by_angle_gates_equal_gate_by_gate(self, segments, tail):
+        # each segment is a run of angle-free gates, maybe empty, closed by a gate with an angle
+        gates = [g for free, angled in segments for g in (*free, angled)] + tail
+        states = np.vstack([random_states(np.random.default_rng(len(gates)), (3,)), np.eye(4)])
+        assert np.abs(_run(gates, states) - gate_by_gate(gates, states)).max() < 1e-15
+
     def test_gate_cache_stays_bounded(self, capsys):
         # every request has its own angles; the cache holds only the angle-free gates
-        rng = np.random.default_rng(500)
         pairs, angled, signs, sizes = set(), set(), set(), []
-        for n in range(500):
-            z = float(rng.uniform(1 / SQRT3, 1.0) * rng.choice((-1.0, 1.0)))
-            phi = bsm_phi(z) if n % 4 == 0 else float(rng.uniform(-math.pi, math.pi))
-            theta = float(rng.uniform(0.0, math.pi / 2))
-            assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", f"--theta={theta!r}"]) == 0
-            report = capsys.readouterr().out
-            assert ("bsm_equivalence" in report) == (n % 4 == 0)
-            signs.add(z < 0)
-            p = EjmParams(z, phi, theta)
-            u1 = Circuit(tuple(_u1_gates(p.phi_prime)))
-            built = (prep_circuit(p), detect_circuit(p), detect_circuit(p, False), u1)
-            for g in (g for c in built for g in c.gates):
+        for p in circuit_requests(capsys):
+            signs.add(p.z < 0)
+            for g in (g for c in built_circuits(p) for g in c.gates):
                 if g.angle is None:
                     assert g is _fixed(g.name, g.qubits)
                     pairs.add((g.name, g.qubits))
@@ -233,12 +282,47 @@ class TestSharedGates:
         assert len(angled) > 1000
         assert max(sizes) <= len(pairs)
 
+    def test_fusion_cache_stays_bounded(self, capsys):
+        # the angle-free runs of the library's circuits do not depend on the angles
+        _fused.cache_clear()
+        runs, sizes = set(), []
+        for p in circuit_requests(capsys):
+            for c in built_circuits(p):
+                runs.update(tuple(run) for free, run in itertools.groupby(c.gates, is_angle_free) if free)
+            sizes.append(_fused.cache_info().currsize)
+        assert 0 < max(sizes) <= len(runs) < 20
+        assert _fused.cache_info().misses == sizes[-1]
 
-def gates_named(name):
-    """Strategy: a gate of this name on any valid wires, with any finite angle."""
-    arity, needs_angle, _ = _GATES[name]
-    angles = st.floats(allow_nan=False, allow_infinity=False) if needs_angle else st.none()
-    return st.builds(Gate, st.just(name), st.sampled_from(WIRES[arity]), angles)
+
+def gate_by_gate(gates, states):
+    """The reference for _run: every gate through Gate.act, one at a time."""
+    m = states.reshape(*states.shape[:-1], 2, 2)
+    for g in gates:
+        m = g.act(m)
+    return m.reshape(states.shape)
+
+
+def is_angle_free(g):
+    return g.angle is None
+
+
+def circuit_requests(capsys):
+    """500 circuit requests through main, both signs of z, every fourth on the BSM branch."""
+    rng = np.random.default_rng(500)
+    for n in range(500):
+        z = float(rng.uniform(1 / SQRT3, 1.0) * rng.choice((-1.0, 1.0)))
+        phi = bsm_phi(z) if n % 4 == 0 else float(rng.uniform(-math.pi, math.pi))
+        theta = float(rng.uniform(0.0, math.pi / 2))
+        assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", f"--theta={theta!r}"]) == 0
+        report = capsys.readouterr().out
+        assert ("bsm_equivalence" in report) == (n % 4 == 0)
+        yield EjmParams(z, phi, theta)
+
+
+def built_circuits(p):
+    """Every circuit a circuit request at p simulates: prep, detect with and without CRY, and U1."""
+    u1 = Circuit(tuple(_u1_gates(p.phi_prime)))
+    return prep_circuit(p), detect_circuit(p), detect_circuit(p, False), u1
 
 
 class TestSerialization:

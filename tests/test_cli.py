@@ -384,3 +384,62 @@ class TestParserReuse:
         rep = json.loads(after)
         assert (rep["z"], rep["phi"], rep["theta"]) == (1 / SQRT3, math.pi / 4, math.pi / 3)
         assert len(builds) == 1
+
+
+class TestReportEncoding:
+    """_emit_report writes json.dumps(report, indent=2) through the C encoder, which holds
+    for flat reports only: every report must stay a flat object of scalars."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--z=-0.7", "--phi=3.141592653589793", "--theta=1.5707963267948966"],
+            ["sweep", "--grid", "3"],
+            ["circuit"],
+            ["circuit", "--z=-0.9", "--phi=-2.705736389934933", "--theta=0.4"],
+        ],
+        ids=["verify", "verify-edge", "sweep", "circuit", "circuit-bsm"],
+    )
+    def test_real_reports(self, capsys, monkeypatch, argv):
+        from ejmkit import cli
+
+        reports, emit = [], cli._emit_report
+
+        def recording_emit(report, args):
+            reports.append(report)
+            emit(report, args)
+
+        monkeypatch.setattr(cli, "_emit_report", recording_emit)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        [report] = reports
+        assert_indent_2(report, out)
+        if "--theta=0.4" in argv:
+            assert "bsm_equivalence_dev" in report
+
+    def test_flat_report_with_special_values(self, capsys):
+        from argparse import Namespace
+
+        from ejmkit.cli import _emit_report
+
+        report = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "yes": True, "no": False,
+                  "n": -7, "big": 10**30, "x": -0.1, "tiny": 5e-324, "np": np.float64(1 / 3),
+                  "s": 'say "ok"\\ ½\n', "": "pass"}
+        _emit_report(report, Namespace(format="json", out=None))
+        assert_indent_2(report, capsys.readouterr().out)
+
+    def test_a_nested_value_is_caught(self, capsys):
+        from argparse import Namespace
+
+        from ejmkit.cli import _emit_report
+
+        for nested in ({"a": 1.0, "b": [1.0, 2.0]}, {"a": {"b": 1.0}}, {"a": []}):
+            _emit_report(nested, Namespace(format="json", out=None))
+            with pytest.raises(AssertionError):
+                assert_indent_2(nested, capsys.readouterr().out)
+
+
+def assert_indent_2(report, out):
+    assert all(isinstance(v, (str, int, float)) for v in report.values()), report
+    assert out == json.dumps(report, indent=2) + "\n"
