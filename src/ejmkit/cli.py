@@ -50,6 +50,7 @@ CHECKS = {
     "modulus_dev": TOL_TRIG,
     "pairwise_dev": TOL_ALG,
 }
+_TOLERANCES = np.array(list(CHECKS.values()))
 
 # about this many points per _verify_many block in sweep; bounds its working memory.
 # Measured on the benchmark grids: 1,024 and more run faster but raise the peak RSS.
@@ -78,7 +79,10 @@ def _emit(rows, header, args):
             lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write("\n".join(lines) + "\n", args)
     else:
-        _write(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n", args)
+        # json.dumps(rows, indent=2) for flat, non-empty rows, through the C encoder, which indent
+        # turns off: a raw newline is only ever a separator, so "},\n    {" only ever joins two rows
+        js = json.dumps([dict(zip(header, row)) for row in rows], separators=(",\n    ", ": "))
+        _write("[\n  {\n    " + js[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n", args)
 
 
 def _emit_report(report: dict, args):
@@ -122,13 +126,13 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _verify_many(z, phi, theta) -> dict:
-    """Every verify metric at once, each an array of the broadcast shape of z, phi and theta.
+def _verify_many(z, phi, theta):
+    """(p, metrics): the EjmParams of z, phi and theta, and every verify metric at once.
 
-    Runs the three construction paths and all diagnostics on the stacked
-    basis; a factor that depends on fewer of the axes is computed at their
-    shape.  Every metric is finite on the whole domain, theta = pi/2
-    included; the keys after theta are those of CHECKS, in its order.
+    metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
+    and theta.  Runs the three construction paths and all diagnostics on the stacked
+    basis; a factor that depends on fewer of the axes is computed at their shape.
+    Every metric is finite on the whole domain, theta = pi/2 included.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
     b = ejm.build_basis(p)
@@ -141,38 +145,32 @@ def _verify_many(z, phi, theta) -> dict:
     tet = states._reduced_blochs(b)
     first = tet[..., 0, :]
     conc_dev = states._concurrence(b) - states._concurrence_closed(SQRT3, p.theta)[..., None]
-    modulus_dev, pairwise_dev = ejm._tetrahedron_geometry(first, np.cos(p.theta))
-    return {
-        "z": p.z,
-        "phi": p.phi,
-        "theta": p.theta,
-        "gram_dev": worst(gram - np.eye(4)),
-        "gram_closed_dev": worst(gram - ejm.gram_closed(p)),
-        "completeness_residual": ejm.completeness_residual(b),
-        "path_agreement_dev": np.maximum(
-            worst(b - ejm.basis_from_kets(p)),
-            worst(b - ejm.basis_phi_z_form(p)),
-        ),
-        "antisymmetry_dev": worst(first + tet[..., 1, :]),
-        "reduced_closed_dev": worst(first - ejm.reduced_tetrahedron_closed(p)),
-        "concurrence_dev": np.abs(conc_dev).max(axis=-1),
-        "modulus_dev": modulus_dev,
-        "pairwise_dev": pairwise_dev,
-    }
+    metrics = np.empty((len(CHECKS), *b.shape[:-2]))
+    metrics[0] = worst(gram - linalg.I4)
+    metrics[1] = worst(gram - ejm.gram_closed(p))
+    metrics[2] = ejm.completeness_residual(b)
+    paths = np.maximum(np.abs(b - ejm.basis_from_kets(p)), np.abs(b - ejm.basis_phi_z_form(p)))
+    metrics[3] = paths.max(axis=(-2, -1))
+    metrics[4] = worst(first + tet[..., 1, :])
+    metrics[5] = worst(first - ejm.reduced_tetrahedron_closed(p))
+    metrics[6] = np.abs(conc_dev).max(axis=-1)
+    metrics[7], metrics[8] = ejm._tetrahedron_geometry(first, p.cos_theta)
+    return p, metrics
 
 
-def _passes(rep: dict) -> np.ndarray:
-    """Per-point pass flags of a _verify_many report; a NaN metric fails."""
-    return np.logical_and.reduce([rep[k] < tol for k, tol in CHECKS.items()])
+def _passes(metrics: np.ndarray) -> np.ndarray:
+    """Per-point pass flags of _verify_many metrics; a NaN metric fails."""
+    return (metrics < _TOLERANCES.reshape(-1, *(1,) * (metrics.ndim - 1))).all(axis=0)
 
 
 def cmd_verify(args) -> int:
-    rep = _verify_many([args.z], [args.phi], [args.theta])
-    report = {k: float(rep[k][0]) for k in ("z", "phi", "theta", *CHECKS)}
+    p, metrics = _verify_many([args.z], [args.phi], [args.theta])
+    report = {"z": float(p.z[0]), "phi": float(p.phi[0]), "theta": float(p.theta[0])}
+    report.update(zip(CHECKS, metrics[:, 0].tolist()))
     # the geometry is checked at every theta; the key stays for report readers
     report["geometry"] = "ok"
     report["report_tolerance"] = TOL_TRIG
-    ok = bool(_passes(rep)[0])
+    ok = bool(_passes(metrics)[0])
     report["pass"] = ok
     _emit_report(report, args)
     return 0 if ok else 1
@@ -187,14 +185,14 @@ def cmd_sweep(args) -> int:
     # while N^2 fits, so each per-axis factor is computed once per axis value
     dz = max(1, SWEEP_CHUNK // n**2)
     dphi = min(n, max(1, SWEEP_CHUNK // n))
-    agg: dict = {}
+    worst = np.zeros(len(CHECKS))
     ok = True
     for i in range(0, n, dz):
         for j in range(0, n, dphi):
-            rep = _verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)
-            ok = ok and bool(_passes(rep).all())
-            for k in CHECKS:
-                agg[k] = float(np.maximum.reduce(rep[k], axis=None, initial=agg.get(k, 0.0)))
+            metrics = _verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
+            ok = ok and bool(_passes(metrics).all())
+            worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
+    agg = dict(zip(CHECKS, worst.tolist()))
     agg["grid"] = n
     agg["points"] = int(n**3)
     agg["pass"] = ok
@@ -307,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **flags[flag])
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, command=name)
+    parser.subcommands = sub.choices  # name -> subcommand parser, for main's direct dispatch
     return parser
 
 
@@ -322,7 +321,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading subcommand parses with its own parser and skips the top-level pass; any
+    # other argv, and unrecognized extras, take the full parser for its usage and errors
+    sub = _parser().subcommands.get(argv[0]) if argv else None
+    args, extras = sub.parse_known_args(argv[1:]) if sub else (None, True)
+    if extras:
+        args = _parser().parse_args(argv)
     if args.command in ("sweep", "concurrence") and args.grid < 2:
         print("error: --grid must be >= 2", file=sys.stderr)
         return 2

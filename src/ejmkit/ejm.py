@@ -46,7 +46,7 @@ PHI_SHIFTS = np.array([0.0, math.pi / 2, -math.pi, -math.pi / 2])
 Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 # index pairs i < j of the four tetrahedron vertices
-_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+_PAIRS = np.triu_indices(4, 1)
 
 
 def sng(x):
@@ -112,11 +112,12 @@ class EjmParams:
     that the construction paths, the closed forms and the circuits share:
 
     - root_3z2m1 = sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3);
-    - root_1mz2 = sqrt(1 - z^2) and e_theta = e^{i theta};
+    - root_1mz2 = sqrt(1 - z^2), root_3z2 = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta = cos theta;
     - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
     - phi_z = phi_z(z), and phi_prime = phi - phi_z, the angle entering the circuits;
-    - zs = z * Z_SIGNS and phis = phi + PHI_SHIFTS, shape (..., 4): z_i and phi_i.
+    - zs, phis, sng_zs and dphis, shape (..., 4): z_i = z Z_SIGNS[i], phi_i = phi + PHI_SHIFTS[i],
+      sng(z_i) and phi_i - phi_z.
 
     These and the three fields are read-only, so an in-place write raises
     ValueError instead of corrupting every later basis built from them.
@@ -132,11 +133,13 @@ class EjmParams:
         theta = _check_half_angle(self.theta, "theta")
         s, c = _root_3z2m1(z), _root_1mz2(z)
         phi_z = _phi_z(s, c)
+        zs, phis = np.multiply.outer(z, Z_SIGNS), np.add.outer(phi, PHI_SHIFTS)
         attrs = dict(
             z=z, phi=phi, theta=theta,
             root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
+            root_3z2=np.sqrt(3.0 * z * z), cos_theta=np.cos(theta),
             phi_z=phi_z, phi_prime=phi - phi_z,
-            zs=np.multiply.outer(z, Z_SIGNS), phis=np.add.outer(phi, PHI_SHIFTS),
+            zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - _per_state(phi_z),
         )
         for name, value in attrs.items():
             object.__setattr__(self, name, _read_only(value))
@@ -155,7 +158,7 @@ def _coefficients(p: EjmParams):
 
 def _theta0_phase(p: EjmParams):
     """e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2), formed without arcsin."""
-    return (p.root_3z2m1 + 1j) / np.sqrt(3.0 * p.z * p.z)
+    return (p.root_3z2m1 + 1j) / p.root_3z2
 
 
 def _basis(pre, amplitudes) -> np.ndarray:
@@ -188,10 +191,9 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     general form below covers z < 0 as well through sng(z_i) and agrees
     elementwise with build_basis.
     """
-    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * np.sqrt(3.0 * p.z * p.z))
-    g = sng(p.zs)
-    e = np.exp(1j * (p.phis - _per_state(p.phi_z)))
-    e_th = _per_state(p.e_theta)
+    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * p.root_3z2)
+    g, e_th = p.sng_zs, _per_state(p.e_theta)
+    e = np.exp(1j * p.dphis)
     return _basis(pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
 
 
@@ -202,12 +204,10 @@ def gram_matrix(b: np.ndarray) -> np.ndarray:
 
 def gram_closed(p: EjmParams) -> np.ndarray:
     """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
-    phis, zs = p.phis, p.zs
-    return 0.25 * (
-        2.0 * np.cos(phis[..., :, None] - phis[..., None, :])
-        + sng(zs[..., :, None] * zs[..., None, :])
-        + 1.0
-    )
+    phis, g = p.phis, p.sng_zs
+    cos = np.cos(phis[..., :, None] - phis[..., None, :])
+    # sng(z_i z_j) = sng(z_i) sng(z_j): z_i z_j is never 0 on the domain
+    return 0.25 * (2.0 * cos + g[..., :, None] * g[..., None, :] + 1.0)
 
 
 def completeness_residual(b: np.ndarray):
@@ -231,9 +231,8 @@ def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
     (1/sqrt(2)) cos theta (cos(phi_i - phi_z), sin(phi_i - phi_z),
     sng(z_i)/sqrt(2)); for z > 0 the last component is (-1)^i/sqrt(2).
     """
-    d = p.phis - _per_state(p.phi_z)
-    scale = _per_state(_per_state(np.cos(p.theta) / SQRT2))
-    return scale * _stack(np.cos(d), np.sin(d), sng(p.zs) / SQRT2)
+    scale = _per_state(_per_state(p.cos_theta / SQRT2))
+    return scale * _stack(np.cos(p.dphis), np.sin(p.dphis), p.sng_zs / SQRT2)
 
 
 def tetrahedron_geometry_check(vectors, theta):
@@ -256,7 +255,7 @@ def tetrahedron_geometry_check(vectors, theta):
 
 def _tetrahedron_geometry(vectors: np.ndarray, cos):
     """tetrahedron_geometry_check on (..., 4, 3) vectors and cos theta > 0, unchecked."""
-    norms = np.linalg.norm(vectors, axis=-1)
+    norms = np.sqrt((vectors * vectors).sum(axis=-1))
     modulus_dev = np.abs(norms - _per_state(SQRT3 / 2.0 * cos)).max(axis=-1)
     dots = (vectors @ np.swapaxes(vectors, -1, -2))[..., _PAIRS[0], _PAIRS[1]]
     pairwise_dev = np.abs(dots + _per_state(cos * cos / 4.0)).max(axis=-1) / cos

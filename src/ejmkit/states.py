@@ -127,9 +127,10 @@ def unit_vector_m(z, phi) -> np.ndarray:
     return _stack(r * np.cos(phi), r * np.sin(phi), z)
 
 
-def _ket(upper, lower, phi) -> np.ndarray:
-    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) along a new last axis."""
-    return _stack(upper * np.exp(-0.5j * phi), lower * np.exp(0.5j * phi)) / SQRT2
+def _kets(phi, *pairs) -> list:
+    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) along a new last axis, per (upper, lower)."""
+    e_minus, e_plus = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    return [_stack(upper * e_minus, lower * e_plus) / SQRT2 for upper, lower in pairs]
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -138,19 +139,19 @@ def ket_m(z, phi) -> np.ndarray:
     z and phi broadcast; the state is the last axis.
     """
     z = _check_z(z)
-    return _ket(np.sqrt(1.0 + z), np.sqrt(1.0 - z), _check_phi(phi))
+    return _kets(_check_phi(phi), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0]
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
     z = _check_z(z)
-    return _ket(np.sqrt(1.0 - z), -np.sqrt(1.0 + z), _check_phi(phi))
+    return _kets(_check_phi(phi), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0]
 
 
 def _rotated_pair(z, phi, w):
     """(|m_0>, |m_1>) with w = i e^{i theta0}; z, phi and w broadcast, and nothing is checked."""
     u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
-    m, mm = _ket(u, v, phi), _ket(v, -u, phi)
+    m, mm = _kets(phi, (u, v), (v, -u))
     w = np.asarray(w)[..., None]
     return ((1.0 - w) * m + (1.0 + w) * mm) / 2.0, ((1.0 + w) * m + (1.0 - w) * mm) / 2.0
 
@@ -215,6 +216,7 @@ def phi_state_tensor(p: FiveParams) -> np.ndarray:
 
 
 _POPULATION_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+_RHO_LEFT, _RHO_RIGHT = np.array([0, 1, 0, 2]), np.array([2, 3, 1, 3])
 
 
 def _reduced_blochs(s: np.ndarray) -> np.ndarray:
@@ -224,9 +226,12 @@ def _reduced_blochs(s: np.ndarray) -> np.ndarray:
     side-first vector is (2 Re rho_01, -2 Im rho_01, |a|^2 + |b|^2 - |c|^2 - |d|^2).
     The side-second vector swaps b and c.
     """
-    x = s[..., [0, 1, 0, 2]] * s[..., [2, 3, 1, 3]].conj()  # a c*, b d*, a b*, c d*
+    x = s[..., _RHO_LEFT] * s[..., _RHO_RIGHT].conj()  # a c*, b d*, a b*, c d*
     rho01 = 2.0 * (x[..., ::2] + x[..., 1::2])
-    return np.stack([rho01.real, -rho01.imag, (s.real**2 + s.imag**2) @ _POPULATION_SIGNS], axis=-1)
+    out = np.empty(rho01.shape + (3,))
+    out[..., 0], out[..., 1] = rho01.real, -rho01.imag
+    out[..., 2] = (s.real**2 + s.imag**2) @ _POPULATION_SIGNS
+    return out
 
 
 def _concurrence(s: np.ndarray) -> np.ndarray:

@@ -136,12 +136,11 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
     verify_many, sizes = cli._verify_many, []
 
     def planted(*columns):
-        rep = verify_many(*columns)
-        sizes.append(rep["gram_dev"].size)
+        p, metrics = verify_many(*columns)
+        sizes.append(metrics[0].size)
         if len(sizes) == 2:
-            for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
-                rep[k][-1] = 0.5
-        return rep
+            metrics[:, -1] = 0.5
+        return p, metrics
 
     monkeypatch.setattr(cli, "_verify_many", planted)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
@@ -164,10 +163,10 @@ def flat_sweep(n: int) -> tuple:
     ok = True
     for start in range(0, n**3, cli.SWEEP_CHUNK):
         flat = np.arange(start, min(start + cli.SWEEP_CHUNK, n**3))
-        rep = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
-        ok = ok and bool(_passes(rep).all())
-        for k in cli.CHECKS:
-            agg[k] = float(np.maximum.reduce(rep[k], initial=agg.get(k, 0.0)))
+        _, metrics = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
+        ok = ok and bool(_passes(metrics).all())
+        for k, row in zip(cli.CHECKS, metrics):
+            agg[k] = float(np.maximum.reduce(row, initial=agg.get(k, 0.0)))
     agg["grid"] = n
     agg["points"] = int(n**3)
     agg["pass"] = ok
@@ -209,8 +208,8 @@ def count_calls(monkeypatch, original) -> list:
 def verify_random_points():
     rng = np.random.default_rng(64)
     z = rng.uniform(1 / SQRT3, 1.0, 64) * rng.choice((-1.0, 1.0), 64)
-    rep = _verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
-    assert _passes(rep).all()
+    _, metrics = _verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
+    assert _passes(metrics).all()
 
 
 def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
@@ -234,9 +233,10 @@ def test_verify_many_checks_theta_once(monkeypatch):
 
 
 def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkeypatch):
-    # the three paths and the closed forms read the root from EjmParams; _stack
+    # the three paths and the closed forms read the root and sng(z_i) from EjmParams; _stack
     # allocates its output itself instead of calling numpy's pure-Python broadcaster
     roots = count_calls(monkeypatch, ejm._root_3z2m1)
+    signs = count_calls(monkeypatch, ejm.sng)
     broadcasts = []
     broadcast_arrays = np.broadcast_arrays
 
@@ -246,7 +246,7 @@ def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkey
 
     monkeypatch.setattr(np, "broadcast_arrays", counted)
     verify_random_points()
-    assert (len(roots), len(broadcasts)) == (1, 0)
+    assert (len(roots), len(signs), len(broadcasts)) == (1, 1, 0)
 
 
 @pytest.mark.parametrize(
@@ -310,11 +310,11 @@ triples = st.tuples(
 @settings(max_examples=60, deadline=None)
 def test_verify_many_equals_scalar_calls(points):
     z, phi, theta = (np.array(column) for column in zip(*points))
-    rep = _verify_many(z, phi, theta)
-    passed = _passes(rep)
+    p, metrics = _verify_many(z, phi, theta)
+    rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
     for n, triple in enumerate(points):
         want = verify_one(EjmParams(*triple))
-        assert (rep["z"][n], rep["phi"][n], rep["theta"][n]) == (want["z"], want["phi"], want["theta"])
+        assert (p.z[n], p.phi[n], p.theta[n]) == (want["z"], want["phi"], want["theta"])
         for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
             assert abs(rep[k][n] - want[k]) <= METRIC_TOL, k
         assert bool(passed[n]) == verify_pass(want)
@@ -365,8 +365,8 @@ def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
         (0.7, 1.0, math.pi / 2 - 1e-3),
         (-0.9, -1.2, math.pi / 2),
     ]
-    rep = _verify_many(*(np.array(column) for column in zip(*points)))
-    passed = _passes(rep)
+    _, metrics = _verify_many(*(np.array(column) for column in zip(*points)))
+    rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
     for n, triple in enumerate(points):
         want = verify_one(EjmParams(*triple))
         assert verify_pass(want) is False
@@ -396,5 +396,5 @@ def test_pass_rule_matches_per_point_rule():
             for theta in thetas:
                 want = dict.fromkeys(TOLERANCES, 0.0)
                 want.update({key: value, "theta": theta})
-                rep = {k: np.array([v]) for k, v in want.items()}
-                assert bool(_passes(rep)[0]) == verify_pass(want), (key, value, theta)
+                metrics = np.array([[want[k]] for k in cli.CHECKS])
+                assert bool(_passes(metrics)[0]) == verify_pass(want), (key, value, theta)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +385,163 @@ class TestParserReuse:
         rep = json.loads(after)
         assert (rep["z"], rep["phi"], rep["theta"]) == (1 / SQRT3, math.pi / 4, math.pi / 3)
         assert len(builds) == 1
+
+
+def outcome(capsys, argv=None):
+    """Exit code (a SystemExit as ("exit", code)), stdout and stderr of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+SUBCOMMANDS = ("basis", "verify", "sweep", "table1", "concurrence", "circuit")
+DISPATCH_ARGV = [
+    # every error argv of the tests above
+    ("basis", "--z", "0.4"),
+    ("basis", "--phi", "nan"),
+    ("basis", "--phi", "inf"),
+    ("basis", "--z", "1.2"),
+    ("verify", "--z", "0.1", "--phi", "nan", "--theta", "5.0"),
+    ("verify", "--z", "0.7", "--phi", "nan", "--theta", "5.0"),
+    ("verify", "--z", "0.7", "--phi", "0.1", "--theta", "5.0"),
+    ("sweep", "--dump"),
+    ("sweep", "--z", "5"),
+    ("table1", "--z", "5"),
+    ("basis", "--grid", "4"),
+    ("verify", "--dump"),
+    ("concurrence", "--theta", "1"),
+    ("circuit", "--grid", "4"),
+    ("sweep", "--grid", "1"),
+    ("circuit", "--dump", "--format", "csv"),
+    ("verify", "--out", ""),
+    ("verify", "--grid", "4"),
+    # help at both levels
+    ("--help",),
+    ("-h",),
+    *((sub, flag) for sub in SUBCOMMANDS for flag in ("--help", "-h")),
+    # no subcommand, an unknown one, an abbreviated flag, a bad choice, flags before the subcommand
+    (),
+    ("bogus",),
+    ("verify", "--th=0.5"),
+    ("--format=xml",),
+    ("verify", "--format=xml"),
+    ("--format=json", "verify"),
+    ("verify", "--z", "abc"),
+    ("verify", "stray"),
+    ("verify", "--", "--z=1"),
+    # accepted requests
+    ("verify", "--z=-0.7", "--phi=0.3", "--theta=0.5"),
+    ("circuit", "--format=csv"),
+    ("sweep", "--grid=2"),
+]
+
+
+def assert_full_parser_outcome(capsys, monkeypatch, argv):
+    """main(argv) as it is, and with every argv sent through the full parser, agree."""
+    from ejmkit import cli
+
+    direct = outcome(capsys, list(argv))
+    monkeypatch.setattr(cli._parser(), "subcommands", {})
+    assert outcome(capsys, list(argv)) == direct
+
+
+class TestDirectDispatch:
+    """main parses a leading subcommand with that subcommand's cached parser; every argv must
+    give the exit code, stdout and stderr of the full parser, _parser().parse_args."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
+        assert_full_parser_outcome(capsys, monkeypatch, argv)
+
+    def test_unwritable_out_path(self, capsys, monkeypatch, tmp_path):
+        argv = ["verify", "--out", str(tmp_path / "missing" / "report.json")]
+        assert_full_parser_outcome(capsys, monkeypatch, argv)
+
+    def test_memory_error(self, capsys, monkeypatch):
+        from ejmkit import states
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+        monkeypatch.setattr(states, "concurrence_closed", exhausted)
+        assert_full_parser_outcome(capsys, monkeypatch, ["concurrence", "--grid", "20000"])
+
+    @pytest.mark.parametrize("argv", [("verify", "--z=-0.7"), (), ("--help",), ("verify", "--grid", "4")])
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, argv):
+        from ejmkit import cli
+
+        monkeypatch.setattr(sys, "argv", ["ejm", *argv])
+        direct = outcome(capsys)
+        monkeypatch.setattr(cli._parser(), "subcommands", {})
+        assert outcome(capsys, list(argv)) == direct
+
+    def test_a_leading_subcommand_skips_the_full_parser(self, capsys, monkeypatch):
+        from ejmkit import cli
+
+        parser, full_parses = cli._parser(), []
+        parse_args = parser.parse_args
+
+        def counting_parse_args(*args, **kwargs):
+            full_parses.append(args)
+            return parse_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_args", counting_parse_args)
+        assert outcome(capsys, ["verify", "--z=-0.7"])[0] == 0
+        assert outcome(capsys, ["circuit", "--format=csv"])[0] == 0
+        assert full_parses == []
+        assert outcome(capsys, ["verify", "--grid", "4"])[0] == ("exit", 2)
+        assert outcome(capsys, ["--format=json", "verify"])[0] == ("exit", 2)
+        assert len(full_parses) == 2
+
+
+class TestRowEncoding:
+    """_emit writes json.dumps(rows, indent=2) through the C encoder, which holds for flat,
+    non-empty rows only."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis"],
+            ["basis", "--z=-0.7", "--phi=3.0", "--theta=1.2"],
+            ["table1", "--theta=0.5"],
+            ["concurrence", "--grid", "2"],
+            ["concurrence", "--grid", "7"],
+        ],
+        ids=["basis", "basis-edge", "table1", "concurrence-2", "concurrence-7"],
+    )
+    def test_real_tables(self, capsys, monkeypatch, argv):
+        from ejmkit import cli
+
+        tables, emit = [], cli._emit
+
+        def recording_emit(rows, header, args):
+            rows = list(rows)
+            tables.append([dict(zip(header, row)) for row in rows])
+            emit(rows, header, args)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        [objs] = tables
+        assert all(isinstance(v, (str, int, float)) for obj in objs for v in obj.values())
+        assert out == json.dumps(objs, indent=2) + "\n"
+
+    def test_rows_with_special_values(self, capsys):
+        from argparse import Namespace
+
+        from ejmkit.cli import _emit
+
+        header = ["nan", "inf", "flag", "n", "tiny", "np", "s"]
+        rows = [
+            [math.nan, -math.inf, True, -7, 5e-324, np.float64(1 / 3), "},\n    {"],
+            [0.0, math.inf, False, 10**30, -0.1, np.float64(-0.0), 'say "ok"\\ ½\n'],
+            [1.0, 2.0, True, 0, 1e300, np.float64(2.5), ""],
+        ]
+        _emit(rows, header, Namespace(format="json", out=None))
+        assert capsys.readouterr().out == json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
 
 
 class TestReportEncoding:
