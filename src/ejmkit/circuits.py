@@ -15,44 +15,54 @@ Controls activate on |1>.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SIGMA_X, require_normalized
+from .linalg import require_normalized
 from .ejm import EjmParams
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S = np.diag([1.0, 1j]).astype(complex)
-_Y = np.array([[0, 1], [-1, 0]], dtype=complex)  # i * sigma_y
+_R = 1 / math.sqrt(2)
 
 
-def _ry(zeta: float) -> np.ndarray:
+def _ry(zeta: float) -> tuple:
     c, s = math.cos(zeta / 2.0), math.sin(zeta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return c, -s, s, c
 
 
-def _phase(xi: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * xi)]], dtype=complex)
+def _phase(xi: float) -> tuple:
+    # e^{i xi}, equal bit for bit to numpy's exp(1j * xi)
+    return 1.0, 0.0, 0.0, complex(math.cos(xi), math.sin(xi))
 
 
-# name -> (arity, needs angle, 2x2 matrix factory)
+# name -> (arity, needs angle, factory of the 2x2 entries (u00, u01, u10, u11))
 _GATES = {
-    "H": (1, False, lambda _: _H),
-    "X": (1, False, lambda _: SIGMA_X),
-    "Y": (1, False, lambda _: _Y),
-    "S": (1, False, lambda _: _S),
+    "H": (1, False, lambda _: (_R, _R, _R, -_R)),
+    "X": (1, False, lambda _: (0, 1, 1, 0)),
+    "Y": (1, False, lambda _: (0, 1, -1, 0)),  # i * sigma_y
+    "S": (1, False, lambda _: (1, 0, 0, 1j)),
     "RY": (1, True, _ry),
     "PHASE": (1, True, _phase),
     "PHASEDG": (1, True, lambda xi: _phase(-xi)),
-    "CNOT": (2, False, lambda _: SIGMA_X),
-    "CS": (2, False, lambda _: _S),
+    "CNOT": (2, False, lambda _: (0, 1, 1, 0)),
+    "CS": (2, False, lambda _: (1, 0, 0, 1j)),
     "CRY": (2, True, _ry),
     "CPHASE": (2, True, _phase),
     "CPHASEDG": (2, True, lambda xi: _phase(-xi)),
+}
+
+# where u00, u01, u10, u11 sit in a gate's entry vector (0, 1, u00, u01, u10, u11)
+_U = np.arange(2, 6).reshape(2, 2)
+_I2, _P0, _P1 = np.eye(2, dtype=int), np.diag([1, 0]), np.diag([0, 1])
+# wires -> entry-vector index of each element of the gate's 4x4 unitary, transposed
+# for row states; the two terms of a controlled gate never overlap
+_SLOTS = {
+    (0,): np.kron(_U, _I2).T,
+    (1,): np.kron(_I2, _U).T,
+    (0, 1): (np.kron(_P0, _I2) + np.kron(_P1, _U)).T,
+    (1, 0): (np.kron(_I2, _P0) + np.kron(_U, _P1)).T,
 }
 
 
@@ -68,16 +78,21 @@ def _wire(q) -> int:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: single-qubit, or controlled with (control, target) qubits."""
+    """One gate: single-qubit, or controlled with (control, target) qubits.
+
+    `op` is its read-only operator on row states, `v @ op`: the transpose of
+    its 4x4 unitary, gathered once on construction.
+    """
 
     name: str
     qubits: tuple
     angle: float | None = None
+    op: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in _GATES:
             raise ValueError(f"unknown gate {self.name!r}")
-        arity, needs_angle, _ = _GATES[self.name]
+        arity, needs_angle, entries = _GATES[self.name]
         qubits = self.qubits
         if type(qubits) is not tuple or any(type(q) is not int for q in qubits):
             # a tuple of Python ints, so that equal gates hash, compare and dump alike
@@ -91,18 +106,9 @@ class Gate:
             raise ValueError(f"{self.name} angle mismatch")
         if needs_angle and not math.isfinite(self.angle):
             raise ValueError(f"{self.name} angle must be finite")
-
-    def act(self, m: np.ndarray) -> np.ndarray:
-        """This gate on states reshaped to (..., 2, 2), wire 0 on axis -2."""
-        arity, _, factory = _GATES[self.name]
-        u = factory(self.angle)
-        if arity == 1:
-            return u @ m if self.qubits[0] == 0 else m @ u.T
-        # the target wire's amplitudes where the control wire is |1>
-        on = (..., 1, slice(None)) if self.qubits[0] == 0 else (..., slice(None), 1)
-        out = m.copy()
-        out[on] = m[on] @ u.T
-        return out
+        op = np.array((0, 1, *entries(self.angle)), dtype=complex)[_SLOTS[qubits]]
+        op.flags.writeable = False
+        object.__setattr__(self, "op", op)
 
     def unitary(self) -> np.ndarray:
         """The full 4x4 unitary of this gate."""
@@ -163,42 +169,11 @@ def apply(c: Circuit, states) -> np.ndarray:
     return _run(c.gates, require_normalized(states))
 
 
-_ANGLE = operator.attrgetter("angle")
-
-
 def _run(gates, v: np.ndarray) -> np.ndarray:
-    """apply without its entry check, for complex states (..., 4) the library built.
-
-    Each maximal run of angle-free gates acts as one cached 4x4 operator
-    (`_fused`); a gate with an angle acts through `Gate.act`, in circuit order.
-    """
-    shape, pairs = v.shape, v.shape[:-1] + (2, 2)
-    # grouped by angle: None marks a run of angle-free gates
-    for angle, run in itertools.groupby(gates, _ANGLE):
-        if angle is None:
-            v = v @ _fused(tuple(run))
-        else:
-            for g in run:
-                v = g.act(v.reshape(pairs)).reshape(shape)
+    """apply without its entry check, for complex states (..., 4) the library built."""
+    for g in gates:
+        v = v @ g.op
     return v
-
-
-@functools.lru_cache(maxsize=256)
-def _fused(run: tuple) -> np.ndarray:
-    """A run of angle-free gates as one operator on row states: `v @ _fused(run)`.
-
-    Built once per distinct run by taking the four basis rows through
-    `Gate.act`, so it is the transpose of the run's unitary; read-only,
-    because every caller shares it.  The library's circuits hold 12
-    distinct runs; the bound keeps arbitrary user circuits from growing
-    the cache for the life of the process.
-    """
-    m = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    for g in run:
-        m = g.act(m)
-    op = m.reshape(4, 4)
-    op.flags.writeable = False
-    return op
 
 
 def outcome_probabilities(s) -> np.ndarray:
@@ -224,12 +199,18 @@ def _u1_gates(phi_prime: float) -> list:
 
 
 def _base_params(p: EjmParams) -> float:
-    """Effective circuit angle phi'.
+    """Effective circuit angle phi' of one parameter point.
 
     For z < 0 the basis equals the positive-z basis at phi - pi/2 with
     indices cycled by one, so the circuits run at the shifted angle and
-    a correction stage restores the index/outcome convention.
+    a correction stage restores the index/outcome convention.  Array-valued
+    parameters raise ValueError: a circuit holds one angle per gate.
     """
+    point = (p.z, p.phi, p.theta)
+    # EjmParams stores a 0-d input as a Python float, so an array here has an axis
+    if any(isinstance(x, np.ndarray) for x in point):
+        shape = np.broadcast_shapes(*map(np.shape, point))
+        raise ValueError(f"the circuits take one parameter point, got EjmParams of shape {shape}")
     if p.z >= 0:
         return p.phi_prime
     return (p.phi - math.pi / 2) - p.phi_z

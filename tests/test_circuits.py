@@ -1,6 +1,6 @@
-import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from ejmkit.circuits import (
     Circuit,
     CircuitParseError,
     Gate,
+    _base_params,
     _fixed,
-    _fused,
     _run,
     _u1_gates,
     apply,
@@ -68,9 +68,9 @@ P1 = np.diag([0.0, 1.0])
 
 def kron_unitary(g: Gate) -> np.ndarray:
     """The 4x4 unitary of a gate built from Kronecker products: the reference
-    for the (2, 2)-reshape kernel."""
-    arity, _, factory = _GATES[g.name]
-    u = factory(g.angle)
+    for the operator each gate gathers from its entries."""
+    arity, _, entries = _GATES[g.name]
+    u = np.reshape(entries(g.angle), (2, 2))
     if arity == 1:
         return np.kron(u, I2) if g.qubits == (0,) else np.kron(I2, u)
     if g.qubits == (0, 1):
@@ -120,7 +120,7 @@ class TestGates:
             assert g.qubits == (1,) and type(g.qubits) is tuple and type(g.qubits[0]) is int
             assert g == Gate("X", (1,)) and hash(g) == hash(Gate("X", (1,)))
             assert g.dump() == "X 1"
-        # hashable, so a run holding it is a valid key of the fusion cache
+        # and its operator acts on the wire it names
         np.testing.assert_array_equal(_run((Gate("X", [1]),), KET00), [0, 1, 0, 0])
         assert Circuit.loads(Circuit((Gate("CNOT", [1, 0]),)).dumps()) == Circuit((Gate("CNOT", (1, 0)),))
 
@@ -132,6 +132,13 @@ class TestGates:
     def test_non_integer_qubits_rejected(self, name, qubits, angle):
         with pytest.raises(ValueError):
             Gate(name, qubits, angle)
+
+    def test_operator_is_read_only_transposed_kronecker_unitary(self):
+        for g in all_gate_variants():
+            assert not g.op.flags.writeable
+            with pytest.raises(ValueError):
+                g.op[0, 0] = 2.0
+            assert np.abs(g.op - kron_unitary(g).T).max() < 1e-15, g
 
     def test_circuit_unitary(self):
         c = Circuit(tuple(all_gate_variants()))
@@ -243,28 +250,29 @@ class TestSharedGates:
                 assert np.array_equal(c.unitary(), apply(c, eye).T)
                 assert Circuit.loads(c.dumps()) == c
 
-    def test_fused_runs_equal_gate_by_gate(self):
+    def test_library_circuits_equal_kronecker_product(self):
         eye = np.eye(4, dtype=complex)
         for p in EDGE_PARAMS + seeded_params(22):
             for c in built_circuits(p):
+                want = kron_circuit_unitary(c.gates)
                 for states in (KET00, build_basis(p), eye):
-                    assert np.abs(_run(c.gates, states) - gate_by_gate(c.gates, states)).max() < 1e-15
-                assert np.abs(c.unitary() - gate_by_gate(c.gates, eye).T).max() < 1e-15
+                    assert np.abs(_run(c.gates, states) - states @ want.T).max() < 1e-15
+                assert np.abs(c.unitary() - want).max() < 1e-15
         # consecutive angle gates that share an angle and do not commute
         same = [Gate("RY", (0,), 0.5), Gate("PHASE", (0,), 0.5), Gate("CRY", (0, 1), 0.5), Gate("H", (1,)),
                 Gate("RY", (1,), 0.5), Gate("CPHASE", (1, 0), 0.5), Gate("PHASEDG", (1,), 0.5)]
         states = random_states(np.random.default_rng(22), (5,))
-        assert np.abs(_run(same, states) - gate_by_gate(same, states)).max() < 1e-15
+        assert np.abs(_run(same, states) - states @ kron_circuit_unitary(same).T).max() < 1e-15
 
     @given(st.lists(st.tuples(st.lists(st.sampled_from(ANGLE_FREE), max_size=6),
                               st.sampled_from(ANGLED).flatmap(gates_named)), min_size=1, max_size=4),
            st.lists(st.sampled_from(ANGLE_FREE), max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_runs_split_by_angle_gates_equal_gate_by_gate(self, segments, tail):
+    def test_mixed_circuits_equal_kronecker_product(self, segments, tail):
         # each segment is a run of angle-free gates, maybe empty, closed by a gate with an angle
         gates = [g for free, angled in segments for g in (*free, angled)] + tail
         states = np.vstack([random_states(np.random.default_rng(len(gates)), (3,)), np.eye(4)])
-        assert np.abs(_run(gates, states) - gate_by_gate(gates, states)).max() < 1e-15
+        assert np.abs(_run(gates, states) - states @ kron_circuit_unitary(gates).T).max() < 1e-15
 
     def test_gate_cache_stays_bounded(self, capsys):
         # every request has its own angles; the cache holds only the angle-free gates
@@ -281,29 +289,6 @@ class TestSharedGates:
         assert signs == {True, False}
         assert len(angled) > 1000
         assert max(sizes) <= len(pairs)
-
-    def test_fusion_cache_stays_bounded(self, capsys):
-        # the angle-free runs of the library's circuits do not depend on the angles
-        _fused.cache_clear()
-        runs, sizes = set(), []
-        for p in circuit_requests(capsys):
-            for c in built_circuits(p):
-                runs.update(tuple(run) for free, run in itertools.groupby(c.gates, is_angle_free) if free)
-            sizes.append(_fused.cache_info().currsize)
-        assert 0 < max(sizes) <= len(runs) < 20
-        assert _fused.cache_info().misses == sizes[-1]
-
-
-def gate_by_gate(gates, states):
-    """The reference for _run: every gate through Gate.act, one at a time."""
-    m = states.reshape(*states.shape[:-1], 2, 2)
-    for g in gates:
-        m = g.act(m)
-    return m.reshape(states.shape)
-
-
-def is_angle_free(g):
-    return g.angle is None
 
 
 def circuit_requests(capsys):
@@ -394,6 +379,23 @@ class TestPrep:
         from ejmkit.states import concurrence_numeric
 
         assert abs(concurrence_numeric(psi) - 1.0) < 1e-10
+
+
+class TestOnePoint:
+    def test_zero_d_parameters_are_one_point(self):
+        p = EjmParams(np.array(0.7), np.array(0.3), np.array(0.4))
+        for build in (prep_circuit, detect_circuit):
+            assert build(p) == build(EjmParams(0.7, 0.3, 0.4))
+
+    @pytest.mark.parametrize(
+        "z, theta, shape", [([0.7], 0.4, (1,)), ([0.7, -0.8], 0.4, (2,)), (0.7, [0.4, 0.5], (2,))]
+    )
+    def test_array_parameters_raise_one_value_error(self, z, theta, shape):
+        p = EjmParams(z, 0.3, theta)
+        message = re.escape(f"one parameter point, got EjmParams of shape {shape}")
+        for build in (prep_circuit, detect_circuit, _base_params):
+            with pytest.raises(ValueError, match=message):
+                build(p)
 
 
 class TestLocalUnitaries:

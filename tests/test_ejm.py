@@ -14,6 +14,8 @@ from ejmkit.states import (
     phi_state_tensor,
 )
 from ejmkit.ejm import (
+    PHI_SHIFTS,
+    Z_SIGNS,
     EjmParams,
     _coefficients,
     _theta0_phase,
@@ -221,6 +223,27 @@ class TestOrthonormalityCompleteness:
             assert abs(total[k, k] - 1.0) < 1e-12
         for a in ps:
             assert np.abs(a @ a - a).max() < 1e-12
+
+
+def theta0_scan_gram_dev(z, theta0):
+    """Max-abs Gram deviation from I of the four a = sqrt(3) states with
+    z_i = z Z_SIGNS[i], phi_i = 0.4 + PHI_SHIFTS[i] and theta = 0.7, per theta0."""
+    p = FiveParams(SQRT3, z * Z_SIGNS, 0.4 + PHI_SHIFTS, np.asarray(theta0)[..., None], 0.7)
+    return np.abs(gram_matrix(phi_state(p)) - np.eye(4)).max(axis=(-2, -1))
+
+
+def test_orthonormal_only_from_the_lower_z_bound():
+    # result (ii): below |z| = 1/sqrt(3) no theta0 makes the four states a basis;
+    # from it on, the one theta0 that does is arcsin(1/sqrt(3 z^2))
+    scan = np.linspace(0.0, math.pi / 2, 2001)
+    for sign in (1.0, -1.0):
+        for z in (0.3, 0.5, 0.57):
+            assert theta0_scan_gram_dev(sign * z, scan).min() >= 5e-3, sign * z
+        for z in (0.6, 0.8, 1.0):
+            theta0 = math.asin(1 / math.sqrt(3 * z * z))
+            dev = theta0_scan_gram_dev(sign * z, scan)
+            assert abs(scan[dev.argmin()] - theta0) <= scan[1], sign * z
+            assert theta0_scan_gram_dev(sign * z, theta0) < 1e-12, sign * z
 
 
 class TestConstructionPaths:
