@@ -110,12 +110,8 @@ def _write(text: str, args):
         raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
-def _params(args) -> EjmParams:
-    return EjmParams(z=args.z, phi=args.phi, theta=args.theta)
-
-
 def cmd_basis(args) -> int:
-    p = _params(args)
+    p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
     b = ejm.build_basis(p)
     rows = []
     labels = ("00", "01", "10", "11")
@@ -131,29 +127,32 @@ def _verify_many(z, phi, theta):
 
     metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
     and theta.  Runs the three construction paths and all diagnostics on the stacked
-    basis; a factor that depends on fewer of the axes is computed at their shape.
-    Every metric is finite on the whole domain, theta = pi/2 included.
+    basis; a factor that depends on fewer of the axes is computed at their shape.  The
+    arrays are point-axis-last in memory, so each comparison is elementwise over contiguous
+    points.  Every metric is finite on the whole domain, theta = pi/2 included.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
     b = ejm.build_basis(p)
 
-    def worst(x):
-        return np.abs(x).max(axis=(-2, -1))
+    def worst(x, axes=(-2, -1)):
+        return np.abs(x).max(axis=axes)
 
     gram = ejm.gram_matrix(b)
-    # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report
-    tet = states._reduced_blochs(b)
-    first = tet[..., 0, :]
-    conc_dev = states._concurrence(b) - states._concurrence_closed(SQRT3, p.theta)[..., None]
-    metrics = np.empty((len(CHECKS), *b.shape[:-2]))
+    # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
+    # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
+    amplitudes = ejm._kernel(b).swapaxes(0, 1)
+    first, second = states._reduced_blochs(amplitudes)
+    conc_dev = states._concurrence(amplitudes) - states._concurrence_closed(SQRT3, p.theta)
+    metrics = np.empty((len(CHECKS), *p.shape))
     metrics[0] = worst(gram - linalg.I4)
     metrics[1] = worst(gram - ejm.gram_closed(p))
     metrics[2] = ejm.completeness_residual(b)
     paths = np.maximum(np.abs(b - ejm.basis_from_kets(p)), np.abs(b - ejm.basis_phi_z_form(p)))
     metrics[3] = paths.max(axis=(-2, -1))
-    metrics[4] = worst(first + tet[..., 1, :])
-    metrics[5] = worst(first - ejm.reduced_tetrahedron_closed(p))
-    metrics[6] = np.abs(conc_dev).max(axis=-1)
+    closed = ejm._kernel(ejm.reduced_tetrahedron_closed(p)).swapaxes(0, 1)
+    metrics[4] = worst(first + second, (0, 1))
+    metrics[5] = worst(first - closed, (0, 1))
+    metrics[6] = np.abs(conc_dev).max(axis=0)
     metrics[7], metrics[8] = ejm._tetrahedron_geometry(first, p.cos_theta)
     return p, metrics
 
@@ -207,7 +206,7 @@ def cmd_table1(args) -> int:
         p = EjmParams(z=z, phi=phi, theta=args.theta)
         m = states.unit_vector_m(p.zs, p.phis)
         b = ejm.build_basis(p)
-        first = states._reduced_blochs(b)[:, 0]
+        first = states._reduced_blochs(b.T)[0].T
         m_dev = np.abs(m - z * np.array(m_signs, dtype=float)).max()
         r_dev = np.abs(first - 0.5 * math.cos(p.theta) * REDUCED_SIGNS).max()
         norm_dev = np.abs(np.linalg.norm(b, axis=-1) - 1.0).max()
@@ -243,7 +242,7 @@ _CIRCUIT_KEYS = (
 
 
 def cmd_circuit(args) -> int:
-    p = _params(args)
+    p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
     prep = circuits.prep_circuit(p)
     detect = circuits.detect_circuit(p)
     if args.dump:

@@ -16,7 +16,10 @@ phi_z-rotated path (basis_phi_z_form).
 Everything here is array-shaped.  z, phi and theta may be broadcastable
 arrays; a basis then has shape (..., 4, 4), with state i at [..., i, :],
 and every diagnostic keeps the leading axes.  A triple of floats is the
-n = 1 case of the same code.
+n = 1 case of the same code.  Internally the arrays are point-axis-last: a
+basis is built as (4, 4, ...), state i at [i], so every per-point product is
+an elementwise op on contiguous point vectors, and the public functions
+return the (..., 4, 4) views of those arrays (_public, inverted by _kernel).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .states import (
     _plain,
     _require,
     _reduced_blochs,
-    _stack,
     wrap_angle,
 )
 
@@ -45,34 +47,30 @@ Z_MIN = 1.0 / SQRT3
 PHI_SHIFTS = np.array([0.0, math.pi / 2, -math.pi, -math.pi / 2])
 Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
-# index pairs i < j of the four tetrahedron vertices
-_PAIRS = np.triu_indices(4, 1)
+# vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
+_DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
 
 
 def sng(x):
     """Sign function with sng(0) = +1 (unreachable on the valid domain), elementwise."""
-    return _plain(1.0 - 2.0 * (np.asarray(x) < 0))
+    return _plain(np.where(np.less(x, 0), -1.0, 1.0))
 
 
-def _per_state(x) -> np.ndarray:
-    """A per-point quantity with a trailing axis that broadcasts over the four states."""
-    return np.asarray(x)[..., None]
-
-
-def _root_3z2m1(z):
-    """sqrt(3 z^2 - 1), snapped to 0 at the representation boundary.
+def _root_3z2m1(three_z2):
+    """sqrt(3 z^2 - 1) from 3 z^2, snapped to 0 at the representation boundary.
 
     1/sqrt(3) is not a binary float; without the snap the nearest double
     gives sqrt(2.2e-16) ~ 1.5e-8, which would pollute phi_z and every
     derived quantity at the lower z bound.
     """
-    t = 3.0 * z * z - 1.0
+    t = three_z2 - 1.0
     return np.sqrt(np.where(t < 1e-14, 0.0, t))
 
 
 def _check_ejm_z(z):
     z = np.asarray(z, dtype=float)
-    ok = (np.abs(z) >= Z_MIN - 1e-12) & (np.abs(z) <= 1.0 + 1e-12)
+    az = np.abs(z)
+    ok = (az >= Z_MIN - 1e-12) & (az <= 1.0 + 1e-12)
     _require(z, ok, f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {{!r}}")
     return _clip(z, -1.0, 1.0)
 
@@ -88,18 +86,7 @@ def phi_z(z):
     Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1; elementwise on arrays.
     """
     z = _check_ejm_z(z)
-    return _phi_z(_root_3z2m1(z), _root_1mz2(z))
-
-
-def _phi_z(root_3z2m1, root_1mz2):
-    return _plain(np.arctan2(root_3z2m1, root_1mz2))
-
-
-def _read_only(x):
-    """x with its writeable flag cleared if it is an array; floats pass through."""
-    if isinstance(x, np.ndarray):
-        x.flags.writeable = False
-    return x
+    return _plain(np.arctan2(_root_3z2m1(3.0 * z * z), _root_1mz2(z)))
 
 
 @dataclass(frozen=True)
@@ -108,16 +95,16 @@ class EjmParams:
 
     Each field is a float or an array; arrays broadcast against each other
     and describe a stack of bases.  phi is wrapped into (-pi, pi].  On
-    construction, from the checked triple, it derives the per-axis factors
-    that the construction paths, the closed forms and the circuits share:
+    construction, from the checked triple, it derives the factors that the
+    construction paths, the closed forms and the circuits share:
 
     - root_3z2m1 = sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3);
     - root_1mz2 = sqrt(1 - z^2), root_3z2 = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta = cos theta;
     - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
     - phi_z = phi_z(z), and phi_prime = phi - phi_z, the angle entering the circuits;
-    - zs, phis, sng_zs and dphis, shape (..., 4): z_i = z Z_SIGNS[i], phi_i = phi + PHI_SHIFTS[i],
-      sng(z_i) and phi_i - phi_z.
+    - shape, the broadcast shape of the triple, and zs, phis, sng_zs and dphis: z_i = z Z_SIGNS[i],
+      phi_i = phi + PHI_SHIFTS[i], sng(z_i), phi_i - phi_z: a state axis of 4, then len(shape) axes.
 
     These and the three fields are read-only, so an in-place write raises
     ValueError instead of corrupting every later basis built from them.
@@ -131,56 +118,68 @@ class EjmParams:
         z = _check_ejm_z(self.z)
         phi = wrap_angle(self.phi)
         theta = _check_half_angle(self.theta, "theta")
-        s, c = _root_3z2m1(z), _root_1mz2(z)
-        phi_z = _phi_z(s, c)
-        zs, phis = np.multiply.outer(z, Z_SIGNS), np.add.outer(phi, PHI_SHIFTS)
+        three_z2 = 3.0 * z * z
+        s, c = _root_3z2m1(three_z2), _root_1mz2(z)
+        phi_z = _plain(np.arctan2(s, c))
+        shape = np.broadcast(z, phi, theta).shape
+        column = (4,) + (1,) * len(shape)
+        zs, phis = Z_SIGNS.reshape(column) * z, PHI_SHIFTS.reshape(column) + phi
         attrs = dict(
-            z=z, phi=phi, theta=theta,
+            z=z, phi=phi, theta=theta, shape=shape,
             root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
-            root_3z2=np.sqrt(3.0 * z * z), cos_theta=np.cos(theta),
+            root_3z2=np.sqrt(three_z2), cos_theta=np.cos(theta),
             phi_z=phi_z, phi_prime=phi - phi_z,
-            zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - _per_state(phi_z),
+            zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z,
         )
         for name, value in attrs.items():
-            object.__setattr__(self, name, _read_only(value))
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
-def _coefficients(p: EjmParams):
-    """Closed-form amplitude coefficients (a_+, a_-, b_+, b_-) of the basis states.
-
-    a_+ and a_- carry the |00>/|11> amplitudes, shape (...); b_+ and b_-
-    carry the |01>/|10> amplitudes, shape (..., 4) with one column per state.
-    """
-    s, c = p.root_3z2m1, p.root_1mz2
-    az_e = _per_state(np.abs(p.z) * p.e_theta)
-    return (1j * s + c) / SQRT2, (1j * s - c) / SQRT2, (p.zs + az_e) / SQRT2, (p.zs - az_e) / SQRT2
+def _columns(p: EjmParams, factor, columns, dtype=complex) -> np.ndarray:
+    """factor times each column, written along axis 1 of one (4, len(columns), ...) array."""
+    out = np.empty((4, len(columns)) + p.shape, dtype)
+    for k, column in enumerate(columns):
+        np.multiply(factor, column, out=out[:, k])
+    return out
 
 
-def _theta0_phase(p: EjmParams):
-    """e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2), formed without arcsin."""
-    return (p.root_3z2m1 + 1j) / p.root_3z2
+def _public(x: np.ndarray) -> np.ndarray:
+    """The (..., m, n) view of a point-axis-last (m, n, ...) array."""
+    return x.transpose(*range(2, x.ndim), 0, 1)
 
 
-def _basis(pre, amplitudes) -> np.ndarray:
-    return _per_state(_per_state(pre)) * _stack(*amplitudes)
+def _kernel(x: np.ndarray) -> np.ndarray:
+    """The point-axis-last (m, n, ...) view of a (..., m, n) array, the inverse of _public."""
+    return x.transpose(-2, -1, *range(x.ndim - 2))
 
 
 def build_basis(p: EjmParams) -> np.ndarray:
-    """Canonical basis constructor via the simplified coefficient form."""
-    a_plus, a_minus, b_plus, b_minus = _coefficients(p)
-    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * SQRT3 * p.z * p.z)
+    """Canonical basis constructor via the simplified coefficient form, shape (..., 4, 4).
+
+    State i is pre (a_+ e^{-i phi_i}, -b_+, -b_-, a_- e^{i phi_i}), with the |00>/|11>
+    coefficients a_+- = (i sqrt(3 z^2 - 1) +- sqrt(1 - z^2))/sqrt(2) and the |01>/|10>
+    coefficients b_+- = (z_i +- |z| e^{i theta})/sqrt(2).
+    """
+    s, c = p.root_3z2m1, p.root_1mz2
+    az_e = np.abs(p.z) * p.e_theta
+    b_plus, b_minus = (p.zs + az_e) / SQRT2, (p.zs - az_e) / SQRT2
+    pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z)
     e = np.exp(1j * p.phis)
-    return _basis(pre, (_per_state(a_plus) / e, -b_plus, -b_minus, _per_state(a_minus) * e))
+    columns = ((1j * s + c) / SQRT2 / e, -b_plus, -b_minus, (1j * s - c) / SQRT2 * e)
+    return _public(_columns(p, pre, columns))
 
 
 def basis_from_kets(p: EjmParams) -> np.ndarray:
     """Basis via the tensor-product definition: the five-parameter state at a = sqrt(3).
 
-    e^{i theta0} is formed algebraically (_theta0_phase) rather than
-    through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
+    e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2) is formed algebraically rather
+    than through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
     """
-    w = _per_state(1j * _theta0_phase(p))
-    return _phi_tensor(SQRT3, p.zs, p.phis, w, _per_state(p.e_theta))
+    w = 1j * ((p.root_3z2m1 + 1j) / p.root_3z2)
+    # _phi_tensor puts the amplitude axis first, and the state axis of zs and phis follows it
+    return _public(_phi_tensor(SQRT3, p.zs, p.phis, w, p.e_theta).swapaxes(0, 1))
 
 
 def basis_phi_z_form(p: EjmParams) -> np.ndarray:
@@ -192,28 +191,37 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     elementwise with build_basis.
     """
     pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * p.root_3z2)
-    g, e_th = p.sng_zs, _per_state(p.e_theta)
+    g, e_th = p.sng_zs, p.e_theta
     e = np.exp(1j * p.dphis)
-    return _basis(pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e))
+    return _public(_columns(p, pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e)))
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """<Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis, shape (4, 4, ...)."""
+    return (b.conj()[:, None] * b[None, :]).sum(axis=2)
 
 
 def gram_matrix(b: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products <Phi_i|Phi_j>, shape (..., 4, 4)."""
-    return b.conj() @ np.swapaxes(b, -1, -2)
+    return _public(_gram(_kernel(b)))
 
 
 def gram_closed(p: EjmParams) -> np.ndarray:
     """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
     phis, g = p.phis, p.sng_zs
-    cos = np.cos(phis[..., :, None] - phis[..., None, :])
+    cos = np.cos(phis[:, None] - phis[None, :])
     # sng(z_i z_j) = sng(z_i) sng(z_j): z_i z_j is never 0 on the domain
-    return 0.25 * (2.0 * cos + g[..., :, None] * g[..., None, :] + 1.0)
+    gram = _public(0.25 * (2.0 * cos + g[:, None] * g[None, :] + 1.0))
+    # free of theta: the leading axes are those of z and phi, without the length-1 axes of theta's
+    return gram[(0,) * (len(p.shape) - max(np.ndim(p.z), np.ndim(p.phi)))]
 
 
 def completeness_residual(b: np.ndarray):
     """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
-    total = np.swapaxes(b, -1, -2) @ b.conj()
-    return _plain(np.abs(total - I4).max(axis=(-2, -1)))
+    # sum_i b_ik conj(b_il) is the conjugate of the Gram matrix of the amplitude columns, and
+    # |conj(x) - 1| = |x - 1|; I broadcasts against the transpose (..., 4, 4)
+    total = _gram(_kernel(b).swapaxes(0, 1))
+    return _plain(np.abs((total.T - I4).T).max(axis=(0, 1)))
 
 
 def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
@@ -222,7 +230,7 @@ def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
     [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
     exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    return _reduced_blochs(require_normalized(b))
+    return _public(_reduced_blochs(np.moveaxis(require_normalized(b), -1, 0)))
 
 
 def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
@@ -231,8 +239,8 @@ def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
     (1/sqrt(2)) cos theta (cos(phi_i - phi_z), sin(phi_i - phi_z),
     sng(z_i)/sqrt(2)); for z > 0 the last component is (-1)^i/sqrt(2).
     """
-    scale = _per_state(_per_state(p.cos_theta / SQRT2))
-    return scale * _stack(np.cos(p.dphis), np.sin(p.dphis), p.sng_zs / SQRT2)
+    columns = (np.cos(p.dphis), np.sin(p.dphis), p.sng_zs / SQRT2)
+    return _public(_columns(p, p.cos_theta / SQRT2, columns, float))
 
 
 def tetrahedron_geometry_check(vectors, theta):
@@ -250,15 +258,17 @@ def tetrahedron_geometry_check(vectors, theta):
     if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
     # a negative cos theta would make D negative, and so pass any bound
-    return _tetrahedron_geometry(vectors, np.cos(_check_half_angle(theta, "theta")))
+    cos = np.cos(_check_half_angle(theta, "theta"))
+    # axes of theta beyond those of the stack lead the result, as they would in (..., 4, 3)
+    vectors = vectors.reshape((1,) * (np.ndim(cos) + 2 - vectors.ndim) + vectors.shape)
+    return _tetrahedron_geometry(np.moveaxis(vectors, (-1, -2), (0, 1)), cos)
 
 
 def _tetrahedron_geometry(vectors: np.ndarray, cos):
-    """tetrahedron_geometry_check on (..., 4, 3) vectors and cos theta > 0, unchecked."""
-    norms = np.sqrt((vectors * vectors).sum(axis=-1))
-    modulus_dev = np.abs(norms - _per_state(SQRT3 / 2.0 * cos)).max(axis=-1)
-    dots = (vectors @ np.swapaxes(vectors, -1, -2))[..., _PAIRS[0], _PAIRS[1]]
-    pairwise_dev = np.abs(dots + _per_state(cos * cos / 4.0)).max(axis=-1) / cos
+    """tetrahedron_geometry_check on (3, 4, ...) vectors and cos theta > 0, unchecked."""
+    dots = (vectors[:, _DOTS[0]] * vectors[:, _DOTS[1]]).sum(axis=0)
+    modulus_dev = np.abs(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos).max(axis=0)
+    pairwise_dev = np.abs(dots[4:] + cos * cos / 4.0).max(axis=0) / cos
     return _plain(modulus_dev), _plain(pairwise_dev)
 
 

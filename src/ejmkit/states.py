@@ -76,10 +76,6 @@ def _check_z(z):
     return _clip(z, -1.0, 1.0)
 
 
-def _check_weight(a):
-    return _plain(_check_finite(a, "a"))
-
-
 def _check_half_angle(value, name: str):
     value = np.asarray(value, dtype=float)
     ok = (value >= -1e-15) & (value <= math.pi / 2 + 1e-15)
@@ -104,7 +100,7 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_weight(self.a))
+        object.__setattr__(self, "a", _plain(_check_finite(self.a, "a")))
         object.__setattr__(self, "z", _check_z(self.z))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
         object.__setattr__(self, "theta0", _check_half_angle(self.theta0, "theta0"))
@@ -127,10 +123,11 @@ def unit_vector_m(z, phi) -> np.ndarray:
     return _stack(r * np.cos(phi), r * np.sin(phi), z)
 
 
-def _kets(phi, *pairs) -> list:
-    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) along a new last axis, per (upper, lower)."""
+def _kets(phi, *pairs) -> np.ndarray:
+    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) per pair, shape (len(pairs), 2, ...)."""
     e_minus, e_plus = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-    return [_stack(upper * e_minus, lower * e_plus) / SQRT2 for upper, lower in pairs]
+    # upper and lower share a shape, so each pair of products stacks without broadcasting
+    return np.array([(upper * e_minus, lower * e_plus) for upper, lower in pairs]) / SQRT2
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -139,27 +136,29 @@ def ket_m(z, phi) -> np.ndarray:
     z and phi broadcast; the state is the last axis.
     """
     z = _check_z(z)
-    return _kets(_check_phi(phi), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0]
+    return np.moveaxis(_kets(_check_phi(phi), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0], 0, -1)
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
     z = _check_z(z)
-    return _kets(_check_phi(phi), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0]
+    return np.moveaxis(_kets(_check_phi(phi), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0], 0, -1)
 
 
 def _rotated_pair(z, phi, w):
-    """(|m_0>, |m_1>) with w = i e^{i theta0}; z, phi and w broadcast, and nothing is checked."""
+    """Unchecked (|m_0>, |m_1>), ket axis first; w = i e^{i theta0} has no more axes than z, phi."""
     u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
     m, mm = _kets(phi, (u, v), (v, -u))
-    w = np.asarray(w)[..., None]
-    return ((1.0 - w) * m + (1.0 + w) * mm) / 2.0, ((1.0 + w) * m + (1.0 - w) * mm) / 2.0
+    minus, plus = 1.0 - w, 1.0 + w
+    return (minus * m + plus * mm) / 2.0, (plus * m + minus * mm) / 2.0
 
 
-def _checked_pair(z, phi, theta0):
-    return _rotated_pair(
-        _check_z(z), _check_phi(phi), 1j * np.exp(1j * _check_half_angle(theta0, "theta0"))
-    )
+def _checked_pair(z, phi, theta0) -> np.ndarray:
+    """(|m_0>, |m_1>) of checked arguments, shape (2, ..., 2): the ket axis last."""
+    # broadcast first: the kets put their own axis first, and theta0 may carry the most axes
+    checked = _check_z(z), _check_phi(phi), _check_half_angle(theta0, "theta0")
+    z, phi, theta0 = np.broadcast_arrays(*checked)
+    return np.moveaxis(_rotated_pair(z, phi, 1j * np.exp(1j * theta0)), 1, -1)
 
 
 def ket_m0(z, phi, theta0) -> np.ndarray:
@@ -197,46 +196,48 @@ def phi_state(p: FiveParams) -> np.ndarray:
 
 
 def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
-    """[(a + e_th)|m0,m1> + (a - e_th)|m1,m0>] / sqrt(2 a^2 + 2), shape (..., 4).
+    """[(a + e_th)|m0,m1> + (a - e_th)|m1,m0>] / sqrt(2 a^2 + 2), amplitude axis first: (4, ...).
 
-    w = i e^{i theta0} and e_th = e^{i theta}; all five arguments broadcast.
-    Nothing is checked: callers pass validated parameters.
+    w = i e^{i theta0} and e_th = e^{i theta}; a, w and e_th carry no more axes than z and phi,
+    whose kets lead with their own axis.  Nothing is checked: callers pass validated parameters.
     """
     m0, m1 = _rotated_pair(z, phi, w)
     norm = np.sqrt(2.0 * a * a + 2.0)
-    plus, minus = (np.asarray(c / norm)[..., None] for c in (a + e_th, a - e_th))
+    plus, minus = (a + e_th) / norm, (a - e_th) / norm
     # |u,v> is the (2, 2) outer product u v^T; the weights scale the 2-vectors, not the products
-    v = (plus * m0)[..., :, None] * m1[..., None, :] + (minus * m1)[..., :, None] * m0[..., None, :]
-    return v.reshape(v.shape[:-2] + (4,))
+    v = (plus * m0)[:, None] * m1[None, :] + (minus * m1)[:, None] * m0[None, :]
+    return v.reshape((4,) + v.shape[2:])
 
 
 def phi_state_tensor(p: FiveParams) -> np.ndarray:
     """Same state as phi_state, built from the |m0,m1> and |m1,m0> tensor products."""
-    return _phi_tensor(p.a, p.z, p.phi, 1j * np.exp(1j * p.theta0), np.exp(1j * p.theta))
+    # the fields broadcast before the kets put their amplitude axis first, as in _checked_pair
+    a, z, phi, theta0, theta = np.broadcast_arrays(p.a, p.z, p.phi, p.theta0, p.theta)
+    return np.moveaxis(_phi_tensor(a, z, phi, 1j * np.exp(1j * theta0), np.exp(1j * theta)), 0, -1)
 
 
-_POPULATION_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _RHO_LEFT, _RHO_RIGHT = np.array([0, 1, 0, 2]), np.array([2, 3, 1, 3])
 
 
 def _reduced_blochs(s: np.ndarray) -> np.ndarray:
-    """Side-first and side-second reduced Bloch vectors of checked states, shape (..., 2, 3).
+    """Side-first and side-second reduced Bloch vectors of checked states (4, ...): (2, 3, ...).
 
-    For amplitudes (a, b, c, d) on |00>, |01>, |10>, |11> and rho_01 = a c* + b d*, the
-    side-first vector is (2 Re rho_01, -2 Im rho_01, |a|^2 + |b|^2 - |c|^2 - |d|^2).
-    The side-second vector swaps b and c.
+    s holds the amplitudes (a, b, c, d) on |00>, |01>, |10>, |11> along its first axis.  With
+    rho_01 = a c* + b d*, the side-first vector is (2 Re rho_01, -2 Im rho_01,
+    |a|^2 + |b|^2 - |c|^2 - |d|^2).  The side-second vector swaps b and c.
     """
-    x = s[..., _RHO_LEFT] * s[..., _RHO_RIGHT].conj()  # a c*, b d*, a b*, c d*
-    rho01 = 2.0 * (x[..., ::2] + x[..., 1::2])
-    out = np.empty(rho01.shape + (3,))
-    out[..., 0], out[..., 1] = rho01.real, -rho01.imag
-    out[..., 2] = (s.real**2 + s.imag**2) @ _POPULATION_SIGNS
+    x = s[_RHO_LEFT] * s[_RHO_RIGHT].conj()  # a c*, b d*, a b*, c d*
+    rho01 = 2.0 * (x[::2] + x[1::2])
+    out = np.empty((2, 3) + rho01.shape[1:])
+    out[:, 0], out[:, 1] = rho01.real, -rho01.imag
+    a, b, c, d = s.real**2 + s.imag**2
+    out[0, 2], out[1, 2] = a + b - c - d, a - b + c - d
     return out
 
 
 def _concurrence(s: np.ndarray) -> np.ndarray:
-    """C = 2|ad - bc| of checked states (..., 4)."""
-    return 2.0 * np.abs(s[..., 0] * s[..., 3] - s[..., 1] * s[..., 2])
+    """C = 2|ad - bc| of checked states (4, ...), amplitudes on the first axis."""
+    return 2.0 * np.abs(s[0] * s[3] - s[1] * s[2])
 
 
 def concurrence_numeric(s):
@@ -245,7 +246,7 @@ def concurrence_numeric(s):
     Takes one state or a stack (..., 4) and returns one value per state.
     On a product state ad = bc exactly, so C there is a rounding of order 1e-16.
     """
-    return _plain(_concurrence(require_normalized(s)))
+    return _plain(_concurrence(np.moveaxis(require_normalized(s), -1, 0)))
 
 
 def concurrence_closed(a, theta):
@@ -255,13 +256,13 @@ def concurrence_closed(a, theta):
     a and theta may be arrays that broadcast against each other.
     """
     theta = _check_half_angle(theta, "theta")
-    return _concurrence_closed(_check_weight(a), theta)
+    return _concurrence_closed(_plain(_check_finite(a, "a")), theta)
 
 
 def _concurrence_closed(a, theta):
     """concurrence_closed on a checked weight and theta, unchecked."""
     val = 1.0 - 2.0 * a * a * (1.0 + np.cos(2.0 * theta)) / (a * a + 1.0) ** 2
-    return _plain(np.sqrt(np.clip(val, 0.0, 1.0)))
+    return _plain(np.sqrt(_clip(val, 0.0, 1.0)))
 
 
 def reduced_bloch(s, side: str) -> np.ndarray:
@@ -271,7 +272,8 @@ def reduced_bloch(s, side: str) -> np.ndarray:
     """
     if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return _reduced_blochs(require_normalized(s))[..., int(side == "second"), :]
+    sides = _reduced_blochs(np.moveaxis(require_normalized(s), -1, 0))
+    return np.moveaxis(sides[int(side == "second")], 0, -1)
 
 
 def m_prime(z, phi, theta0) -> np.ndarray:

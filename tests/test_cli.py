@@ -188,7 +188,7 @@ class TestTable1:
             tet = reduced_blochs(b)
             blocks.append(1)
             if len(blocks) == 2:
-                tet[1, 0, 2] = np.nan
+                tet[0, 2, 1] = np.nan  # side-first z component of state 1
             return tet
 
         monkeypatch.setattr(states, "_reduced_blochs", one_nan)

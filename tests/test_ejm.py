@@ -12,13 +12,12 @@ from ejmkit.states import (
     concurrence_numeric,
     phi_state,
     phi_state_tensor,
+    reduced_bloch,
 )
 from ejmkit.ejm import (
     PHI_SHIFTS,
     Z_SIGNS,
     EjmParams,
-    _coefficients,
-    _theta0_phase,
     basis_from_kets,
     basis_phi_z_form,
     build_basis,
@@ -134,31 +133,121 @@ class TestPhiZ:
             phi_z(0.4)
 
 
+def coefficient_moduli(p: EjmParams) -> np.ndarray:
+    """|a_+|, |b_+|, |b_-|, |a_-| per state: amplitudes over the prefactor's modulus 1/(2|z|)."""
+    return 2.0 * np.abs(np.asarray(p.z))[..., None, None] * np.abs(build_basis(p))
+
+
 class TestCoefficients:
     @pytest.mark.parametrize("z,phi,theta", [(1 / SQRT3, 0.3, 0.7), (0.8, -2.0, 0.2), (1.0, 1.0, 1.2)])
     def test_invariants(self, z, phi, theta):
         p = EjmParams(z, phi, theta)
-        a_plus, a_minus, b_plus, b_minus = _coefficients(p)
         t0 = p.theta0
-        e_t0 = _theta0_phase(p)
+        # the algebraic e^{i theta0} that basis_from_kets uses in place of arcsin
+        e_t0 = (p.root_3z2m1 + 1j) / p.root_3z2
         assert abs((1 + e_t0**2) / SQRT2 - (1 + np.exp(2j * t0)) / SQRT2) < 1e-7
         assert abs((1 - e_t0**2) / SQRT2 - (1 - np.exp(2j * t0)) / SQRT2) < 1e-7
-        assert abs(abs(a_plus) ** 2 - z * z) < 1e-12
-        assert abs(abs(a_minus) ** 2 - z * z) < 1e-12
-        assert b_plus.shape == b_minus.shape == (4,)
-        for i in range(4):
+        moduli = coefficient_moduli(p)
+        assert moduli.shape == (4, 4)
+        for i, (a_plus, b_plus, b_minus, a_minus) in enumerate(moduli):
             zi = p.zs[i]
-            assert abs(abs(b_plus[i]) ** 2 - (z * z + zi * abs(z) * math.cos(theta))) < 1e-12
-            assert abs(abs(b_minus[i]) ** 2 - (z * z - zi * abs(z) * math.cos(theta))) < 1e-12
+            assert abs(a_plus**2 - z * z) < 1e-12
+            assert abs(a_minus**2 - z * z) < 1e-12
+            assert abs(b_plus**2 - (z * z + zi * abs(z) * math.cos(theta))) < 1e-12
+            assert abs(b_minus**2 - (z * z - zi * abs(z) * math.cos(theta))) < 1e-12
 
     def test_stacked_coefficients_match_single_points(self):
         zs = np.array([1 / SQRT3, 0.8, 1.0, -0.7])
         thetas = np.array([0.7, 0.2, 1.2, math.pi / 2])
-        stacked = _coefficients(EjmParams(zs, 0.4, thetas))
+        stacked = coefficient_moduli(EjmParams(zs, 0.4, thetas))
         for n in range(len(zs)):
-            single = _coefficients(EjmParams(float(zs[n]), 0.4, float(thetas[n])))
-            for arr, one in zip(stacked, single):
-                np.testing.assert_allclose(arr[n], one, rtol=0, atol=1e-14)
+            single = coefficient_moduli(EjmParams(float(zs[n]), 0.4, float(thetas[n])))
+            np.testing.assert_allclose(stacked[n], single, rtol=0, atol=1e-14)
+
+
+# z < 0, |z| at both bounds and theta = pi/2 among the points of each stack shape
+STACK_POINTS = [(-0.8, 0.4, math.pi / 2), (1 / SQRT3, -math.pi, 0.3), (-1.0, 2.5, 1.1),
+                (0.7, -1.2, 0.0), (1.0, 3.0, math.pi / 2), (-1 / SQRT3, 0.1, 0.7)]
+
+
+def public_views(p: EjmParams) -> dict:
+    """Every public basis and diagnostic, each a view of its point-axis-last kernel."""
+    b = build_basis(p)
+    tet = reduced_tetrahedron(b)
+    return {
+        "build_basis": b,
+        "basis_from_kets": basis_from_kets(p),
+        "basis_phi_z_form": basis_phi_z_form(p),
+        "gram_matrix": gram_matrix(b),
+        "gram_closed": gram_closed(p),
+        "completeness_residual": completeness_residual(b),
+        "reduced_tetrahedron": tet,
+        "reduced_tetrahedron_closed": reduced_tetrahedron_closed(p),
+        "reduced_bloch_first": reduced_bloch(b, "first"),
+        "reduced_bloch_second": reduced_bloch(b, "second"),
+        "concurrence_numeric": concurrence_numeric(b),
+        "tetrahedron_geometry_check": tetrahedron_geometry_check(tet[..., 0, :], p.theta),
+    }
+
+
+class TestStackedViews:
+    """Stacked parameters give every public view's per-point results along the leading axes."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+    def test_stacked_views_match_single_points(self, shape):
+        n = math.prod(shape)
+        z, phi, theta = (np.array(column).reshape(shape) for column in zip(*STACK_POINTS[:n]))
+        stacked = public_views(EjmParams(z, phi, theta))
+        for idx in np.ndindex(shape):
+            single = public_views(EjmParams(float(z[idx]), float(phi[idx]), float(theta[idx])))
+            for name, value in single.items():
+                # the geometry check returns its pair (modulus_dev, pairwise_dev) first
+                lead = (slice(None),) if name == "tetrahedron_geometry_check" else ()
+                got, value = np.asarray(stacked[name])[(*lead, *idx)], np.asarray(value)
+                assert np.shape(got) == np.shape(value), name
+                np.testing.assert_allclose(got, value, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_float_triple_gives_the_documented_shapes(self):
+        views = public_views(EjmParams(-0.8, 0.4, math.pi / 2))
+        assert {k: np.shape(v) for k, v in views.items()} == {
+            "build_basis": (4, 4),
+            "basis_from_kets": (4, 4),
+            "basis_phi_z_form": (4, 4),
+            "gram_matrix": (4, 4),
+            "gram_closed": (4, 4),
+            "completeness_residual": (),
+            "reduced_tetrahedron": (4, 2, 3),
+            "reduced_tetrahedron_closed": (4, 3),
+            "reduced_bloch_first": (4, 3),
+            "reduced_bloch_second": (4, 3),
+            "concurrence_numeric": (4,),
+            "tetrahedron_geometry_check": (2,),
+        }
+        assert isinstance(views["completeness_residual"], float)
+        assert all(isinstance(d, float) for d in views["tetrahedron_geometry_check"])
+
+    def test_theta_with_the_most_axes(self):
+        # z and phi are floats and theta a (2, 1) stack: gram_closed is free of theta, so it
+        # keeps the axes of z and phi only, and every other view takes the axes of theta
+        thetas = np.array([[0.2], [math.pi / 2]])
+        stacked = public_views(EjmParams(-0.8, 0.4, thetas))
+        assert stacked["gram_closed"].shape == (4, 4)
+        for idx in np.ndindex(thetas.shape):
+            single = public_views(EjmParams(-0.8, 0.4, float(thetas[idx])))
+            for name, value in single.items():
+                lead = (slice(None),) if name == "tetrahedron_geometry_check" else ()
+                got = np.asarray(stacked[name])[() if name == "gram_closed" else (*lead, *idx)]
+                assert np.shape(got) == np.shape(value), name
+                np.testing.assert_allclose(got, value, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_geometry_theta_broadcasts_over_leading_axes(self):
+        # theta may carry more axes than the stack of vectors: they lead the result
+        vecs = reduced_tetrahedron(build_basis(CANONICAL))[:, 0]
+        thetas = np.array([[CANONICAL.theta], [0.2]])
+        stacked = tetrahedron_geometry_check(vecs, thetas)
+        for one, many in zip(tetrahedron_geometry_check(vecs, CANONICAL.theta), stacked):
+            assert many.shape == (2, 1)
+            assert many[0, 0] == one
 
 
 def reference_states_z_1sqrt3(phi, theta):
@@ -274,10 +363,11 @@ class TestConstructionPaths:
         phi = np.array([-math.pi, -1.0, 0.5, math.pi])
         theta = np.array([0.0, 0.4, math.pi / 2 - 1e-9, math.pi / 2])
         p = EjmParams(z[:, None, None], phi[None, :, None], theta[None, None, :])
-        f = FiveParams(SQRT3, p.zs, p.phis, p.theta0[..., None], p.theta[..., None])
+        # the state axis of zs and phis leads, so per-point theta0 and theta broadcast as they are
+        f = FiveParams(SQRT3, p.zs, p.phis, p.theta0, p.theta)
         b = build_basis(p)
         for route in (phi_state, phi_state_tensor):
-            got = route(f)
+            got = np.moveaxis(route(f), 0, -2)
             assert got.shape == b.shape == (18, 4, 4, 4, 4)
             assert np.abs(got - b).max() < 1e-11, route.__name__
 

@@ -125,6 +125,35 @@ class TestBroadcasting:
         assert reduced_bloch_closed(p).shape == (3, 2, 3)
         np.testing.assert_allclose(phi_state(p), phi_state_tensor(p), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("theta0", [[0.1, 0.2], [0.1, 0.2, 0.3], [[0.1], [1.5]]])
+    def test_rotated_pair_broadcasts_a_theta0_with_more_axes(self, theta0):
+        # the kets lead with their own axis internally; theta0 alone carries the stack axes here
+        theta0 = np.array(theta0)
+        for ket in (ket_m0, ket_m1):
+            got = ket(0.5, 0.3, theta0)
+            assert got.shape == theta0.shape + (2,), ket.__name__
+            for idx in np.ndindex(theta0.shape):
+                one = ket(0.5, 0.3, float(theta0[idx]))
+                np.testing.assert_allclose(got[idx], one, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (np.array([1.0, 2.0]), 0.3, 0.1, 0.5, 0.6),
+            (1.0, 0.3, 0.1, 0.5, np.array([[0.1], [0.6], [math.pi / 2]])),
+            (SQRT3, -0.4, 0.1, np.array([0.2, 1.1]), 0.6),
+        ],
+    )
+    def test_tensor_state_broadcasts_a_weight_or_phase_with_more_axes(self, fields):
+        p = FiveParams(*fields)
+        shape = np.broadcast_shapes(*map(np.shape, fields))
+        got = phi_state_tensor(p)
+        assert got.shape == phi_state(p).shape == shape + (4,)
+        np.testing.assert_allclose(got, phi_state(p), rtol=0, atol=1e-12)
+        for idx in np.ndindex(shape):
+            one = FiveParams(*(float(np.broadcast_to(f, shape)[idx]) for f in fields))
+            np.testing.assert_allclose(got[idx], phi_state_tensor(one), rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize(
         "columns",
         [
