@@ -29,10 +29,6 @@ from . import circuits, ejm, linalg, states
 from .ejm import EjmParams
 from .states import SQRT2, SQRT3, ParameterRangeError
 
-DEFAULT_Z = 1.0 / SQRT3
-DEFAULT_PHI = math.pi / 4
-DEFAULT_THETA = math.pi / 3
-
 # pass/fail tolerances
 TOL_ALG = 1e-12
 TOL_PATH = 1e-11
@@ -55,6 +51,10 @@ _TOLERANCES = np.array(list(CHECKS.values()))
 # about this many points per _verify_many block in sweep; bounds its working memory.
 # Measured on the benchmark grids: 1,024 and more run faster but raise the peak RSS.
 SWEEP_CHUNK = 768
+# freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB, so the sweep
+# blocks reuse their freed temporaries instead of faulting them in again. Once, at import: a second
+# such array would come from the heap, whose pages numpy would then mark for huge pages.
+np.empty(1 << 21)
 
 # Reference blocks: (z, phi) and, per state index, the unit vector m_i as a
 # sign pattern times z.  The side-first reduced vector of state i is
@@ -114,9 +114,8 @@ def cmd_basis(args) -> int:
     p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
     b = ejm.build_basis(p)
     rows = []
-    labels = ("00", "01", "10", "11")
     for i, s in enumerate(b):
-        for k, lab in enumerate(labels):
+        for k, lab in enumerate(("00", "01", "10", "11")):
             rows.append([i, lab, float(s[k].real), float(s[k].imag), p.phi_z, p.theta0])
     _emit(rows, ["state", "basis", "re", "im", "phi_z", "theta0"], args)
     return 0
@@ -284,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--z": dict(type=float, default=DEFAULT_Z),
-        "--phi": dict(type=float, default=DEFAULT_PHI),
-        "--theta": dict(type=float, default=DEFAULT_THETA),
+        "--z": dict(type=float, default=1.0 / SQRT3),
+        "--phi": dict(type=float, default=math.pi / 4),
+        "--theta": dict(type=float, default=math.pi / 3),
         "--grid": dict(type=int, default=6),
         "--dump": dict(action="store_true"),
     }

@@ -33,16 +33,18 @@ from .linalg import I4, require_normalized
 from .states import (
     SQRT2,
     SQRT3,
-    _check_half_angle,
-    _clip,
+    _THETA,
+    _freeze,
+    _in_range,
     _phi_tensor,
     _plain,
-    _require,
     _reduced_blochs,
     wrap_angle,
 )
 
 Z_MIN = 1.0 / SQRT3
+# a range rule of states._in_range, laid out as the rules there
+_EJM_Z = f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {{!r}}", Z_MIN, 1.0, 1e-12, True
 
 PHI_SHIFTS = np.array([0.0, math.pi / 2, -math.pi, -math.pi / 2])
 Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -67,14 +69,6 @@ def _root_3z2m1(three_z2):
     return np.sqrt(np.where(t < 1e-14, 0.0, t))
 
 
-def _check_ejm_z(z):
-    z = np.asarray(z, dtype=float)
-    az = np.abs(z)
-    ok = (az >= Z_MIN - 1e-12) & (az <= 1.0 + 1e-12)
-    _require(z, ok, f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {{!r}}")
-    return _clip(z, -1.0, 1.0)
-
-
 def _root_1mz2(z):
     """sqrt(1 - z^2), the |z|-dependent real part of the |00>/|11> amplitudes."""
     return np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -85,7 +79,7 @@ def phi_z(z):
 
     Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1; elementwise on arrays.
     """
-    z = _check_ejm_z(z)
+    z = _in_range(z, *_EJM_Z)
     return _plain(np.arctan2(_root_3z2m1(3.0 * z * z), _root_1mz2(z)))
 
 
@@ -115,26 +109,23 @@ class EjmParams:
     theta: float
 
     def __post_init__(self):
-        z = _check_ejm_z(self.z)
+        z = _in_range(self.z, *_EJM_Z)
         phi = wrap_angle(self.phi)
-        theta = _check_half_angle(self.theta, "theta")
+        theta = _in_range(self.theta, *_THETA)
         three_z2 = 3.0 * z * z
         s, c = _root_3z2m1(three_z2), _root_1mz2(z)
         phi_z = _plain(np.arctan2(s, c))
         shape = np.broadcast(z, phi, theta).shape
         column = (4,) + (1,) * len(shape)
         zs, phis = Z_SIGNS.reshape(column) * z, PHI_SHIFTS.reshape(column) + phi
-        attrs = dict(
+        _freeze(
+            self,
             z=z, phi=phi, theta=theta, shape=shape,
             root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
             root_3z2=np.sqrt(three_z2), cos_theta=np.cos(theta),
             phi_z=phi_z, phi_prime=phi - phi_z,
             zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z,
         )
-        for name, value in attrs.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
 
 
 def _columns(p: EjmParams, factor, columns, dtype=complex) -> np.ndarray:
@@ -258,7 +249,7 @@ def tetrahedron_geometry_check(vectors, theta):
     if vectors.shape[-2:] != (4, 3):
         raise ValueError("expected four 3-vectors")
     # a negative cos theta would make D negative, and so pass any bound
-    cos = np.cos(_check_half_angle(theta, "theta"))
+    cos = np.cos(_in_range(theta, *_THETA))
     # axes of theta beyond those of the stack lead the result, as they would in (..., 4, 3)
     vectors = vectors.reshape((1,) * (np.ndim(cos) + 2 - vectors.ndim) + vectors.shape)
     return _tetrahedron_geometry(np.moveaxis(vectors, (-1, -2), (0, 1)), cos)

@@ -29,23 +29,37 @@ def _plain(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _require(x: np.ndarray, ok: np.ndarray, message: str) -> None:
-    """ParameterRangeError naming the first entry of x where ok is False.
+def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: bool = False):
+    """x as floats clipped onto [lo, hi]; with modulus, [lo, hi] bounds |x| and x is clipped onto +-hi.
 
-    NaN compares False, so a bounded range check rejects it as well.
+    Raises ParameterRangeError naming the first entry outside [lo - tol, hi + tol].  NaN compares
+    False, so it fails every range, and a range of all finite doubles rejects +-inf too.  A 0-d x
+    comes back as a Python float, an array as a new array: never the caller's own.
     """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x) if modulus else x
+    ok = (ax >= lo - tol) & (ax <= hi + tol)
     if not ok.all():
         raise ParameterRangeError(message.format(float(x[~ok][0])))
+    return _plain(np.minimum(np.maximum(x, -hi if modulus else lo), hi))
 
 
-def _clip(x, lo: float, hi: float):
-    return _plain(np.minimum(np.maximum(x, lo), hi))
+# (message, lo, hi, tolerance, on |x|) of each range rule
+_FINITE = -np.finfo(float).max, np.finfo(float).max
+_Z = "|z| <= 1 required, got z = {!r}", 0.0, 1.0, 1e-15, True
+# the kets take phi unwrapped: they carry e^{-+i phi/2}, of period 4 pi, so a 2 pi shift flips their sign
+_PHI = ("phi must be finite, got {!r}", *_FINITE)
+_A = ("a must be finite, got {!r}", *_FINITE)
+_THETA = "theta must lie in [0, pi/2], got {!r}", 0.0, math.pi / 2, 1e-15
+_THETA0 = "theta0 must lie in [0, pi/2], got {!r}", 0.0, math.pi / 2, 1e-15
 
 
-def _check_finite(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    _require(x, np.isfinite(x), f"{name} must be finite, got {{!r}}")
-    return x
+def _freeze(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass, each array read-only, so a write raises ValueError."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def _stack(*columns) -> np.ndarray:
@@ -63,24 +77,11 @@ def _stack(*columns) -> np.ndarray:
 
 def wrap_angle(phi):
     """Wrap an angle, or an array of angles, into (-pi, pi]."""
-    phi = _check_finite(phi, "phi")
+    phi = _in_range(phi, *_PHI)
     # fmod and the one-period shift are exact, so angles inside (-pi, pi] come back unchanged
     w = np.fmod(phi, 2.0 * math.pi)
     w = np.where(w > math.pi, w - 2.0 * math.pi, w)
     return _plain(np.where(w <= -math.pi, w + 2.0 * math.pi, w))
-
-
-def _check_z(z):
-    z = np.asarray(z, dtype=float)
-    _require(z, np.abs(z) <= 1.0 + 1e-15, "|z| <= 1 required, got z = {!r}")
-    return _clip(z, -1.0, 1.0)
-
-
-def _check_half_angle(value, name: str):
-    value = np.asarray(value, dtype=float)
-    ok = (value >= -1e-15) & (value <= math.pi / 2 + 1e-15)
-    _require(value, ok, f"{name} must lie in [0, pi/2], got {{!r}}")
-    return _clip(value, 0.0, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,9 @@ class FiveParams:
     a is an arbitrary real weight; z and phi fix the cylindrical unit
     vector; theta0 and theta are half-angle phases in [0, pi/2].  phi is
     wrapped into (-pi, pi] on construction.  Like EjmParams, each field may
-    be an array; the fields broadcast against each other.
+    be an array; the fields broadcast against each other, and they are
+    read-only copies, so neither an in-place write nor the caller's own
+    array can change the state after the checks.
     """
 
     a: float
@@ -100,16 +103,10 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _plain(_check_finite(self.a, "a")))
-        object.__setattr__(self, "z", _check_z(self.z))
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
-        object.__setattr__(self, "theta0", _check_half_angle(self.theta0, "theta0"))
-        object.__setattr__(self, "theta", _check_half_angle(self.theta, "theta"))
-
-
-def _check_phi(phi) -> np.ndarray:
-    # not wrapped: the kets carry e^{-+i phi/2}, of period 4 pi, so a 2 pi shift flips their sign
-    return _check_finite(phi, "phi")
+        _freeze(
+            self, a=_in_range(self.a, *_A), z=_in_range(self.z, *_Z), phi=wrap_angle(self.phi),
+            theta0=_in_range(self.theta0, *_THETA0), theta=_in_range(self.theta, *_THETA),
+        )
 
 
 def unit_vector_m(z, phi) -> np.ndarray:
@@ -117,8 +114,8 @@ def unit_vector_m(z, phi) -> np.ndarray:
 
     z and phi broadcast; the vector is the last axis.
     """
-    z = _check_z(z)
-    phi = _check_phi(phi)
+    z = _in_range(z, *_Z)
+    phi = _in_range(phi, *_PHI)
     r = np.sqrt(1.0 - z * z)
     return _stack(r * np.cos(phi), r * np.sin(phi), z)
 
@@ -135,14 +132,14 @@ def ket_m(z, phi) -> np.ndarray:
 
     z and phi broadcast; the state is the last axis.
     """
-    z = _check_z(z)
-    return np.moveaxis(_kets(_check_phi(phi), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0], 0, -1)
+    z = _in_range(z, *_Z)
+    return np.moveaxis(_kets(_in_range(phi, *_PHI), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0], 0, -1)
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
-    z = _check_z(z)
-    return np.moveaxis(_kets(_check_phi(phi), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0], 0, -1)
+    z = _in_range(z, *_Z)
+    return np.moveaxis(_kets(_in_range(phi, *_PHI), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0], 0, -1)
 
 
 def _rotated_pair(z, phi, w):
@@ -156,7 +153,7 @@ def _rotated_pair(z, phi, w):
 def _checked_pair(z, phi, theta0) -> np.ndarray:
     """(|m_0>, |m_1>) of checked arguments, shape (2, ..., 2): the ket axis last."""
     # broadcast first: the kets put their own axis first, and theta0 may carry the most axes
-    checked = _check_z(z), _check_phi(phi), _check_half_angle(theta0, "theta0")
+    checked = _in_range(z, *_Z), _in_range(phi, *_PHI), _in_range(theta0, *_THETA0)
     z, phi, theta0 = np.broadcast_arrays(*checked)
     return np.moveaxis(_rotated_pair(z, phi, 1j * np.exp(1j * theta0)), 1, -1)
 
@@ -255,14 +252,14 @@ def concurrence_closed(a, theta):
     Depends only on a and theta:  sqrt(1 - 2 a^2 (1 + cos 2 theta) / (a^2+1)^2).
     a and theta may be arrays that broadcast against each other.
     """
-    theta = _check_half_angle(theta, "theta")
-    return _concurrence_closed(_plain(_check_finite(a, "a")), theta)
+    theta = _in_range(theta, *_THETA)
+    return _concurrence_closed(_in_range(a, *_A), theta)
 
 
 def _concurrence_closed(a, theta):
     """concurrence_closed on a checked weight and theta, unchecked."""
     val = 1.0 - 2.0 * a * a * (1.0 + np.cos(2.0 * theta)) / (a * a + 1.0) ** 2
-    return _plain(np.sqrt(_clip(val, 0.0, 1.0)))
+    return _plain(np.sqrt(np.minimum(np.maximum(val, 0.0), 1.0)))
 
 
 def reduced_bloch(s, side: str) -> np.ndarray:
@@ -282,7 +279,7 @@ def m_prime(z, phi, theta0) -> np.ndarray:
     Reduces to unit_vector_m(z, phi) at theta0 = pi/2.  The arguments
     broadcast; the vector is the last axis.
     """
-    return _m_prime(_check_z(z), _check_phi(phi), _check_half_angle(theta0, "theta0"))
+    return _m_prime(_in_range(z, *_Z), _in_range(phi, *_PHI), _in_range(theta0, *_THETA0))
 
 
 def _m_prime(z, phi, theta0) -> np.ndarray:

@@ -227,9 +227,10 @@ def test_verify_many_does_not_revalidate_its_parameters(monkeypatch):
 
 def test_verify_many_checks_theta_once(monkeypatch):
     # EjmParams checks theta; the closed-form concurrence and the geometry take it as checked
-    calls = count_calls(monkeypatch, states._check_half_angle)
+    calls = count_calls(monkeypatch, states._in_range)
     verify_random_points()
-    assert len(calls) == 1
+    # the theta0 rule is a half-angle rule too: _verify_many must not check it at all
+    assert [a[1:] for a in calls if a[1:] in (states._THETA, states._THETA0)] == [states._THETA]
 
 
 def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("parameter error: " + named)
 
+    def test_negative_value_in_exponent_notation(self, capsys):
+        # argparse reads a separate "-6e-1" as an option; the "=" form passes it as the value
+        code, js, _ = run(capsys, "verify", "--z=-6e-1")
+        assert code == 0
+        assert json.loads(js)["z"] == -0.6
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -148,6 +155,16 @@ class TestSweep:
     def test_grid_floor(self, capsys):
         code, _, _ = run(capsys, "sweep", "--grid", "1")
         assert code == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_blocks_do_not_fault_their_temporaries_in_again(self, capsys):
+        resource = pytest.importorskip("resource")
+        run(capsys, "sweep", "--grid", "12")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            run(capsys, "sweep", "--grid", "12")
+        # each of the three blocks frees a few MB; faulted in again, that is hundreds of pages
+        assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 < 100
 
 
 class TestTable1:

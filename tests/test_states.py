@@ -263,6 +263,18 @@ class TestPhiState:
         with pytest.raises(ParameterRangeError):
             FiveParams(1.0, 0.5, 0.0, 0.5, 2.0)
 
+    def test_fields_are_read_only_copies(self):
+        fields = [np.array(v) for v in ([1.0, 2.0], [0.5, -0.3], [0.3, 1.1], [0.4, 1.0], [0.2, 0.6])]
+        p = FiveParams(*fields)
+        before = phi_state(p)
+        for name, given in zip(("a", "z", "phi", "theta0", "theta"), fields):
+            field = getattr(p, name)
+            assert field is not given, name
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 5.0  # a write such as z = 5 would get round the range checks
+            given[0] = 7.0  # the caller's own arrays stay writeable and apart
+        assert np.array_equal(phi_state(p), before)
+
 
 GRID = np.linspace(0, 1, 4)
 
@@ -450,13 +462,13 @@ class TestReducedBloch:
     def test_closed_form_does_not_recheck_its_params(self, monkeypatch):
         # FiveParams checked z, phi and theta0 when it was built
         p = FiveParams(1.3, np.array([0.5, -0.9]), 0.8, 1.0, 0.4)
-        check_z, calls = states._check_z, []
+        in_range, calls = states._in_range, []
 
-        def counted(z):
-            calls.append(z)
-            return check_z(z)
+        def counted(x, *rule):
+            calls.append(x)
+            return in_range(x, *rule)
 
-        monkeypatch.setattr(states, "_check_z", counted)
+        monkeypatch.setattr(states, "_in_range", counted)
         reduced_bloch_closed(p)
         assert calls == []
 
