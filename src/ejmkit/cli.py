@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -48,9 +49,11 @@ CHECKS = {
 }
 _TOLERANCES = np.array(list(CHECKS.values()))
 
-# about this many points per _verify_many block in sweep; bounds its working memory.
-# Measured on the benchmark grids: 1,024 and more run faster but raise the peak RSS.
-SWEEP_CHUNK = 768
+# at most this many points per _verify_many block in sweep; bounds its working memory. A block
+# holds about 1 KB per point at its peak (tracemalloc), so 1,400 points take less than 768 did
+# when the core held 2.2 KB per point. 1,728 ran 3 % more points per second on grids 10-14 but
+# raised the peak RSS by 1.4 %: the larger temporaries fragment the heap more.
+SWEEP_CHUNK = 1400
 # freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB, so the sweep
 # blocks reuse their freed temporaries instead of faulting them in again. Once, at import: a second
 # such array would come from the heap, whose pages numpy would then mark for huge pages.
@@ -131,27 +134,35 @@ def _verify_many(z, phi, theta):
     points.  Every metric is finite on the whole domain, theta = pi/2 included.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
-    b = ejm.build_basis(p)
 
     def worst(x, axes=(-2, -1)):
         return np.abs(x).max(axis=axes)
 
+    # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
+    # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
+    # before the basis is held.
+    metrics = np.empty((len(CHECKS), *p.shape))
+    kets = ejm.basis_from_kets(p)
+    b = ejm.build_basis(p)
+    kets_dev = worst(b - kets)
+    del kets
+    # max is exact: the larger of the two paths' worst entries is the worst entry of both
+    metrics[3] = np.maximum(kets_dev, worst(b - ejm.basis_phi_z_form(p)))
     gram = ejm.gram_matrix(b)
+    metrics[0] = worst(gram - linalg.I4)
+    metrics[1] = worst(gram - ejm.gram_closed(p))
+    del gram
+    metrics[2] = ejm.completeness_residual(b)
     # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
     # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
     amplitudes = ejm._kernel(b).swapaxes(0, 1)
     first, second = states._reduced_blochs(amplitudes)
     conc_dev = states._concurrence(amplitudes) - states._concurrence_closed(SQRT3, p.theta)
-    metrics = np.empty((len(CHECKS), *p.shape))
-    metrics[0] = worst(gram - linalg.I4)
-    metrics[1] = worst(gram - ejm.gram_closed(p))
-    metrics[2] = ejm.completeness_residual(b)
-    paths = np.maximum(np.abs(b - ejm.basis_from_kets(p)), np.abs(b - ejm.basis_phi_z_form(p)))
-    metrics[3] = paths.max(axis=(-2, -1))
+    metrics[6] = np.abs(conc_dev).max(axis=0)
+    del b, amplitudes
     closed = ejm._kernel(ejm.reduced_tetrahedron_closed(p)).swapaxes(0, 1)
     metrics[4] = worst(first + second, (0, 1))
     metrics[5] = worst(first - closed, (0, 1))
-    metrics[6] = np.abs(conc_dev).max(axis=0)
     metrics[7], metrics[8] = ejm._tetrahedron_geometry(first, p.cos_theta)
     return p, metrics
 
@@ -184,12 +195,13 @@ def cmd_sweep(args) -> int:
     dz = max(1, SWEEP_CHUNK // n**2)
     dphi = min(n, max(1, SWEEP_CHUNK // n))
     worst = np.zeros(len(CHECKS))
-    ok = True
     for i in range(0, n, dz):
         for j in range(0, n, dphi):
             metrics = _verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
-            ok = ok and bool(_passes(metrics).all())
             worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
+            del metrics  # not held while the next block runs
+    # every point passes iff every metric's worst value does; max and maximum keep a NaN
+    ok = bool(_passes(worst))
     agg = dict(zip(CHECKS, worst.tolist()))
     agg["grid"] = n
     agg["points"] = int(n**3)
@@ -278,6 +290,11 @@ def cmd_circuit(args) -> int:
     return 0 if ok else 1
 
 
+# a negative decimal literal, exponent included: argparse's own pattern has no exponent, so it
+# would read a separate "-6e-1" as an option; with this one it is a value, as in "--z=-6e-1"
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ejm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -299,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("circuit", cmd_circuit, (*point, "--dump"), "preparation fidelities and detection outcomes"),
     ):
         sp = sub.add_parser(name, help=help_text)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         for flag in own:
             sp.add_argument(flag, **flags[flag])
         sp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -51,6 +51,8 @@ Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 # vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
+# stacks of at least this many bases form their Gram matrix row by row (_gram)
+_GRAM_ROWS = 128
 
 
 def sng(x):
@@ -188,8 +190,15 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
 
 
 def _gram(b: np.ndarray) -> np.ndarray:
-    """<Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis, shape (4, 4, ...)."""
-    return (b.conj()[:, None] * b[None, :]).sum(axis=2)
+    """<Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis, shape (4, 4, ...).
+
+    A stack of _GRAM_ROWS bases or more is summed one row i at a time, so its largest temporary
+    is a (4, 4, ...) product, not (4, 4, 4, ...); numpy sums a row as it sums the whole product,
+    so the two forms agree bit for bit.  Fewer bases take the one product, in fewer calls.
+    """
+    if b.size < 16 * _GRAM_ROWS:
+        return (b.conj()[:, None] * b[None, :]).sum(axis=2)
+    return np.array([(b[i].conj() * b).sum(axis=1) for i in range(4)])
 
 
 def gram_matrix(b: np.ndarray) -> np.ndarray:
@@ -257,7 +266,9 @@ def tetrahedron_geometry_check(vectors, theta):
 
 def _tetrahedron_geometry(vectors: np.ndarray, cos):
     """tetrahedron_geometry_check on (3, 4, ...) vectors and cos theta > 0, unchecked."""
-    dots = (vectors[:, _DOTS[0]] * vectors[:, _DOTS[1]]).sum(axis=0)
+    products = vectors[:, _DOTS[0]]  # a gather is a new array: the product is taken in place
+    products *= vectors[:, _DOTS[1]]
+    dots = products.sum(axis=0)
     modulus_dev = np.abs(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos).max(axis=0)
     pairwise_dev = np.abs(dots[4:] + cos * cos / 4.0).max(axis=0) / cos
     return _plain(modulus_dev), _plain(pairwise_dev)

@@ -49,7 +49,9 @@ _FINITE = -np.finfo(float).max, np.finfo(float).max
 _Z = "|z| <= 1 required, got z = {!r}", 0.0, 1.0, 1e-15, True
 # the kets take phi unwrapped: they carry e^{-+i phi/2}, of period 4 pi, so a 2 pi shift flips their sign
 _PHI = ("phi must be finite, got {!r}", *_FINITE)
-_A = ("a must be finite, got {!r}", *_FINITE)
+# the largest |a| whose (a^2 + 1)^2, the denominator of the closed-form concurrence, is finite
+_A_MAX = math.sqrt(math.sqrt(np.finfo(float).max))
+_A = f"a must be finite and |a| <= {_A_MAX!r}, got {{!r}}", -_A_MAX, _A_MAX
 _THETA = "theta must lie in [0, pi/2], got {!r}", 0.0, math.pi / 2, 1e-15
 _THETA0 = "theta0 must lie in [0, pi/2], got {!r}", 0.0, math.pi / 2, 1e-15
 
@@ -202,7 +204,8 @@ def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
     norm = np.sqrt(2.0 * a * a + 2.0)
     plus, minus = (a + e_th) / norm, (a - e_th) / norm
     # |u,v> is the (2, 2) outer product u v^T; the weights scale the 2-vectors, not the products
-    v = (plus * m0)[:, None] * m1[None, :] + (minus * m1)[:, None] * m0[None, :]
+    v = (plus * m0)[:, None] * m1[None, :]
+    v += (minus * m1)[:, None] * m0[None, :]
     return v.reshape((4,) + v.shape[2:])
 
 
@@ -223,11 +226,15 @@ def _reduced_blochs(s: np.ndarray) -> np.ndarray:
     rho_01 = a c* + b d*, the side-first vector is (2 Re rho_01, -2 Im rho_01,
     |a|^2 + |b|^2 - |c|^2 - |d|^2).  The side-second vector swaps b and c.
     """
-    x = s[_RHO_LEFT] * s[_RHO_RIGHT].conj()  # a c*, b d*, a b*, c d*
+    x = s[_RHO_RIGHT].conj()
+    np.multiply(s[_RHO_LEFT], x, out=x)  # a c*, b d*, a b*, c d*
     rho01 = 2.0 * (x[::2] + x[1::2])
+    del x
     out = np.empty((2, 3) + rho01.shape[1:])
     out[:, 0], out[:, 1] = rho01.real, -rho01.imag
-    a, b, c, d = s.real**2 + s.imag**2
+    populations = s.real**2
+    populations += s.imag**2
+    a, b, c, d = populations
     out[0, 2], out[1, 2] = a + b - c - d, a - b + c - d
     return out
 

@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,9 +174,15 @@ def flat_sweep(n: int) -> tuple:
     return agg, 0 if ok else 1
 
 
-@pytest.mark.parametrize("n,chunk", [(2, None), (3, None), (7, None), (14, None), (6, 20)])
+@pytest.mark.parametrize(
+    "n,chunk",
+    [(2, None), (3, None), (7, None), (12, None), (14, None), (6, 20), (14, 768), (14, 14**3)],
+)
 def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
-    """Broadcast (z, phi, theta) blocks give the flat-chunk report bit for bit, no tolerance."""
+    """Broadcast (z, phi, theta) blocks give the flat-chunk report bit for bit, no tolerance.
+
+    None runs the default SWEEP_CHUNK; a chunk of n^3 or more runs the grid in one block.
+    """
     if chunk is not None:
         monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
@@ -183,6 +190,60 @@ def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
     assert list(got) == list(want)
     assert got == want
     assert code == want_code
+
+
+def record_blocks(monkeypatch) -> list:
+    """The point count of every _verify_many block that cmd_sweep runs from now on."""
+    verify_many, sizes = cli._verify_many, []
+
+    def recorded(*columns):
+        p, metrics = verify_many(*columns)
+        sizes.append(metrics[0].size)
+        return p, metrics
+
+    monkeypatch.setattr(cli, "_verify_many", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 14, 27, 40])
+def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
+    sizes = record_blocks(monkeypatch)
+    code, got = run_json(capsys, "sweep", "--grid", str(n))
+    assert (code, got["pass"]) == (0, True)
+    assert sum(sizes) == n**3
+    assert max(sizes) <= cli.SWEEP_CHUNK
+    # whole z slabs while N^2 fits in a block, phi ranges of whole theta lines beyond
+    unit = n**2 if n**2 <= cli.SWEEP_CHUNK else n
+    assert all(size % unit == 0 for size in sizes)
+
+
+# tracemalloc peaks measured with numpy 2.4.6 (1,360,352 and 1,362,704 bytes), plus 10 %: a core
+# that holds more per point, or a SWEEP_CHUNK that outgrows it, fails here
+BLOCK_PEAK_BYTES = 1_496_000
+SWEEP_14_PEAK_BYTES = 1_499_000
+
+
+def traced_peak(call) -> int:
+    """tracemalloc peak of call(), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_many_block_peak_memory():
+    # a grid-14 block of seven whole z slabs: 1,372 points
+    z = np.linspace(ejm.Z_MIN, 1.0, 14)[:7, None, None]
+    phi = np.linspace(-math.pi, math.pi, 14)[None, :, None]
+    theta = np.linspace(0.0, math.pi / 2, 14)
+    assert traced_peak(lambda: _verify_many(z, phi, theta)) <= BLOCK_PEAK_BYTES
+
+
+def test_sweep_request_peak_memory(capsys):
+    assert traced_peak(lambda: main(["sweep", "--grid", "14"])) <= SWEEP_14_PEAK_BYTES
 
 
 def replace_everywhere(monkeypatch, original, replacement):

@@ -118,10 +118,31 @@ class TestVerify:
         assert err.startswith("parameter error: " + named)
 
     def test_negative_value_in_exponent_notation(self, capsys):
-        # argparse reads a separate "-6e-1" as an option; the "=" form passes it as the value
         code, js, _ = run(capsys, "verify", "--z=-6e-1")
         assert code == 0
         assert json.loads(js)["z"] == -0.6
+        code, js, _ = run(capsys, "verify", "--z", "-6e-1")
+        assert code == 0
+        assert json.loads(js)["z"] == -0.6
+
+    @pytest.mark.parametrize(
+        "sub,pairs",
+        [
+            ("verify", (("--z", "-6e-1"),)),
+            ("verify", (("--z", "-6E-1"), ("--phi", "-.5e1"), ("--theta", "-1e-17"))),
+            ("basis", (("--phi", "-3.e2"),)),
+            ("circuit", (("--z", "-7e-1"), ("--phi", "-1e+0"))),
+            # errors: out of range, not finite, not an int
+            ("verify", (("--z", "-6e-3"),)),
+            ("verify", (("--phi", "-1e400"),)),
+            ("sweep", (("--grid", "-1e3"),)),
+        ],
+        ids=["z", "three-flags", "basis", "circuit", "z-out-of-range", "phi-not-finite", "grid-not-int"],
+    )
+    def test_separate_negative_value_parses_as_the_joined_form(self, capsys, sub, pairs):
+        separate = [sub, *(x for pair in pairs for x in pair)]
+        joined = [sub, *(f"{flag}={value}" for flag, value in pairs)]
+        assert outcome(capsys, separate) == outcome(capsys, joined)
 
 
 class TestFlags:
@@ -449,8 +470,10 @@ DISPATCH_ARGV = [
     ("verify", "--z", "abc"),
     ("verify", "stray"),
     ("verify", "--", "--z=1"),
+    ("sweep", "--grid", "-1e3"),
     # accepted requests
     ("verify", "--z=-0.7", "--phi=0.3", "--theta=0.5"),
+    ("verify", "--z", "-6e-1", "--phi", "-1e-3"),
     ("circuit", "--format=csv"),
     ("sweep", "--grid=2"),
 ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ejmkit import ejm
 from ejmkit.circuits import global_phase_deviation
 from ejmkit.linalg import I4
 from ejmkit.states import (
@@ -303,6 +304,17 @@ class TestOrthonormalityCompleteness:
     def test_completeness_on_grid(self):
         worst = max(completeness_residual(build_basis(EjmParams(*t))) for t in GRID)
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, ejm._GRAM_ROWS - 1, ejm._GRAM_ROWS, 1728])
+    def test_gram_rows_equal_the_one_product(self, n):
+        # a stack of _GRAM_ROWS bases or more is summed row by row, in every layout the callers
+        # pass: the point-axis-last basis, its amplitude columns and a (..., 4, 4) stack's view
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((4, 4, n)) + 1j * rng.standard_normal((4, 4, n))
+        stack = np.ascontiguousarray(ejm._public(b))
+        for kernel in (b, b.swapaxes(0, 1), ejm._kernel(stack), ejm._kernel(stack).swapaxes(0, 1)):
+            one_product = (kernel.conj()[:, None] * kernel[None, :]).sum(axis=2)
+            assert np.array_equal(ejm._gram(kernel), one_product)
 
     def test_projector_structure(self):
         b = build_basis(CANONICAL)

@@ -2,8 +2,9 @@
 
 Each rule accepts a closed range widened by a tolerance, rejects the next double
 beyond it, NaN and both infinities, names the first offending entry of an array
-and clips what it accepts back onto the unwidened range.  The finite rules have
-no tolerance: their range is every finite double.
+and clips what it accepts back onto the unwidened range.  The phi and a rules have
+no tolerance: phi's range is every finite double, and a's every double whose
+(a^2 + 1)^2 is finite.
 """
 
 import math
@@ -23,12 +24,16 @@ from ejmkit.states import (
     ket_m1,
     ket_minus_m,
     m_prime,
+    phi_state,
+    phi_state_tensor,
+    reduced_bloch_closed,
     unit_vector_m,
     wrap_angle,
 )
 
 Z_MIN = 1.0 / math.sqrt(3.0)
 BIG = float(np.finfo(float).max)
+A_MAX = math.sqrt(math.sqrt(BIG))  # 1.1579208923731618e+77
 HALF_PI = math.pi / 2
 
 
@@ -122,15 +127,15 @@ RULES = [
     ),
     Rule(
         "a",
-        ((-BIG, -math.inf), (BIG, math.inf)),
-        "a must be finite, got ",
+        ((-A_MAX, -math.inf), (A_MAX, math.inf)),
+        r"a must be finite and \|a\| <= 1\.1579208923731618e\+77, got ",
         1.0,
         {
             "FiveParams": lambda x: five(a=x).a,
             "concurrence_closed": lambda x: concurrence_closed(x, 0.4),
         },
         ("FiveParams",),
-        ((BIG, BIG), (-2.5, -2.5)),
+        ((A_MAX, A_MAX), (-2.5, -2.5)),
     ),
 ]
 
@@ -146,9 +151,8 @@ def rejected(rule: Rule, value) -> str:
 def test_range_rule_edges(rule, probe):
     call = rule.probes[probe]
     for edge, outward in rule.edges:
-        # the bound admits its edge; the overflow of a computation at +-BIG is not the rule's
-        with np.errstate(over="ignore", invalid="ignore"):
-            call(edge)
+        # the bound admits its edge, and no computation overflows there (RuntimeWarning is an error)
+        call(edge)
         beyond = math.nextafter(edge, outward)
         with pytest.raises(ParameterRangeError, match=rejected(rule, beyond)):
             call(beyond)
@@ -163,3 +167,15 @@ def test_range_rule_edges(rule, probe):
             for given in (value, np.float64(value), np.array(value)):
                 got = call(given)
                 assert type(got) is float and got == expected, (given, got)
+
+
+@pytest.mark.parametrize("a", [A_MAX, -A_MAX, 1e77, -3.0])
+def test_weight_at_the_bound_gives_finite_states(a):
+    # the a rule ends where (a^2 + 1)^2 would overflow, so up to its edge every closed form is
+    # finite and the state a unit vector (RuntimeWarning is an error)
+    p = five(a=a)
+    state = phi_state(p)
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-15
+    assert np.abs(phi_state_tensor(p) - state).max() < 1e-15
+    assert 0.0 <= concurrence_closed(a, 0.4) <= 1.0
+    assert np.isfinite(reduced_bloch_closed(p)).all()
