@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import re
@@ -308,6 +309,39 @@ def built_circuits(p):
     """Every circuit a circuit request at p simulates: prep, detect with and without CRY, and U1."""
     u1 = Circuit(tuple(_u1_gates(p.phi_prime)))
     return prep_circuit(p), detect_circuit(p), detect_circuit(p, False), u1
+
+
+def without_cry(c: Circuit) -> Circuit:
+    """The circuit with its CRY gate dropped."""
+    return Circuit(tuple(g for g in c.gates if g.name != "CRY"))
+
+
+BSM_OFFSETS = (0.0, 1e-15, -1e-15, 5e-13, -5e-13, 9e-13, -9e-13, 1.1e-12, -1.1e-12, 2e-12, -2e-12)
+
+
+class TestBsmRule:
+    # (z, phi' target): phi' = pi/4 - 2 pi is reached only for z < 0 with phi_z > pi/4
+    @pytest.mark.parametrize(
+        "z, target",
+        [(0.7, math.pi / 4), (-0.65, math.pi / 4), (-0.9, math.pi / 4 - 2 * math.pi)],
+        ids=["z>0", "z<0", "z<0-wrapped"],
+    )
+    def test_report_has_bsm_keys_exactly_at_pi_over_4(self, capsys, z, target):
+        seen = set()
+        for delta in BSM_OFFSETS:
+            # phi' = phi - phi_z, and phi - pi/2 - phi_z for z < 0
+            phi = target + delta + float(phi_z(z)) + (math.pi / 2 if z < 0 else 0.0)
+            p = EjmParams(z, phi, 0.4)
+            bsm = abs(math.remainder(_base_params(p) - math.pi / 4, 2 * math.pi)) < 1e-12
+            assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", "--theta=0.4"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert ("bsm_equivalence_dev" in report) == ("bsm_equivalence" in report) == bsm
+            if bsm:
+                detect = detect_circuit(p)
+                want = global_phase_deviation(detect.unitary(), without_cry(detect).unitary())
+                assert report["bsm_equivalence_dev"] == want
+            seen.add(bsm)
+        assert seen == {True, False}
 
 
 class TestSerialization:
