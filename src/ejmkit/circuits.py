@@ -56,7 +56,7 @@ _GATES = {
 # where u00, u01, u10, u11 sit in a gate's entry vector (0, 1, u00, u01, u10, u11)
 _U = np.arange(2, 6).reshape(2, 2)
 _I2, _P0, _P1 = np.eye(2, dtype=int), np.diag([1, 0]), np.diag([0, 1])
-# wires -> entry-vector index of each element of the gate's 4x4 unitary, transposed
+# valid wires -> entry-vector index of each element of the gate's 4x4 unitary, transposed
 # for row states; the two terms of a controlled gate never overlap
 _SLOTS = {
     (0,): np.kron(_U, _I2).T,
@@ -98,10 +98,8 @@ class Gate:
             # a tuple of Python ints, so that equal gates hash, compare and dump alike
             qubits = tuple(map(_wire, qubits))
             object.__setattr__(self, "qubits", qubits)
-        if len(qubits) != arity or any(q not in (0, 1) for q in qubits):
+        if len(qubits) != arity or qubits not in _SLOTS:
             raise ValueError(f"{self.name} expects {arity} distinct qubit(s) in {{0,1}}")
-        if arity == 2 and qubits[0] == qubits[1]:
-            raise ValueError("control and target must differ")
         if needs_angle != (self.angle is not None):
             raise ValueError(f"{self.name} angle mismatch")
         if needs_angle and not math.isfinite(self.angle):
@@ -239,12 +237,11 @@ def prep_circuit(p: EjmParams) -> Circuit:
     return Circuit(tuple(gates))
 
 
-def detect_circuit(p: EjmParams, include_controlled_ry: bool = True) -> Circuit:
+def detect_circuit(p: EjmParams) -> Circuit:
     """Circuit mapping basis state i onto a definite computational outcome.
 
-    include_controlled_ry=False drops the rotation that carries the
-    (z, phi) dependence; at phi' = pi/4 that gate is the identity and the
-    two variants coincide up to a global phase.
+    Its one CRY gate carries the (z, phi) dependence; at phi' = pi/4 that
+    gate is the identity, so the circuit without it is a Bell state measurement.
     """
     fp = _base_params(p)
     gates = [
@@ -253,10 +250,7 @@ def detect_circuit(p: EjmParams, include_controlled_ry: bool = True) -> Circuit:
         Gate("CPHASE", (0, 1), math.pi / 2 - p.theta),
         _fixed("S", (0,)),
         _fixed("X", (1,)),
-    ]
-    if include_controlled_ry:
-        gates.append(Gate("CRY", (1, 0), math.pi / 2 - 2.0 * fp))
-    gates += [
+        Gate("CRY", (1, 0), math.pi / 2 - 2.0 * fp),
         _fixed("S", (1,)),
         _fixed("X", (1,)),
         _fixed("H", (0,)),

@@ -11,13 +11,14 @@ Subcommands:
 
 All angles are radians.  Output is deterministic: fixed field order, shortest
 round-trip floats in JSON and %.17g in CSV.  Exit codes: 0 success, 1
-invariant failure, 2 parameter error, 3 the --out file could not be written,
+invariant failure, 2 parameter error, 3 the report could not be written,
 4 out of memory (a resource error, e.g. a --grid too large to hold).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -61,13 +62,13 @@ np.empty(1 << 21)
 
 # Reference blocks: (z, phi) and, per state index, the unit vector m_i as a
 # sign pattern times z.  The side-first reduced vector of state i is
-# (1/2) cos(theta) * REDUCED_SIGNS[i] in every block.
+# (1/2) cos(theta) * REDUCED_SIGNS[i] in every block: the sign pattern of the first.
 TABLE1_BLOCKS = [
     (1.0 / SQRT3, math.pi / 4, [(1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)]),
     (1.0 / SQRT2, math.pi / 2, [(0, 1, 1), (-1, 0, -1), (0, -1, 1), (1, 0, -1)]),
     (1.0, 3 * math.pi / 4, [(0, 0, 1), (0, 0, -1), (0, 0, 1), (0, 0, -1)]),
 ]
-REDUCED_SIGNS = np.array([(1, 1, 1), (-1, 1, -1), (-1, -1, 1), (1, -1, -1)], dtype=float)
+REDUCED_SIGNS = np.array(TABLE1_BLOCKS[0][2], dtype=float)
 
 
 def fmt(x: float) -> str:
@@ -99,18 +100,41 @@ def _emit_report(report: dict, args):
 
 
 class OutputError(OSError):
-    """The --out file could not be written."""
+    """The report could not be written to the --out file or to stdout."""
 
 
 def _write(text: str, args):
-    if args.out is None:
-        sys.stdout.write(text)
-        return
+    """Write text to the --out file, or to stdout and flush it; any failure raises OutputError."""
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise OSError("it is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        raise OutputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        target = "stdout" if args.out is None else args.out
+        raise OutputError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _fail(code: int, message: str) -> int:
+    """Print one error line to stderr, best effort: an unwritable stderr keeps the exit code."""
+    with contextlib.suppress(AttributeError, OSError):  # sys.stderr is None if descriptor 2 was closed
+        sys.stderr.write(message + "\n")
+    return code
+
+
+def _flush_streams():
+    """Flush stdout and stderr, and close one that cannot be written: Python flushes both again at
+    exit, and a failure there would print a traceback and turn the exit code into 120."""
+    for stream in (s for s in (sys.stdout, sys.stderr) if s is not None):
+        try:
+            stream.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                stream.close()
 
 
 def cmd_basis(args) -> int:
@@ -275,12 +299,12 @@ def cmd_circuit(args) -> int:
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
 
-    # phi' enters the detection circuit only as RY(pi/2 - 2 phi'), of period 4 pi in its
-    # angle, so phi' = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case as well
-    if abs(math.remainder(circuits._base_params(p) - math.pi / 4, 2 * math.pi)) < 1e-12:
-        dev = circuits.global_phase_deviation(
-            detect.unitary(), circuits.detect_circuit(p, include_controlled_ry=False).unitary()
-        )
+    # phi' enters the detection circuit only as the CRY angle pi/2 - 2 phi', of period 4 pi, so
+    # phi' = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 the angle is exact
+    k = [g.name for g in detect.gates].index("CRY")
+    if abs(math.remainder(detect.gates[k].angle, 4 * math.pi)) < 2e-12:
+        bsm = circuits.Circuit(detect.gates[:k] + detect.gates[k + 1:])
+        dev = circuits.global_phase_deviation(detect.unitary(), bsm.unitary())
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if dev < TOL_TRIG else "fail"
 
@@ -338,29 +362,26 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a leading subcommand parses with its own parser and skips the top-level pass; any
-    # other argv, and unrecognized extras, take the full parser for its usage and errors
-    sub = _parser().subcommands.get(argv[0]) if argv else None
-    args, extras = sub.parse_known_args(argv[1:]) if sub else (None, True)
-    if extras:
-        args = _parser().parse_args(argv)
-    if args.command in ("sweep", "concurrence") and args.grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return 2
-    if args.command == "circuit" and args.dump and args.format == "csv":
-        print("error: --dump writes circuit text; --format csv does not apply", file=sys.stderr)
-        return 2
     try:
+        # a leading subcommand parses with its own parser and skips the top-level pass; any
+        # other argv, and unrecognized extras, take the full parser for its usage and errors
+        sub = _parser().subcommands.get(argv[0]) if argv else None
+        args, extras = sub.parse_known_args(argv[1:]) if sub else (None, True)
+        if extras:
+            args = _parser().parse_args(argv)
+        if args.command in ("sweep", "concurrence") and args.grid < 2:
+            return _fail(2, "error: --grid must be >= 2")
+        if args.command == "circuit" and args.dump and args.format == "csv":
+            return _fail(2, "error: --dump writes circuit text; --format csv does not apply")
         return args.func(args)
     except ParameterRangeError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"parameter error: {exc}")
     except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"output error: {exc}")
     except MemoryError as exc:
-        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 4
+        return _fail(4, f"resource error: {str(exc) or 'out of memory'}")
+    finally:
+        _flush_streams()
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .states import (
     _phi_tensor,
     _plain,
     _reduced_blochs,
+    _root_1mz2,
     wrap_angle,
 )
 
@@ -69,11 +70,6 @@ def _root_3z2m1(three_z2):
     """
     t = three_z2 - 1.0
     return np.sqrt(np.where(t < 1e-14, 0.0, t))
-
-
-def _root_1mz2(z):
-    """sqrt(1 - z^2), the |z|-dependent real part of the |00>/|11> amplitudes."""
-    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
 
 
 def phi_z(z):

@@ -14,7 +14,6 @@ import numpy as np
 ATOL_TRIG = 1e-10  # quantities passing through arcsin/sqrt chains
 
 I4 = np.eye(4, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def as_state(v) -> np.ndarray:

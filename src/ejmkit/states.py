@@ -64,17 +64,9 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _stack(*columns) -> np.ndarray:
-    """Broadcast the columns and stack them along a new last axis.
-
-    Equal to np.stack(np.broadcast_arrays(*columns), axis=-1), dtype included,
-    without numpy's Python-level broadcaster: one allocation, one copy per column.
-    """
-    columns = [np.asarray(c) for c in columns]
-    out = np.empty(np.broadcast(*columns).shape + (len(columns),), np.result_type(*columns))
-    for k, c in enumerate(columns):
-        out[..., k] = c
-    return out
+def _root_1mz2(z):
+    """sqrt(1 - z^2): the radius of unit_vector_m, and the real part of the EJM |00>/|11> amplitudes."""
+    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
 
 
 def wrap_angle(phi):
@@ -118,15 +110,16 @@ def unit_vector_m(z, phi) -> np.ndarray:
     """
     z = _in_range(z, *_Z)
     phi = _in_range(phi, *_PHI)
-    r = np.sqrt(1.0 - z * z)
-    return _stack(r * np.cos(phi), r * np.sin(phi), z)
+    r = _root_1mz2(z)
+    return np.stack(np.broadcast_arrays(r * np.cos(phi), r * np.sin(phi), z), axis=-1)
 
 
-def _kets(phi, *pairs) -> np.ndarray:
-    """(upper e^{-i phi/2}, lower e^{i phi/2}) / sqrt(2) per pair, shape (len(pairs), 2, ...)."""
+def _m_pair(z, phi) -> np.ndarray:
+    """Unchecked (|m>, |-m>), shape (2, 2, ...): the pair axis, then the ket axis."""
+    u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
     e_minus, e_plus = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-    # upper and lower share a shape, so each pair of products stacks without broadcasting
-    return np.array([(upper * e_minus, lower * e_plus) for upper, lower in pairs]) / SQRT2
+    # the four products share a shape, so they stack without broadcasting
+    return np.array([(u * e_minus, v * e_plus), (v * e_minus, -u * e_plus)]) / SQRT2
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -134,20 +127,17 @@ def ket_m(z, phi) -> np.ndarray:
 
     z and phi broadcast; the state is the last axis.
     """
-    z = _in_range(z, *_Z)
-    return np.moveaxis(_kets(_in_range(phi, *_PHI), (np.sqrt(1.0 + z), np.sqrt(1.0 - z)))[0], 0, -1)
+    return np.moveaxis(_m_pair(_in_range(z, *_Z), _in_range(phi, *_PHI))[0], 0, -1)
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
-    z = _in_range(z, *_Z)
-    return np.moveaxis(_kets(_in_range(phi, *_PHI), (np.sqrt(1.0 - z), -np.sqrt(1.0 + z)))[0], 0, -1)
+    return np.moveaxis(_m_pair(_in_range(z, *_Z), _in_range(phi, *_PHI))[1], 0, -1)
 
 
 def _rotated_pair(z, phi, w):
     """Unchecked (|m_0>, |m_1>), ket axis first; w = i e^{i theta0} has no more axes than z, phi."""
-    u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
-    m, mm = _kets(phi, (u, v), (v, -u))
+    m, mm = _m_pair(z, phi)
     minus, plus = 1.0 - w, 1.0 + w
     return (minus * m + plus * mm) / 2.0, (plus * m + minus * mm) / 2.0
 
@@ -183,14 +173,14 @@ def phi_state(p: FiveParams) -> np.ndarray:
     a, z, phi, t0, th = p.a, p.z, p.phi, p.theta0, p.theta
     r_plus = (1.0 + np.exp(2j * t0)) / SQRT2
     r_minus = (1.0 - np.exp(2j * t0)) / SQRT2
-    c = np.sqrt(1.0 - z * z)
+    c = _root_1mz2(z)
     e = SQRT2 * 1j * np.exp(1j * (t0 + th))
-    v = _stack(
+    v = np.stack(np.broadcast_arrays(
         a * (r_plus + c * r_minus) * np.exp(-1j * phi),
         -(a * z * r_minus - e),
         -(a * z * r_minus + e),
         a * (r_plus - c * r_minus) * np.exp(1j * phi),
-    )
+    ), axis=-1)
     return v / (2.0 * np.sqrt(a * a + 1.0))[..., None]
 
 
@@ -291,13 +281,13 @@ def m_prime(z, phi, theta0) -> np.ndarray:
 
 def _m_prime(z, phi, theta0) -> np.ndarray:
     """m_prime of validated arguments; nothing is checked."""
-    c = np.sqrt(1.0 - z * z)
+    c = _root_1mz2(z)
     s0, c0 = np.sin(theta0), np.cos(theta0)
-    return _stack(
+    return np.stack(np.broadcast_arrays(
         c * np.cos(phi) * s0 + np.sin(phi) * c0,
         c * np.sin(phi) * s0 - np.cos(phi) * c0,
         z * s0,
-    )
+    ), axis=-1)
 
 
 def reduced_bloch_closed(p: FiveParams) -> np.ndarray:

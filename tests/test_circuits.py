@@ -245,7 +245,7 @@ class TestSharedGates:
     def test_unchecked_loop_equals_apply_bit_for_bit(self):
         eye = np.eye(4, dtype=complex)
         for p in EDGE_PARAMS + seeded_params(21):
-            for c in (prep_circuit(p), detect_circuit(p), detect_circuit(p, include_controlled_ry=False)):
+            for c in (prep_circuit(p), detect_circuit(p), without_cry(detect_circuit(p))):
                 for states in (KET00, build_basis(p), eye):
                     assert np.array_equal(_run(c.gates, states), apply(c, states))
                 assert np.array_equal(c.unitary(), apply(c, eye).T)
@@ -308,7 +308,7 @@ def circuit_requests(capsys):
 def built_circuits(p):
     """Every circuit a circuit request at p simulates: prep, detect with and without CRY, and U1."""
     u1 = Circuit(tuple(_u1_gates(p.phi_prime)))
-    return prep_circuit(p), detect_circuit(p), detect_circuit(p, False), u1
+    return prep_circuit(p), detect_circuit(p), without_cry(detect_circuit(p)), u1
 
 
 def without_cry(c: Circuit) -> Circuit:
@@ -502,9 +502,16 @@ class TestDetect:
         # leaves the detection unitary unchanged up to a global phase
         for z in (1 / SQRT3, 1 / SQRT2, 1.0):
             p = EjmParams(z, phi_z(z) + math.pi / 4, 0.6)
-            with_cry = detect_circuit(p).unitary()
-            without = detect_circuit(p, include_controlled_ry=False).unitary()
+            detect = detect_circuit(p)
+            assert len(without_cry(detect).gates) == len(detect.gates) - 1
+            with_cry, without = detect.unitary(), without_cry(detect).unitary()
             assert global_phase_deviation(with_cry, without) < 1e-10
+
+
+class TestGlobalPhaseDeviation:
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ValueError, match="reference matrix is zero"):
+            global_phase_deviation(np.eye(4), np.zeros((4, 4)))
 
 
 class TestOutcomeProbabilities:

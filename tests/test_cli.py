@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +353,65 @@ class TestCircuit:
         assert out == ""
         assert err.startswith("output error: cannot write")
         assert len(err.strip().splitlines()) == 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the default buffered stdio: there a failed write stays in the buffer for Python's flush at exit
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
+
+def run_child(args, redirect=""):
+    """(exit code, stdout, stderr) of `python -m ejmkit.cli ARGS` under a shell redirection."""
+    command = f'exec "$0" -m ejmkit.cli {args} {redirect}'
+    proc = subprocess.run(["sh", "-c", command, sys.executable], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full and a POSIX shell")
+class TestFailedWrites:
+    """Every failed write keeps its documented exit code, with no traceback at exit."""
+
+    @pytest.mark.parametrize(
+        "redirect, reason",
+        [(">/dev/full", "No space left on device"), (">&-", "it is closed"),
+         (">/dev/full 2>/dev/full", None)],
+        ids=["full", "closed", "full-stderr-full"],
+    )
+    def test_unwritable_stdout_exits_3(self, redirect, reason):
+        code, _, err = run_child("verify", redirect)
+        assert code == 3
+        if reason is not None:
+            assert err == f"output error: cannot write stdout: {reason}\n"
+
+    def test_reader_gone_exits_3(self):
+        read, write = os.pipe()
+        os.close(read)  # no reader from the start: the first write raises, whatever the timing
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ejmkit.cli", "verify"], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 3
+        assert proc.stderr == "output error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+    @pytest.mark.parametrize(
+        "args, want",
+        [("verify --z 2", 2), ("sweep --grid 1", 2), ("verify --bogus", 2), ("verify >/dev/full", 3)],
+        ids=["parameter", "grid", "usage", "output"],
+    )
+    def test_unwritable_stderr_keeps_the_exit_code(self, redirect, args, want):
+        code, out, _ = run_child(args, redirect)
+        assert code == want
+        # argparse alone falls back to stdout for its usage when Python's stderr is None
+        assert out == "" or (args == "verify --bogus" and redirect == "2>&-")
+
+    def test_written_report_exits_0(self):
+        code, out, err = run_child("verify")
+        assert code == 0 and err == ""
+        assert json.loads(out)["pass"] is True
 
 
 class TestBrokenBasis:

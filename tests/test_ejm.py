@@ -458,6 +458,11 @@ class TestGeometry:
             with pytest.raises(ParameterRangeError):
                 tetrahedron_geometry_check(vecs, th)
 
+    def test_wrong_shape_rejected(self):
+        for shape in ((3, 3), (4, 2), (4,), (2, 3, 4)):
+            with pytest.raises(ValueError, match="expected four 3-vectors"):
+                tetrahedron_geometry_check(np.zeros(shape), 0.4)
+
 
 class TestSingleParamReduction:
     def test_phi_choices(self):

@@ -5,7 +5,7 @@ import pytest
 
 from ejmkit.linalg import (
     I4,
-    SIGMA_X,
+    as_state,
     inner,
     kron,
     outer,
@@ -14,6 +14,7 @@ from ejmkit.linalg import (
 from ejmkit.states import FiveParams, phi_state
 
 I2 = np.eye(2)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -82,6 +83,20 @@ class TestPartialTrace:
             partial_trace(I2, "first")
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), "third")
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            rho = np.eye(4, dtype=complex) / 4
+            rho[1, 2] = bad
+            with pytest.raises(ValueError, match="operator contains non-finite entries"):
+                partial_trace(rho, "first")
+
+
+class TestAsState:
+    def test_wrong_dimension_rejected(self):
+        for v, shape in ((1.0, "()"), (np.zeros(3), r"\(3,\)"), (np.zeros((4, 3)), r"\(4, 3\)")):
+            with pytest.raises(ValueError, match=f"must have dimension 2 or 4, got shape {shape}"):
+                as_state(v)
 
 
 class TestInner:

@@ -154,29 +154,14 @@ class TestBroadcasting:
             one = FiveParams(*(float(np.broadcast_to(f, shape)[idx]) for f in fields))
             np.testing.assert_allclose(got[idx], phi_state_tensor(one), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "columns",
-        [
-            (1.5, -2.0, 0.25),
-            (1j, 2.0 - 1j),
-            (1, 2, 3),
-            (1, 2.5),
-            (np.array(0.5), np.array(2.0 + 1j), 3),
-            (np.arange(4.0).reshape(1, 4), np.linspace(0.0, 1.0, 5).reshape(5, 1)),
-            (np.arange(4.0).reshape(1, 4), np.exp(1j * np.arange(5.0)).reshape(5, 1), 2.0),
-            (np.array([1.0, 2.0], dtype=np.float32), 0.1),
-        ],
-    )
-    def test_stack_equals_broadcast_then_stack(self, columns):
-        got = states._stack(*columns)
-        want = np.stack(np.broadcast_arrays(*columns), axis=-1)
-        assert got.dtype == want.dtype
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
     def test_stack_rejects_shapes_that_do_not_broadcast(self):
+        # the vectors and states stack their columns along a new last axis
         with pytest.raises(ValueError):
-            states._stack(np.zeros(3), np.zeros(4))
+            unit_vector_m(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            m_prime(np.zeros(3), np.zeros(4), 0.5)
+        with pytest.raises(ValueError):
+            phi_state(FiveParams(1.0, np.zeros(3), np.zeros(4), 0.5, 0.5))
 
 
 class TestKets:
