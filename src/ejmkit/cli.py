@@ -126,17 +126,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _flush_streams():
-    """Flush stdout and stderr, and close one that cannot be written: Python flushes both again at
-    exit, and a failure there would print a traceback and turn the exit code into 120."""
-    for stream in (s for s in (sys.stdout, sys.stderr) if s is not None):
-        try:
-            stream.flush()
-        except OSError:
-            with contextlib.suppress(OSError):
-                stream.close()
-
-
 def cmd_basis(args) -> int:
     p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
     b = ejm.build_basis(p)
@@ -381,7 +370,14 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         return _fail(4, f"resource error: {str(exc) or 'out of memory'}")
     finally:
-        _flush_streams()
+        # Python flushes both streams again at exit, where a failure prints a traceback and turns
+        # the exit code into 120: a stream that cannot be written is closed here instead
+        for stream in (s for s in (sys.stdout, sys.stderr) if s is not None):
+            try:
+                stream.flush()
+            except OSError:
+                with contextlib.suppress(OSError):
+                    stream.close()
 
 
 if __name__ == "__main__":
