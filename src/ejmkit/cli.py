@@ -110,7 +110,7 @@ def _write(text: str, args):
             with open(args.out, "w") as fh:
                 fh.write(text)
             return
-        if sys.stdout is None:  # descriptor 1 was closed when Python started
+        if sys.stdout is None or sys.stdout.closed:  # descriptor 1 was closed, or main closed it
             raise OSError("it is closed")
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -121,7 +121,8 @@ def _write(text: str, args):
 
 def _fail(code: int, message: str) -> int:
     """Print one error line to stderr, best effort: an unwritable stderr keeps the exit code."""
-    with contextlib.suppress(AttributeError, OSError):  # sys.stderr is None if descriptor 2 was closed
+    # sys.stderr is None if descriptor 2 was closed, and closed if an earlier main call closed it
+    with contextlib.suppress(AttributeError, OSError, ValueError):
         sys.stderr.write(message + "\n")
     return code
 
@@ -290,9 +291,9 @@ def cmd_circuit(args) -> int:
 
     # phi' enters the detection circuit only as the CRY angle pi/2 - 2 phi', of period 4 pi, so
     # phi' = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 the angle is exact
-    k = [g.name for g in detect.gates].index("CRY")
-    if abs(math.remainder(detect.gates[k].angle, 4 * math.pi)) < 2e-12:
-        bsm = circuits.Circuit(detect.gates[:k] + detect.gates[k + 1:])
+    (cry,) = (g for g in detect.gates if g.name == "CRY")
+    if abs(math.remainder(cry.angle, 4 * math.pi)) < 2e-12:
+        bsm = circuits.Circuit(tuple(g for g in detect.gates if g.name != "CRY"))
         dev = circuits.global_phase_deviation(detect.unitary(), bsm.unitary())
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if dev < TOL_TRIG else "fail"
@@ -308,8 +309,23 @@ def cmd_circuit(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its help written by _write and its usage errors by _fail.
+
+    argparse writes unguarded on Python 3.10 and some 3.11 releases, and drops a failed write of
+    --help on later ones; through _write and _fail every version exits 3 and 2 as documented.
+    Subcommand parsers share the class.
+    """
+
+    def print_help(self, file=None):
+        _write(self.format_help(), argparse.Namespace(out=None))
+
+    def error(self, message):
+        sys.exit(_fail(2, f"{self.format_usage()}{self.prog}: error: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ejm", description=__doc__)
+    parser = _Parser(prog="ejm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
@@ -371,8 +387,9 @@ def main(argv=None) -> int:
         return _fail(4, f"resource error: {str(exc) or 'out of memory'}")
     finally:
         # Python flushes both streams again at exit, where a failure prints a traceback and turns
-        # the exit code into 120: a stream that cannot be written is closed here instead
-        for stream in (s for s in (sys.stdout, sys.stderr) if s is not None):
+        # the exit code into 120: a stream that cannot be written is closed here instead, and
+        # later in-process calls treat it as unwritable
+        for stream in (s for s in (sys.stdout, sys.stderr) if s is not None and not s.closed):
             try:
                 stream.flush()
             except OSError:

@@ -295,8 +295,8 @@ def test_verify_many_checks_theta_once(monkeypatch):
 
 
 def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkeypatch):
-    # the three paths and the closed forms read the root and sng(z_i) from EjmParams; _stack
-    # allocates its output itself instead of calling numpy's pure-Python broadcaster
+    # the three paths and the closed forms read the root and sng(z_i) from EjmParams; verify must
+    # never reach unit_vector_m, phi_state or _m_prime, which call numpy's pure-Python broadcaster
     roots = count_calls(monkeypatch, ejm._root_3z2m1)
     signs = count_calls(monkeypatch, ejm.sng)
     broadcasts = []

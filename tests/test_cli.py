@@ -385,6 +385,12 @@ class TestFailedWrites:
         if reason is not None:
             assert err == f"output error: cannot write stdout: {reason}\n"
 
+    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
+    def test_unwritable_help_exits_3(self, redirect):
+        code, out, err = run_child("verify --help", redirect)
+        assert (code, out) == (3, "")
+        assert err.startswith("output error: cannot write stdout: ") and err.count("\n") == 1
+
     def test_reader_gone_exits_3(self):
         read, write = os.pipe()
         os.close(read)  # no reader from the start: the first write raises, whatever the timing
@@ -404,9 +410,20 @@ class TestFailedWrites:
     )
     def test_unwritable_stderr_keeps_the_exit_code(self, redirect, args, want):
         code, out, _ = run_child(args, redirect)
-        assert code == want
-        # argparse alone falls back to stdout for its usage when Python's stderr is None
-        assert out == "" or (args == "verify --bogus" and redirect == "2>&-")
+        assert (code, out) == (want, "")
+
+    def test_in_process_calls_after_a_failed_write(self, capsys, monkeypatch, tmp_path):
+        # the first call closes the stdout it could not flush; later calls in the same process
+        # see a closed stdout as one more failed write, and a report to --out still succeeds
+        monkeypatch.setattr(sys, "stdout", open("/dev/full", "w"))
+        out = tmp_path / "report.json"
+        assert [main(["verify"]), main(["verify"]), main(["verify", "--out", str(out)])] == [3, 3, 0]
+        assert json.loads(out.read_text())["pass"] is True
+        assert sys.stdout.closed
+        assert capsys.readouterr().err == (
+            "output error: cannot write stdout: No space left on device\n"
+            "output error: cannot write stdout: it is closed\n"
+        )
 
     def test_written_report_exits_0(self):
         code, out, err = run_child("verify")
