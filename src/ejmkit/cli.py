@@ -142,10 +142,11 @@ def _verify_many(z, phi, theta):
     """(p, metrics): the EjmParams of z, phi and theta, and every verify metric at once.
 
     metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
-    and theta.  Runs the three construction paths and all diagnostics on the stacked
-    basis; a factor that depends on fewer of the axes is computed at their shape.  The
-    arrays are point-axis-last in memory, so each comparison is elementwise over contiguous
-    points.  Every metric is finite on the whole domain, theta = pi/2 included.
+    and theta; three floats are the n = 1 case, the same code on 0-d parameters.  Runs the
+    three construction paths and all diagnostics on the stacked basis; a factor that depends
+    on fewer of the axes is computed at their shape.  The arrays are point-axis-last in memory,
+    so each comparison is elementwise over contiguous points.  Every metric is finite on the
+    whole domain, theta = pi/2 included.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
 
@@ -187,13 +188,13 @@ def _passes(metrics: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    p, metrics = _verify_many([args.z], [args.phi], [args.theta])
-    report = {"z": float(p.z[0]), "phi": float(p.phi[0]), "theta": float(p.theta[0])}
-    report.update(zip(CHECKS, metrics[:, 0].tolist()))
+    p, metrics = _verify_many(args.z, args.phi, args.theta)
+    report = {"z": p.z, "phi": p.phi, "theta": p.theta}
+    report.update(zip(CHECKS, metrics.tolist()))
     # the geometry is checked at every theta; the key stays for report readers
     report["geometry"] = "ok"
     report["report_tolerance"] = TOL_TRIG
-    ok = bool(_passes(metrics)[0])
+    ok = bool(_passes(metrics))
     report["pass"] = ok
     _emit_report(report, args)
     return 0 if ok else 1
@@ -322,6 +323,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         sys.exit(_fail(2, f"{self.format_usage()}{self.prog}: error: {message}"))
+
+    def _get_values(self, action, arg_strings):
+        # before 3.13, argparse drops an option's value "--" ("--z=--") as the end of the options
+        # and stores [] in its place; it is read as the value here, as 3.13 reads it
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:

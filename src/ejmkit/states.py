@@ -30,7 +30,7 @@ def _plain(x):
 
 
 def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: bool = False):
-    """x as floats clipped onto [lo, hi]; with modulus, [lo, hi] bounds |x| and x is clipped onto +-hi.
+    """x as floats clipped onto [lo, hi]; with modulus, |x| is, and x keeps its sign.
 
     Raises ParameterRangeError naming the first entry outside [lo - tol, hi + tol].  NaN compares
     False, so it fails every range, and a range of all finite doubles rejects +-inf too.  A 0-d x
@@ -41,7 +41,8 @@ def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: 
     ok = (ax >= lo - tol) & (ax <= hi + tol)
     if not ok.all():
         raise ParameterRangeError(message.format(float(x[~ok][0])))
-    return _plain(np.minimum(np.maximum(x, -hi if modulus else lo), hi))
+    clipped = np.minimum(np.maximum(ax, lo), hi)
+    return _plain(np.copysign(clipped, x) if modulus else clipped)
 
 
 # (message, lo, hi, tolerance, on |x|) of each range rule

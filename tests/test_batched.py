@@ -382,6 +382,40 @@ def test_verify_many_equals_scalar_calls(points):
         assert bool(passed[n]) == verify_pass(want)
 
 
+def test_verify_many_on_floats_is_the_0d_case():
+    p, metrics = _verify_many(-0.7, 0.3, 0.4)
+    assert p.shape == ()
+    assert [type(v) for v in (p.z, p.phi, p.theta)] == [float, float, float]
+    assert metrics.shape == (len(cli.CHECKS),)
+
+
+def test_verify_request_runs_the_core_on_its_floats(capsys, monkeypatch):
+    verify_many, calls = cli._verify_many, []
+
+    def recorded(*args):
+        calls.append(args)
+        return verify_many(*args)
+
+    monkeypatch.setattr(cli, "_verify_many", recorded)
+    assert main(["verify", "--z=-0.7", "--phi=0.3", "--theta=0.4"]) == 0
+    assert calls == [(-0.7, 0.3, 0.4)]
+    assert [type(v) for v in calls[0]] == [float, float, float]
+
+
+def test_0d_core_equals_the_one_element_core():
+    # the edges |z| = 1/sqrt(3) and 1, theta = pi/2 and phi = +-pi, and seeded interior values
+    rng = np.random.default_rng(23)
+    magnitudes = (1 / SQRT3, 1.0, *rng.uniform(1 / SQRT3, 1.0, 2))
+    for z in (sign * m for m in magnitudes for sign in (1.0, -1.0)):
+        for phi in (math.pi, -math.pi, rng.uniform(-math.pi, math.pi)):
+            for theta in (math.pi / 2, rng.uniform(0.0, math.pi / 2)):
+                p, metrics = _verify_many(z, phi, theta)
+                p1, metrics1 = _verify_many([z], [phi], [theta])
+                assert (p.z, p.phi, p.theta) == (p1.z[0], p1.phi[0], p1.theta[0])
+                assert np.abs(metrics - metrics1[:, 0]).max() <= METRIC_TOL, (z, phi, theta)
+                assert bool(_passes(metrics)) == bool(_passes(metrics1)[0]), (z, phi, theta)
+
+
 def _shifted(f, delta=1e-9):
     """f with 1e-9 added to its result."""
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ejmkit.cli import main
 
@@ -146,6 +150,128 @@ class TestVerify:
         separate = [sub, *(x for pair in pairs for x in pair)]
         joined = [sub, *(f"{flag}={value}" for flag, value in pairs)]
         assert outcome(capsys, separate) == outcome(capsys, joined)
+
+
+Z_MIN = 1 / SQRT3
+
+
+@pytest.mark.parametrize("command", ["verify", "circuit"])
+@pytest.mark.parametrize(
+    "z",
+    # the widest accepted value below the bound, and np.sqrt(3)/3, the double just below 1/sqrt(3)
+    [Z_MIN - 1e-12, -(Z_MIN - 1e-12), float(np.sqrt(3) / 3), -float(np.sqrt(3) / 3)],
+    ids=["band", "band-neg", "ulp", "ulp-neg"],
+)
+def test_accepted_z_below_the_bound_is_clipped_onto_it(capsys, command, z):
+    assert z != math.copysign(Z_MIN, z)
+    code, out, err = run(capsys, command, f"--z={z!r}")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["z"] == math.copysign(Z_MIN, z)
+    assert rep["pass"] is True
+
+
+HALF_PI = math.pi / 2
+VERIFY_KEYS = (
+    "z", "phi", "theta", "gram_dev", "gram_closed_dev", "completeness_residual",
+    "path_agreement_dev", "antisymmetry_dev", "reduced_closed_dev", "concurrence_dev",
+    "modulus_dev", "pairwise_dev", "geometry", "report_tolerance", "pass",
+)
+
+
+def shifted(x: float, k: int) -> float:
+    """x moved |k| representable doubles, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# edge values of the three range rules, then exponent forms, empty and junk strings
+VALUE_POOL = (
+    "0", "-0.0", "5e-324", "1e308", "-1e308", "1e400", "nan", "inf", "-inf",
+    repr(Z_MIN - 1e-12), repr(-(Z_MIN - 1e-12)), repr(1 + 1e-12), "-1e-15", repr(math.pi),
+    repr(-math.pi), "-6e-1", "6E-1", "-.5e1", "", "abc", "0x1p-1", "1e", "--",
+)
+values = st.one_of(
+    st.sampled_from(VALUE_POOL),
+    st.builds(shifted, st.sampled_from((Z_MIN, -Z_MIN, 1.0, -1.0, HALF_PI)), st.integers(-3, 3)).map(repr),
+)
+# (flag, value, joined): "--z=v" when joined, "--z", "v" otherwise
+flag_values = st.tuples(st.sampled_from(("--z", "--phi", "--theta", "--format")), values, st.booleans())
+formats = st.tuples(st.just("--format"), st.sampled_from(("json", "csv")), st.booleans())
+
+
+def verify_argv(pairs) -> list:
+    argv = ["verify"]
+    for flag, value, joined in pairs:
+        argv += [f"{flag}={value}"] if joined else [flag, value]
+    return argv
+
+
+def report_of(out: str, csv: bool) -> dict:
+    """The report in key order: JSON, or the key,value rows of CSV with their values as text."""
+    if not csv:
+        return json.loads(out)
+    lines = out.splitlines()
+    assert lines[0] == "key,value"
+    return dict(line.split(",", 1) for line in lines[1:])
+
+
+@given(st.lists(st.one_of(flag_values, formats), max_size=5))
+# the accepted band below 1/sqrt(3), always tried: it once ended in exit 1
+@example([("--z", repr(Z_MIN - 1e-12), True)])
+@example([("--format", "csv", False), ("--z", repr(-(Z_MIN - 1e-12)), False)])
+@settings(max_examples=150, deadline=None)
+def test_verify_argv_fuzz(pairs):
+    """Every verify argv ends in 0 with a passing report, or in 2 with one error line.
+
+    An accepted input is never an invariant failure (exit 1).  Usage errors end in argparse's
+    SystemExit, the way the console script ends, after argparse's usage block.
+    """
+    argv = verify_argv(pairs)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "", argv
+        *usage, line = err.splitlines()
+        assert err.endswith("\n") and line.startswith(("parameter error: ", "ejm verify: error: ")), argv
+        assert not usage or usage[0].startswith("usage: ejm verify"), argv
+        return
+    assert err == ""
+    formats_given = [value for flag, value, _ in pairs if flag == "--format"]
+    rep = report_of(out, bool(formats_given) and formats_given[-1] == "csv")
+    assert tuple(rep) == VERIFY_KEYS, argv
+    assert rep["pass"] in (True, "True"), argv
+    z, phi, theta = (float(rep[k]) for k in ("z", "phi", "theta"))
+    assert Z_MIN <= abs(z) <= 1.0 and -math.pi < phi <= math.pi and 0.0 <= theta <= HALF_PI, argv
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--z=--"), "argument --z: invalid float value: '--'"),
+        (("circuit", "--theta=--"), "argument --theta: invalid float value: '--'"),
+        (("verify", "--format=--"), "argument --format: invalid choice: '--'"),
+        (("sweep", "--grid=--"), "argument --grid: invalid int value: '--'"),
+    ],
+)
+def test_dashes_as_an_option_value_are_that_value(capsys, argv, message):
+    # before Python 3.13 argparse took the value "--" for the end of the options and stored []
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (("exit", 2), "")
+    assert err.splitlines()[-1].startswith(f"ejm {argv[0]}: error: {message}")
+
+
+def test_dashes_as_the_out_value_name_a_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "verify", "--out=--") == (0, "", "")
+    assert json.loads((tmp_path / "--").read_text())["pass"] is True
 
 
 class TestFlags:

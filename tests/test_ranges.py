@@ -85,7 +85,7 @@ RULES = [
             "phi_z": phi_z,
         },
         ("EjmParams",),
-        ((1.0 + 5e-13, 1.0), (-1.0 - 5e-13, -1.0), (Z_MIN - 1e-12, Z_MIN - 1e-12), (-0.7, -0.7)),
+        ((1.0 + 5e-13, 1.0), (-1.0 - 5e-13, -1.0), (Z_MIN - 1e-12, Z_MIN), (-0.7, -0.7)),
     ),
     Rule(
         "theta",
