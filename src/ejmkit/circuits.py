@@ -197,7 +197,7 @@ def _u1_gates(phi_prime: float) -> list:
 
 
 def _base_params(p: EjmParams) -> float:
-    """Effective circuit angle phi' of one parameter point.
+    """The circuit angle phi_c of one point: phi_prime = phi - phi_z for z >= 0, else phi - pi/2 - phi_z.
 
     For z < 0 the basis equals the positive-z basis at phi - pi/2 with
     indices cycled by one, so the circuits run at the shifted angle and
@@ -240,8 +240,8 @@ def prep_circuit(p: EjmParams) -> Circuit:
 def detect_circuit(p: EjmParams) -> Circuit:
     """Circuit mapping basis state i onto a definite computational outcome.
 
-    Its one CRY gate carries the (z, phi) dependence; at phi' = pi/4 that
-    gate is the identity, so the circuit without it is a Bell state measurement.
+    Its one CRY gate carries the (z, phi) dependence, through the angle phi_c of _base_params; at
+    phi_c = pi/4 it is the identity, so the circuit without it is a Bell state measurement.
     """
     fp = _base_params(p)
     gates = [

@@ -290,8 +290,8 @@ def cmd_circuit(args) -> int:
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
 
-    # phi' enters the detection circuit only as the CRY angle pi/2 - 2 phi', of period 4 pi, so
-    # phi' = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 the angle is exact
+    # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
+    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 it is exact
     (cry,) = (g for g in detect.gates if g.name == "CRY")
     if abs(math.remainder(cry.angle, 4 * math.pi)) < 2e-12:
         bsm = circuits.Circuit(tuple(g for g in detect.gates if g.name != "CRY"))

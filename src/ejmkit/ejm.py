@@ -61,15 +61,14 @@ def sng(x):
     return _plain(np.where(np.less(x, 0), -1.0, 1.0))
 
 
-def _root_3z2m1(three_z2):
-    """sqrt(3 z^2 - 1) from 3 z^2, snapped to 0 at the representation boundary.
+def _root_3z2m1(z):
+    """sqrt(3 z^2 - 1) of a clipped z as sqrt(3 (|z| - Z_MIN)(|z| + Z_MIN)), where |z| - Z_MIN is exact.
 
-    1/sqrt(3) is not a binary float; without the snap the nearest double
-    gives sqrt(2.2e-16) ~ 1.5e-8, which would pollute phi_z and every
-    derived quantity at the lower z bound.
+    The double Z_MIN, 0.70 ulp above 1/sqrt(3), stands for 1/sqrt(3): |z| = Z_MIN gives exactly 0, the
+    original EJM, and the radicand is short of 3 z^2 - 1 by 3 Z_MIN^2 - 1 = 2.7e-16 at every z.
     """
-    t = three_z2 - 1.0
-    return np.sqrt(np.where(t < 1e-14, 0.0, t))
+    az = np.abs(z)
+    return np.sqrt(3.0 * (az - Z_MIN) * (az + Z_MIN))
 
 
 def phi_z(z):
@@ -78,7 +77,7 @@ def phi_z(z):
     Runs from 0 at |z| = 1/sqrt(3) to pi/2 at |z| = 1; elementwise on arrays.
     """
     z = _in_range(z, *_EJM_Z)
-    return _plain(np.arctan2(_root_3z2m1(3.0 * z * z), _root_1mz2(z)))
+    return _plain(np.arctan2(_root_3z2m1(z), _root_1mz2(z)))
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,11 @@ class EjmParams:
     construction, from the checked triple, it derives the factors that the
     construction paths, the closed forms and the circuits share:
 
-    - root_3z2m1 = sqrt(3 z^2 - 1), snapped to 0 at |z| = 1/sqrt(3);
+    - root_3z2m1 = sqrt(3 z^2 - 1), exactly 0 at |z| = Z_MIN, which stands for 1/sqrt(3);
     - root_1mz2 = sqrt(1 - z^2), root_3z2 = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta = cos theta;
     - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
-    - phi_z = phi_z(z), and phi_prime = phi - phi_z, the angle entering the circuits;
+    - phi_z = phi_z(z), and phi_prime = phi - phi_z; for z < 0 the circuits run at phi - pi/2 - phi_z;
     - shape, the broadcast shape of the triple, and zs, phis, sng_zs and dphis: z_i = z Z_SIGNS[i],
       phi_i = phi + PHI_SHIFTS[i], sng(z_i), phi_i - phi_z: a state axis of 4, then len(shape) axes.
 
@@ -110,8 +109,7 @@ class EjmParams:
         z = _in_range(self.z, *_EJM_Z)
         phi = wrap_angle(self.phi)
         theta = _in_range(self.theta, *_THETA)
-        three_z2 = 3.0 * z * z
-        s, c = _root_3z2m1(three_z2), _root_1mz2(z)
+        s, c = _root_3z2m1(z), _root_1mz2(z)
         phi_z = _plain(np.arctan2(s, c))
         shape = np.broadcast(z, phi, theta).shape
         column = (4,) + (1,) * len(shape)
@@ -120,7 +118,7 @@ class EjmParams:
             self,
             z=z, phi=phi, theta=theta, shape=shape,
             root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
-            root_3z2=np.sqrt(three_z2), cos_theta=np.cos(theta),
+            root_3z2=np.sqrt(3.0 * z * z), cos_theta=np.cos(theta),
             phi_z=phi_z, phi_prime=phi - phi_z,
             zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z,
         )

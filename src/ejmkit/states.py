@@ -67,7 +67,8 @@ def _freeze(obj, **fields) -> None:
 
 def _root_1mz2(z):
     """sqrt(1 - z^2): the radius of unit_vector_m, and the real part of the EJM |00>/|11> amplitudes."""
-    return np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    # factored, since 1 - z*z loses digits near |z| = 1; on the clipped range both factors are >= 0
+    return np.sqrt((1.0 - z) * (1.0 + z))
 
 
 def wrap_angle(phi):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ejmkit.circuits import Circuit
 from ejmkit.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -194,18 +195,49 @@ VALUE_POOL = (
 )
 values = st.one_of(
     st.sampled_from(VALUE_POOL),
-    st.builds(shifted, st.sampled_from((Z_MIN, -Z_MIN, 1.0, -1.0, HALF_PI)), st.integers(-3, 3)).map(repr),
+    # +-40 ulp cross the 25 doubles above Z_MIN where the unfactored 3 z^2 - 1 rounds below 1e-14
+    st.builds(shifted, st.sampled_from((Z_MIN, -Z_MIN, 1.0, -1.0, HALF_PI)), st.integers(-40, 40)).map(repr),
 )
 # (flag, value, joined): "--z=v" when joined, "--z", "v" otherwise
 flag_values = st.tuples(st.sampled_from(("--z", "--phi", "--theta", "--format")), values, st.booleans())
 formats = st.tuples(st.just("--format"), st.sampled_from(("json", "csv")), st.booleans())
 
 
-def verify_argv(pairs) -> list:
-    argv = ["verify"]
+def fuzz_argv(command: str, pairs) -> list:
+    argv = [command]
     for flag, value, joined in pairs:
-        argv += [f"{flag}={value}"] if joined else [flag, value]
+        argv += [flag] if value is None else [f"{flag}={value}"] if joined else [flag, value]
     return argv
+
+
+def run_fuzzed(argv, *own_errors):
+    """stdout of main(argv), once the code is 0 or 2; None on 2, once that is one error line.
+
+    The error line is a parameter error, a usage error or one of own_errors.  Usage errors end in
+    argparse's SystemExit, the way the console script ends, after argparse's usage block.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "", argv
+        *usage, line = err.splitlines()
+        prefixes = ("parameter error: ", f"ejm {argv[0]}: error: ", *own_errors)
+        assert err.endswith("\n") and line.startswith(prefixes), argv
+        assert not usage or usage[0].startswith(f"usage: ejm {argv[0]}"), argv
+        return None
+    assert err == "", argv
+    return out
+
+
+def csv_chosen(pairs) -> bool:
+    formats_given = [value for flag, value, _ in pairs if flag == "--format"]
+    return bool(formats_given) and formats_given[-1] == "csv"
 
 
 def report_of(out: str, csv: bool) -> dict:
@@ -225,31 +257,45 @@ def report_of(out: str, csv: bool) -> dict:
 def test_verify_argv_fuzz(pairs):
     """Every verify argv ends in 0 with a passing report, or in 2 with one error line.
 
-    An accepted input is never an invariant failure (exit 1).  Usage errors end in argparse's
-    SystemExit, the way the console script ends, after argparse's usage block.
+    An accepted input is never an invariant failure (exit 1).
     """
-    argv = verify_argv(pairs)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), (argv, code, err)
-    if code == 2:
-        assert out == "", argv
-        *usage, line = err.splitlines()
-        assert err.endswith("\n") and line.startswith(("parameter error: ", "ejm verify: error: ")), argv
-        assert not usage or usage[0].startswith("usage: ejm verify"), argv
+    argv = fuzz_argv("verify", pairs)
+    out = run_fuzzed(argv)
+    if out is None:
         return
-    assert err == ""
-    formats_given = [value for flag, value, _ in pairs if flag == "--format"]
-    rep = report_of(out, bool(formats_given) and formats_given[-1] == "csv")
+    rep = report_of(out, csv_chosen(pairs))
     assert tuple(rep) == VERIFY_KEYS, argv
     assert rep["pass"] in (True, "True"), argv
     z, phi, theta = (float(rep[k]) for k in ("z", "phi", "theta"))
     assert Z_MIN <= abs(z) <= 1.0 and -math.pi < phi <= math.pi and 0.0 <= theta <= HALF_PI, argv
+
+
+CIRCUIT_KEYS = (
+    "z", "phi", "theta", "phi_prime",
+    *(f"prep_fidelity_{i}" for i in range(4)),
+    *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")),
+    "permutation_dev",
+)
+BSM_KEYS = ("bsm_equivalence_dev", "bsm_equivalence")
+
+
+@given(st.lists(st.one_of(flag_values, formats, st.just(("--dump", None, False))), max_size=5))
+@example([("--z", repr(-(Z_MIN - 1e-12)), True), ("--dump", None, False)])
+@settings(max_examples=150, deadline=None)
+def test_circuit_argv_fuzz(pairs):
+    """Every circuit argv ends in 0 with a passing report or circuit text, or in 2 with one error line."""
+    argv = fuzz_argv("circuit", pairs)
+    out = run_fuzzed(argv, "error: --dump writes circuit text; --format csv does not apply")
+    if out is None:
+        return
+    if "--dump" in argv:
+        prep, detect = out.split("\n\n")
+        assert Circuit.loads(prep).dumps() + "\n" + Circuit.loads(detect).dumps() == out, argv
+        return
+    rep = report_of(out, csv_chosen(pairs))
+    assert tuple(rep) in (CIRCUIT_KEYS + ("pass",), CIRCUIT_KEYS + BSM_KEYS + ("pass",)), argv
+    assert rep["pass"] in (True, "True"), argv
+    assert rep.get("bsm_equivalence", "pass") == "pass", argv
 
 
 @pytest.mark.parametrize(

@@ -466,7 +466,9 @@ class TestGeometry:
 
 class TestSingleParamReduction:
     def test_phi_choices(self):
-        assert abs(single_param_reduction(1 / SQRT3, 0.3).phi - math.pi / 4) < 1e-7
+        # the double 1/sqrt(3) stands for 1/sqrt(3), and np.sqrt(3)/3, 1 ulp below it, clips onto it
+        for z in (1 / np.sqrt(3), np.sqrt(3) / 3):
+            assert single_param_reduction(z, 0.3).phi == math.pi / 4
         assert abs(single_param_reduction(1 / SQRT2, 0.3).phi - math.pi / 2) < 1e-12
         assert abs(single_param_reduction(1.0, 0.3).phi - 3 * math.pi / 4) < 1e-12
 
