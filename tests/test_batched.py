@@ -316,7 +316,7 @@ def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkey
     [
         (0.7, 0.3, False),
         (-0.8, -2.0, False),
-        (1 / math.sqrt(2), float(ejm.phi_z(1 / math.sqrt(2))) + math.pi / 4, True),
+        (1 / math.sqrt(2), math.pi / 2, True),  # phi_z(1/sqrt(2)) = pi/4, so phi' = pi/4
         (-0.9, float(ejm.phi_z(0.9)) - 5 * math.pi / 4, True),  # phi' = pi/4 - 2 pi
     ],
 )
