@@ -49,6 +49,7 @@ CHECKS = {
     "pairwise_dev": TOL_ALG,
 }
 _TOLERANCES = np.array(list(CHECKS.values()))
+_EYE_UPPER = linalg.I4[ejm._UPPER]  # the entries of I that the three unitarity checks read
 
 # at most this many points per _verify_many block in sweep; bounds its working memory. A block
 # holds about 1 KB per point at its peak (tracemalloc), so 1,400 points take less than 768 did
@@ -153,6 +154,9 @@ def _verify_many(z, phi, theta):
     def worst(x, axes=(-2, -1)):
         return np.abs(x).max(axis=axes)
 
+    def upper_dev(upper, target):  # the ten entries of a Hermitian Gram matrix, from ejm._gram_upper
+        return worst(upper.transpose(*range(1, upper.ndim), 0) - target, -1)
+
     # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
     # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
     # before the basis is held.
@@ -163,18 +167,20 @@ def _verify_many(z, phi, theta):
     del kets
     # max is exact: the larger of the two paths' worst entries is the worst entry of both
     metrics[3] = np.maximum(kets_dev, worst(b - ejm.basis_phi_z_form(p)))
-    gram = ejm.gram_matrix(b)
-    metrics[0] = worst(gram - linalg.I4)
-    metrics[1] = worst(gram - ejm.gram_closed(p))
+    gram = ejm._gram_upper(ejm._kernel(b))
+    metrics[0] = upper_dev(gram, _EYE_UPPER)
+    metrics[1] = upper_dev(gram, ejm.gram_closed(p)[(..., *ejm._UPPER)])
     del gram
-    metrics[2] = ejm.completeness_residual(b)
+    # contiguous for the kernels that read the columns row by row, and the basis goes for the copy
+    amplitudes = np.ascontiguousarray(ejm._kernel(b).swapaxes(0, 1))
+    del b
+    metrics[2] = upper_dev(ejm._gram_upper(amplitudes), _EYE_UPPER)
     # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
     # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
-    amplitudes = ejm._kernel(b).swapaxes(0, 1)
     first, second = states._reduced_blochs(amplitudes)
     conc_dev = states._concurrence(amplitudes) - states._concurrence_closed(SQRT3, p.theta)
     metrics[6] = np.abs(conc_dev).max(axis=0)
-    del b, amplitudes
+    del amplitudes
     closed = ejm._kernel(ejm.reduced_tetrahedron_closed(p)).swapaxes(0, 1)
     metrics[4] = worst(first + second, (0, 1))
     metrics[5] = worst(first - closed, (0, 1))
@@ -189,11 +195,9 @@ def _passes(metrics: np.ndarray) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     p, metrics = _verify_many(args.z, args.phi, args.theta)
-    report = {"z": p.z, "phi": p.phi, "theta": p.theta}
-    report.update(zip(CHECKS, metrics.tolist()))
+    report = {"z": p.z, "phi": p.phi, "theta": p.theta, **dict(zip(CHECKS, metrics.tolist()))}
     # the geometry is checked at every theta; the key stays for report readers
-    report["geometry"] = "ok"
-    report["report_tolerance"] = TOL_TRIG
+    report.update(geometry="ok", report_tolerance=TOL_TRIG)
     ok = bool(_passes(metrics))
     report["pass"] = ok
     _emit_report(report, args)
@@ -217,9 +221,7 @@ def cmd_sweep(args) -> int:
             del metrics  # not held while the next block runs
     # every point passes iff every metric's worst value does; max and maximum keep a NaN
     ok = bool(_passes(worst))
-    agg = dict(zip(CHECKS, worst.tolist()))
-    agg["grid"] = n
-    agg["points"] = int(n**3)
+    agg = dict(zip(CHECKS, worst.tolist()), grid=n, points=n**3)
     agg["pass"] = ok
     _emit_report(agg, args)
     return 0 if ok else 1

@@ -19,7 +19,8 @@ and every diagnostic keeps the leading axes.  A triple of floats is the
 n = 1 case of the same code.  Internally the arrays are point-axis-last: a
 basis is built as (4, 4, ...), state i at [i], so every per-point product is
 an elementwise op on contiguous point vectors, and the public functions
-return the (..., 4, 4) views of those arrays (_public, inverted by _kernel).
+return the (..., 4, 4) views of those arrays (_public, inverted by _kernel);
+gram_matrix and completeness_residual are matmuls on the (..., 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 # vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
-# stacks of at least this many bases form their Gram matrix row by row (_gram)
+_UPPER = np.triu_indices(4)  # the ten entries i <= j of a 4x4 matrix, row by row: all of a Hermitian one
 _GRAM_ROWS = 128
 
 
@@ -183,21 +184,21 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     return _public(_columns(p, pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e)))
 
 
-def _gram(b: np.ndarray) -> np.ndarray:
-    """<Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis, shape (4, 4, ...).
+def _gram_upper(b: np.ndarray) -> np.ndarray:
+    """The _UPPER entries of <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis: (10, ...).
 
-    A stack of _GRAM_ROWS bases or more is summed one row i at a time, so its largest temporary
-    is a (4, 4, ...) product, not (4, 4, 4, ...); numpy sums a row as it sums the whole product,
-    so the two forms agree bit for bit.  Fewer bases take the one product, in fewer calls.
+    _GRAM_ROWS bases or more are summed one row i at a time, so the largest temporary is (4, 4, ...),
+    not (10, 4, ...); fewer take one gathered product, in fewer calls.  numpy's order of the sum over
+    k follows the product's memory layout, so both products are C-ordered, and give the same bits.
     """
     if b.size < 16 * _GRAM_ROWS:
-        return (b.conj()[:, None] * b[None, :]).sum(axis=2)
-    return np.array([(b[i].conj() * b).sum(axis=1) for i in range(4)])
+        return (b.take(_UPPER[0], 0).conj() * b.take(_UPPER[1], 0)).sum(axis=1)
+    return np.concatenate([np.multiply(b[i].conj(), b[i:], order="C").sum(axis=1) for i in range(4)])
 
 
 def gram_matrix(b: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products <Phi_i|Phi_j>, shape (..., 4, 4)."""
-    return _public(_gram(_kernel(b)))
+    return b.conj() @ b.swapaxes(-1, -2)
 
 
 def gram_closed(p: EjmParams) -> np.ndarray:
@@ -212,10 +213,7 @@ def gram_closed(p: EjmParams) -> np.ndarray:
 
 def completeness_residual(b: np.ndarray):
     """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
-    # sum_i b_ik conj(b_il) is the conjugate of the Gram matrix of the amplitude columns, and
-    # |conj(x) - 1| = |x - 1|; I broadcasts against the transpose (..., 4, 4)
-    total = _gram(_kernel(b).swapaxes(0, 1))
-    return _plain(np.abs((total.T - I4).T).max(axis=(0, 1)))
+    return _plain(np.abs(b.swapaxes(-1, -2) @ b.conj() - I4).max(axis=(-2, -1)))
 
 
 def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:

@@ -195,9 +195,9 @@ def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
     m0, m1 = _rotated_pair(z, phi, w)
     norm = np.sqrt(2.0 * a * a + 2.0)
     plus, minus = (a + e_th) / norm, (a - e_th) / norm
-    # |u,v> is the (2, 2) outer product u v^T; the weights scale the 2-vectors, not the products
-    v = (plus * m0)[:, None] * m1[None, :]
-    v += (minus * m1)[:, None] * m0[None, :]
+    # |u,v> is the (2, 2) outer product u v^T, formed at the shape of z and phi before the weights
+    v = plus * (m0[:, None] * m1[None, :])
+    v += minus * (m1[:, None] * m0[None, :])
     return v.reshape((4,) + v.shape[2:])
 
 

@@ -416,6 +416,15 @@ def test_0d_core_equals_the_one_element_core():
                 assert bool(_passes(metrics)) == bool(_passes(metrics1)[0]), (z, phi, theta)
 
 
+EDGE_POINTS = [
+    (0.8, 0.3, 0.2),
+    (-1 / SQRT3, -math.pi, math.pi / 2 - 0.05),
+    (1.0, 2.0, math.pi / 2),
+    (0.7, 1.0, math.pi / 2 - 1e-3),
+    (-0.9, -1.2, math.pi / 2),
+]
+
+
 def _shifted(f, delta=1e-9):
     """f with 1e-9 added to its result."""
 
@@ -439,9 +448,8 @@ def _shifted_input(f, delta=1e-9):
     [
         (ejm, "basis_from_kets"),
         (ejm, "basis_phi_z_form"),
-        (ejm, "gram_matrix"),
+        (ejm, "_gram_upper"),
         (ejm, "gram_closed"),
-        (ejm, "completeness_residual"),
         (states, "_reduced_blochs"),
         (ejm, "reduced_tetrahedron_closed"),
         (states, "_concurrence_closed"),
@@ -450,25 +458,79 @@ def _shifted_input(f, delta=1e-9):
 )
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
     # the unchecked cores are what _verify_many calls; the public concurrence_closed,
-    # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too
+    # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too.
+    # verify_one reads the Gram entries through the public matmul forms, which the same shift
+    # reaches to within rounding: |x + 1e-9| of an entry x of order 1e-16 is 1e-9 + O(1e-16)
     tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
-    original = getattr(module, name)
-    replace_everywhere(monkeypatch, original, tamper(original))
-    points = [
-        (0.8, 0.3, 0.2),
-        (-1 / SQRT3, -math.pi, math.pi / 2 - 0.05),
-        (1.0, 2.0, math.pi / 2),
-        (0.7, 1.0, math.pi / 2 - 1e-3),
-        (-0.9, -1.2, math.pi / 2),
-    ]
-    _, metrics = _verify_many(*(np.array(column) for column in zip(*points)))
+    mirrored = ("gram_matrix", "completeness_residual") if name == "_gram_upper" else ()
+    for each in (name, *mirrored):
+        original = getattr(module, each)
+        replace_everywhere(monkeypatch, original, tamper(original))
+    _, metrics = _verify_many(*(np.array(column) for column in zip(*EDGE_POINTS)))
     rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
-    for n, triple in enumerate(points):
+    for n, triple in enumerate(EDGE_POINTS):
         want = verify_one(EjmParams(*triple))
         assert verify_pass(want) is False
         assert not passed[n]
         for k in CHECK_KEYS:
             assert abs(rep[k][n] - want[k]) <= METRIC_TOL, k
+
+
+def full_form_checks(p: EjmParams, b: np.ndarray) -> np.ndarray:
+    """gram_dev, gram_closed_dev and completeness_residual of a basis, over all 16 entries of each."""
+    gram, columns = (
+        ejm._public(np.multiply(x.conj()[:, None], x[None, :], order="C").sum(axis=2))
+        for x in (ejm._kernel(b), ejm._kernel(b).swapaxes(0, 1))
+    )
+    # the columns' Gram matrix is the conjugate of sum_i |Phi_i><Phi_i|, and |conj(x) - 1| = |x - 1|
+    return np.array([
+        np.abs(gram - linalg.I4).max(axis=(-2, -1)),
+        np.abs(gram - ejm.gram_closed(p)).max(axis=(-2, -1)),
+        np.abs(columns - linalg.I4).max(axis=(-2, -1)),
+    ])
+
+
+def _scaled_amplitude(b):
+    b[..., 1, 0] *= 1 + 1e-9
+
+
+def _swapped_states(b):
+    b[..., [1, 3], :] = b[..., [3, 1], :]
+
+
+def _shifted_phase(b):
+    b[..., 2, :] *= np.exp(0.5j)
+
+
+@pytest.mark.parametrize("n", [len(EDGE_POINTS), 200])
+@pytest.mark.parametrize(
+    "fault,seen", [(_scaled_amplitude, True), (_swapped_states, False), (_shifted_phase, False)]
+)
+def test_gram_triangle_sees_what_the_full_form_sees(monkeypatch, n, fault, seen):
+    # the three unitarity checks read ten entries i <= j of each Hermitian matrix: on a faulted
+    # basis they equal the checks over all 16 entries, to rtol 1e-12 on what the fault shows and
+    # one ulp of 1 on rounding, with the same pass flags. A swap of two states or the phase of one
+    # keeps the basis orthonormal and complete, so no form fails it; the path check does. 200
+    # points take the row-by-row form, five the gathered one
+    rng = np.random.default_rng(n)
+    z = rng.choice((-1.0, 1.0), n) * rng.uniform(1 / SQRT3, 1.0, n)
+    drawn = zip(z, rng.uniform(-math.pi, math.pi, n), rng.uniform(0.0, math.pi / 2, n))
+    z, phi, theta = np.array([*EDGE_POINTS, *drawn][:n]).T
+    build = ejm.build_basis
+
+    def faulted(p):
+        b = build(p).copy(order="K")  # the point-axis-last layout of the core
+        fault(b)
+        return b
+
+    monkeypatch.setattr(ejm, "build_basis", faulted)
+    p, metrics = _verify_many(z, phi, theta)
+    want = full_form_checks(p, faulted(p))
+    np.testing.assert_allclose(metrics[:3], want, rtol=1e-12, atol=2.0**-52)
+    passed = metrics[:3] < cli.TOL_ALG
+    assert np.array_equal(passed, want < cli.TOL_ALG)
+    assert (~passed).all() if seen else passed.all()
+    assert not _passes(metrics).any()
 
 
 TOLERANCES = {

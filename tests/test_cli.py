@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,49 @@ def test_circuit_argv_fuzz(pairs):
     assert tuple(rep) in (CIRCUIT_KEYS + ("pass",), CIRCUIT_KEYS + BSM_KEYS + ("pass",)), argv
     assert rep["pass"] in (True, "True"), argv
     assert rep.get("bsm_equivalence", "pass") == "pass", argv
+
+
+SWEEP_KEYS = (*VERIFY_KEYS[3:12], "grid", "points", "pass")
+# --grid edges: below 2 in both signs, the smallest grids, and forms int() rejects; at most 7,
+# a 343-point grid, so the slice stays fast
+GRID_POOL = ("-3", "0", "1", "2", "3", "7", "3.0", "1e3", "--", "abc", "")
+OUT = object()  # stands for a file under the example's own directory
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("--grid"), st.sampled_from(GRID_POOL), st.booleans()),
+            formats,
+            st.tuples(st.just("--out"), st.just(OUT), st.booleans()),
+        ),
+        max_size=4,
+    )
+)
+# always tried: a report in CSV to --out, and a grid below 2 given as a separate negative value
+@example([("--grid", "7", False), ("--out", OUT, True), ("--format", "csv", False)])
+@example([("--out", OUT, False), ("--grid", "-3", False)])
+@settings(max_examples=60, deadline=None)
+def test_sweep_argv_fuzz(pairs):
+    """Every sweep argv ends in 0 with a passing report, to stdout or to --out, or in 2 with one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "report")
+        pairs = [(flag, out_path if value is OUT else value, joined) for flag, value, joined in pairs]
+        argv = fuzz_argv("sweep", pairs)
+        out = run_fuzzed(argv, "error: --grid must be >= 2")
+        if out is None:
+            assert not os.path.exists(out_path), argv
+            return
+        if any(flag == "--out" for flag, _, _ in pairs):
+            assert out == "", argv
+            with open(out_path) as fh:
+                out = fh.read()
+    rep = report_of(out, csv_chosen(pairs))
+    assert tuple(rep) == SWEEP_KEYS, argv
+    assert rep["pass"] in (True, "True"), argv
+    grids = [value for flag, value, _ in pairs if flag == "--grid"]
+    n = int(grids[-1]) if grids else 6
+    assert (int(rep["grid"]), int(rep["points"])) == (n, n**3), argv
 
 
 @pytest.mark.parametrize(
