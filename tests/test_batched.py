@@ -448,8 +448,9 @@ def _shifted_input(f, delta=1e-9):
     [
         (ejm, "basis_from_kets"),
         (ejm, "basis_phi_z_form"),
-        (ejm, "_gram_upper"),
+        (ejm, "gram_matrix"),
         (ejm, "gram_closed"),
+        (ejm, "completeness_residual"),
         (states, "_reduced_blochs"),
         (ejm, "reduced_tetrahedron_closed"),
         (states, "_concurrence_closed"),
@@ -459,14 +460,25 @@ def _shifted_input(f, delta=1e-9):
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
     # the unchecked cores are what _verify_many calls; the public concurrence_closed,
     # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too.
-    # verify_one reads the Gram entries through the public matmul forms, which the same shift
-    # reaches to within rounding: |x + 1e-9| of an entry x of order 1e-16 is 1e-9 + O(1e-16)
+    # verify_one reads the Gram entries through the public matmul forms, _verify_many through
+    # ejm._gram_upper: of the rows first (gram_matrix), then of the columns (completeness_residual).
+    # The same shift reaches both to within rounding: |x + 1e-9| of an x of order 1e-16 is 1e-9 + O(1e-16)
     tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
-    mirrored = ("gram_matrix", "completeness_residual") if name == "_gram_upper" else ()
-    for each in (name, *mirrored):
-        original = getattr(module, each)
-        replace_everywhere(monkeypatch, original, tamper(original))
+    original = getattr(module, name)
+    replace_everywhere(monkeypatch, original, tamper(original))
+    core_call = {"gram_matrix": 0, "completeness_residual": 1}.get(name)
+    if core_call is not None:
+        calls = []
+        upper = ejm._gram_upper
+
+        def tampered_upper(b):
+            calls.append(b.shape)
+            return _shifted(upper)(b) if len(calls) - 1 == core_call else upper(b)
+
+        monkeypatch.setattr(ejm, "_gram_upper", tampered_upper)
     _, metrics = _verify_many(*(np.array(column) for column in zip(*EDGE_POINTS)))
+    if core_call is not None:
+        assert len(calls) == 2
     rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
     for n, triple in enumerate(EDGE_POINTS):
         want = verify_one(EjmParams(*triple))
