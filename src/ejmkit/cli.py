@@ -27,39 +27,9 @@ import sys
 
 import numpy as np
 
-from . import circuits, ejm, linalg, states
+from . import circuits, ejm, states
 from .ejm import EjmParams
 from .states import SQRT2, SQRT3, ParameterRangeError
-
-# pass/fail tolerances
-TOL_ALG = 1e-12
-TOL_PATH = 1e-11
-TOL_TRIG = 1e-10
-
-# verify metric -> the bound it must stay below, at every point
-CHECKS = {
-    "gram_dev": TOL_ALG,
-    "gram_closed_dev": TOL_ALG,
-    "completeness_residual": TOL_ALG,
-    "path_agreement_dev": TOL_PATH,
-    "antisymmetry_dev": TOL_ALG,
-    "reduced_closed_dev": TOL_TRIG,
-    "concurrence_dev": TOL_TRIG,
-    "modulus_dev": TOL_TRIG,
-    "pairwise_dev": TOL_ALG,
-}
-_TOLERANCES = np.array(list(CHECKS.values()))
-_EYE_UPPER = linalg.I4[ejm._UPPER]  # the entries of I that the three unitarity checks read
-
-# at most this many points per _verify_many block in sweep; bounds its working memory. A block
-# holds about 1 KB per point at its peak (tracemalloc), so 1,400 points take less than 768 did
-# when the core held 2.2 KB per point. 1,728 ran 3 % more points per second on grids 10-14 but
-# raised the peak RSS by 1.4 %: the larger temporaries fragment the heap more.
-SWEEP_CHUNK = 1400
-# freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB, so the sweep
-# blocks reuse their freed temporaries instead of faulting them in again. Once, at import: a second
-# such array would come from the heap, whose pages numpy would then mark for huge pages.
-np.empty(1 << 21)
 
 # Reference blocks: (z, phi) and, per state index, the unit vector m_i as a
 # sign pattern times z.  The side-first reduced vector of state i is
@@ -80,8 +50,7 @@ def _emit(rows, header, args):
     """Write a table as CSV or JSON (list of objects) per the format flag."""
     if args.format == "csv":
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines += (",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
         _write("\n".join(lines) + "\n", args)
     else:
         # json.dumps(rows, indent=2) for flat, non-empty rows, through the C encoder, which indent
@@ -131,105 +100,33 @@ def _fail(code: int, message: str) -> int:
 def cmd_basis(args) -> int:
     p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
     b = ejm.build_basis(p)
-    rows = []
-    for i, s in enumerate(b):
-        for k, lab in enumerate(("00", "01", "10", "11")):
-            rows.append([i, lab, float(s[k].real), float(s[k].imag), p.phi_z, p.theta0])
+    rows = [[i, lab, float(a.real), float(a.imag), p.phi_z, p.theta0]
+            for i, s in enumerate(b) for lab, a in zip(("00", "01", "10", "11"), s)]
     _emit(rows, ["state", "basis", "re", "im", "phi_z", "theta0"], args)
     return 0
 
 
-def _verify_many(z, phi, theta):
-    """(p, metrics): the EjmParams of z, phi and theta, and every verify metric at once.
-
-    metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
-    and theta; three floats are the n = 1 case, the same code on 0-d parameters.  Runs the
-    three construction paths and all diagnostics on the stacked basis; a factor that depends
-    on fewer of the axes is computed at their shape.  The arrays are point-axis-last in memory,
-    so each comparison is elementwise over contiguous points.  Every metric is finite on the
-    whole domain, theta = pi/2 included.
-    """
-    p = EjmParams(z=z, phi=phi, theta=theta)
-
-    def worst(x, axes=(-2, -1)):
-        return np.abs(x).max(axis=axes)
-
-    def upper_dev(upper, target):  # the ten entries of a Hermitian Gram matrix, from ejm._gram_upper
-        return worst(upper.transpose(*range(1, upper.ndim), 0) - target, -1)
-
-    # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
-    # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
-    # before the basis is held.
-    metrics = np.empty((len(CHECKS), *p.shape))
-    kets = ejm.basis_from_kets(p)
-    b = ejm.build_basis(p)
-    kets_dev = worst(b - kets)
-    del kets
-    # max is exact: the larger of the two paths' worst entries is the worst entry of both
-    metrics[3] = np.maximum(kets_dev, worst(b - ejm.basis_phi_z_form(p)))
-    gram = ejm._gram_upper(ejm._kernel(b))
-    metrics[0] = upper_dev(gram, _EYE_UPPER)
-    metrics[1] = upper_dev(gram, ejm.gram_closed(p)[(..., *ejm._UPPER)])
-    del gram
-    # contiguous for the kernels that read the columns row by row, and the basis goes for the copy
-    amplitudes = np.ascontiguousarray(ejm._kernel(b).swapaxes(0, 1))
-    del b
-    metrics[2] = upper_dev(ejm._gram_upper(amplitudes), _EYE_UPPER)
-    # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
-    # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
-    first, second = states._reduced_blochs(amplitudes)
-    conc_dev = states._concurrence(amplitudes) - states._concurrence_closed(SQRT3, p.theta)
-    metrics[6] = np.abs(conc_dev).max(axis=0)
-    del amplitudes
-    closed = ejm._kernel(ejm.reduced_tetrahedron_closed(p)).swapaxes(0, 1)
-    metrics[4] = worst(first + second, (0, 1))
-    metrics[5] = worst(first - closed, (0, 1))
-    metrics[7], metrics[8] = ejm._tetrahedron_geometry(first, p.cos_theta)
-    return p, metrics
-
-
-def _passes(metrics: np.ndarray) -> np.ndarray:
-    """Per-point pass flags of _verify_many metrics; a NaN metric fails."""
-    return (metrics < _TOLERANCES.reshape(-1, *(1,) * (metrics.ndim - 1))).all(axis=0)
-
-
 def cmd_verify(args) -> int:
-    p, metrics = _verify_many(args.z, args.phi, args.theta)
-    report = {"z": p.z, "phi": p.phi, "theta": p.theta, **dict(zip(CHECKS, metrics.tolist()))}
+    p, metrics = ejm.verify_many(args.z, args.phi, args.theta)
+    report = {"z": p.z, "phi": p.phi, "theta": p.theta, **dict(zip(ejm.CHECKS, metrics.tolist()))}
     # the geometry is checked at every theta; the key stays for report readers
-    report.update(geometry="ok", report_tolerance=TOL_TRIG)
-    ok = bool(_passes(metrics))
-    report["pass"] = ok
+    report.update(geometry="ok", report_tolerance=ejm.TOL_TRIG)
+    report["pass"] = ok = ejm.passes(ejm.CHECKS, metrics)
     _emit_report(report, args)
     return 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
     n = args.grid
-    z = np.linspace(ejm.Z_MIN, 1.0, n)
-    phi = np.linspace(-math.pi, math.pi, n)
-    theta = np.linspace(0.0, math.pi / 2, n)
-    # (z, phi-range, all theta) blocks of about SWEEP_CHUNK points: whole z slabs
-    # while N^2 fits, so each per-axis factor is computed once per axis value
-    dz = max(1, SWEEP_CHUNK // n**2)
-    dphi = min(n, max(1, SWEEP_CHUNK // n))
-    worst = np.zeros(len(CHECKS))
-    for i in range(0, n, dz):
-        for j in range(0, n, dphi):
-            metrics = _verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
-            worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
-            del metrics  # not held while the next block runs
-    # every point passes iff every metric's worst value does; max and maximum keep a NaN
-    ok = bool(_passes(worst))
-    agg = dict(zip(CHECKS, worst.tolist()), grid=n, points=n**3)
-    agg["pass"] = ok
+    worst = ejm.sweep_worst(n)
+    agg = dict(zip(ejm.CHECKS, worst.tolist()), grid=n, points=n**3)
+    agg["pass"] = ok = ejm.passes(ejm.CHECKS, worst)
     _emit_report(agg, args)
     return 0 if ok else 1
 
 
 def cmd_table1(args) -> int:
-    rows = []
-    ok = True
+    rows, devs = [], []
     for z, phi, m_signs in TABLE1_BLOCKS:
         p = EjmParams(z=z, phi=phi, theta=args.theta)
         m = states.unit_vector_m(p.zs, p.phis)
@@ -237,14 +134,13 @@ def cmd_table1(args) -> int:
         first = states._reduced_blochs(b.T)[0].T
         m_dev = np.abs(m - z * np.array(m_signs, dtype=float)).max()
         r_dev = np.abs(first - 0.5 * math.cos(p.theta) * REDUCED_SIGNS).max()
-        norm_dev = np.abs(np.linalg.norm(b, axis=-1) - 1.0).max()
-        # norm_dev at require_normalized's bound fails a broken basis; a NaN deviation fails
-        ok = ok and bool(m_dev < TOL_TRIG and r_dev < TOL_TRIG and norm_dev < linalg.ATOL_TRIG)
+        devs.append((m_dev, r_dev, np.abs(np.linalg.norm(b, axis=-1) - 1.0).max()))
         table = np.column_stack([p.zs, p.phis, m, first]).tolist()
         rows += ([float(z), float(phi), p.phi_z, i, *row] for i, row in enumerate(table))
     header = ["z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z"]
     _emit(rows, header, args)
-    return 0 if ok else 1
+    # the worst of each deviation over the blocks; max keeps a NaN
+    return 0 if ejm.passes(ejm.TABLE1_CHECKS, np.max(devs, axis=0)) else 1
 
 
 def cmd_concurrence(args) -> int:
@@ -255,7 +151,7 @@ def cmd_concurrence(args) -> int:
     slice_vals = states.concurrence_closed(SQRT3, thetas)
     rows += (["slice", SQRT3, th, c] for th, c in zip(thetas, slice_vals.tolist()))
     _emit(rows, ["kind", "a", "theta", "concurrence"], args)
-    ok = abs(slice_vals.min() - 0.5) < TOL_ALG and abs(slice_vals.max() - 1.0) < TOL_ALG
+    ok = ejm.passes(ejm.CONCURRENCE_CHECKS, [abs(slice_vals.min() - 0.5), abs(slice_vals.max() - 1.0)])
     return 0 if ok else 1
 
 
@@ -263,10 +159,8 @@ def cmd_concurrence(args) -> int:
 _DETECTION_PERMUTATION = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
 _U2 = circuits.local_unitary_u2()
 # report keys of the four fidelities and the 4x4 outcome matrix, in row order
-_CIRCUIT_KEYS = (
-    *(f"prep_fidelity_{i}" for i in range(4)),
-    *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")),
-)
+_CIRCUIT_KEYS = (*(f"prep_fidelity_{i}" for i in range(4)),
+                 *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")))
 
 
 def cmd_circuit(args) -> int:
@@ -299,10 +193,9 @@ def cmd_circuit(args) -> int:
         bsm = circuits.Circuit(tuple(g for g in detect.gates if g.name != "CRY"))
         dev = circuits.global_phase_deviation(detect.unitary(), bsm.unitary())
         report["bsm_equivalence_dev"] = dev
-        report["bsm_equivalence"] = "pass" if dev < TOL_TRIG else "fail"
+        report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 
-    ok = perm_dev < TOL_TRIG and bool((fidelities >= 1.0 - TOL_TRIG).all())
-    report["pass"] = ok
+    report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, (1.0 - fidelities).max()])
     _emit_report(report, args)
     return 0 if ok else 1
 

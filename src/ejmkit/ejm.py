@@ -30,19 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I4, require_normalized
-from .states import (
-    SQRT2,
-    SQRT3,
-    _THETA,
-    _freeze,
-    _in_range,
-    _phi_tensor,
-    _plain,
-    _reduced_blochs,
-    _root_1mz2,
-    wrap_angle,
-)
+from .linalg import ATOL_TRIG, I4, require_normalized
+from .states import SQRT2, SQRT3, _THETA, _concurrence, _concurrence_closed, _freeze, _in_range
+from .states import _phi_tensor, _plain, _reduced_blochs, _root_1mz2, wrap_angle
 
 Z_MIN = 1.0 / SQRT3
 # a range rule of states._in_range, laid out as the rules there
@@ -54,7 +44,41 @@ Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 # vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
 _UPPER = np.triu_indices(4)  # the ten entries i <= j of a 4x4 matrix, row by row: all of a Hermitian one
+_EYE_UPPER = I4[_UPPER]  # the entries of I that the three unitarity checks read
 _GRAM_ROWS = 128
+
+# pass/fail tolerances, and per report a table of each metric -> the bound it must stay below (passes).
+# CHECKS is verify_many's, in the order of its metric axis; verify and sweep apply it at every point
+TOL_ALG = 1e-12
+TOL_PATH = 1e-11
+TOL_TRIG = 1e-10
+CHECKS = {
+    "gram_dev": TOL_ALG,
+    "gram_closed_dev": TOL_ALG,
+    "completeness_residual": TOL_ALG,
+    "path_agreement_dev": TOL_PATH,
+    "antisymmetry_dev": TOL_ALG,
+    "reduced_closed_dev": TOL_TRIG,
+    "concurrence_dev": TOL_TRIG,
+    "modulus_dev": TOL_TRIG,
+    "pairwise_dev": TOL_ALG,
+}
+# table1's worst over its blocks; norm_dev at require_normalized's bound fails a broken basis
+TABLE1_CHECKS = {"m_dev": TOL_TRIG, "r_dev": TOL_TRIG, "norm_dev": ATOL_TRIG}
+# the sqrt(3) slice of concurrence runs from 1/2 to 1: |min - 1/2| and |max - 1|
+CONCURRENCE_CHECKS = {"slice_min_dev": TOL_ALG, "slice_max_dev": TOL_ALG}
+# every fidelity f >= fl(1 - TOL_TRIG). 1 - f is exact for f >= 1/2 (Sterbenz), so the worst loss
+# 1 - f passes iff it is at most 1 - fl(1 - TOL_TRIG), that is below the next double up
+CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": np.nextafter(1 - (1 - TOL_TRIG), 1)}
+BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
+
+# at most this many points per verify_many block in sweep_worst, at about 1 KB each (tracemalloc):
+# 1,728 ran 3 % more points per second on grids 10-14, but fragmented the heap to 1.4 % more peak RSS
+SWEEP_CHUNK = 1400
+# freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB for the process,
+# so large temporaries, the sweep blocks' among them, are reused instead of faulted in again. Once,
+# at import: a second such array would come from the heap, whose pages numpy would mark for huge pages.
+np.empty(1 << 21)
 
 
 def sng(x):
@@ -264,6 +288,89 @@ def _tetrahedron_geometry(vectors: np.ndarray, cos):
     modulus_dev = np.abs(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos).max(axis=0)
     pairwise_dev = np.abs(dots[4:] + cos * cos / 4.0).max(axis=0) / cos
     return _plain(modulus_dev), _plain(pairwise_dev)
+
+
+def verify_many(z, phi, theta):
+    """(p, metrics): the EjmParams of z, phi and theta, and every verify metric at once.
+
+    metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
+    and theta; three floats are the n = 1 case, the same code on 0-d parameters.  Runs the
+    three construction paths and all diagnostics on the stacked basis; a factor that depends
+    on fewer of the axes is computed at their shape.  The arrays are point-axis-last in memory,
+    so each comparison is elementwise over contiguous points.  Every metric is finite on the
+    whole domain, theta = pi/2 included.
+    """
+    p = EjmParams(z=z, phi=phi, theta=theta)
+
+    def worst(x, axes=(-2, -1)):
+        return np.abs(x).max(axis=axes)
+
+    def upper_dev(upper, target):  # the ten entries of a Hermitian Gram matrix, from _gram_upper
+        return worst(upper.transpose(*range(1, upper.ndim), 0) - target, -1)
+
+    # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
+    # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
+    # before the basis is held.
+    metrics = np.empty((len(CHECKS), *p.shape))
+    kets = basis_from_kets(p)
+    b = build_basis(p)
+    kets_dev = worst(b - kets)
+    del kets
+    # max is exact: the larger of the two paths' worst entries is the worst entry of both
+    metrics[3] = np.maximum(kets_dev, worst(b - basis_phi_z_form(p)))
+    gram = _gram_upper(_kernel(b))
+    metrics[0] = upper_dev(gram, _EYE_UPPER)
+    metrics[1] = upper_dev(gram, gram_closed(p)[(..., *_UPPER)])
+    del gram
+    # contiguous for the kernels that read the columns row by row, and the basis goes for the copy
+    amplitudes = np.ascontiguousarray(_kernel(b).swapaxes(0, 1))
+    del b
+    metrics[2] = upper_dev(_gram_upper(amplitudes), _EYE_UPPER)
+    # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
+    # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
+    first, second = _reduced_blochs(amplitudes)
+    conc_dev = _concurrence(amplitudes) - _concurrence_closed(SQRT3, p.theta)
+    metrics[6] = np.abs(conc_dev).max(axis=0)
+    del amplitudes
+    closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
+    metrics[4] = worst(first + second, (0, 1))
+    metrics[5] = worst(first - closed, (0, 1))
+    metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
+    return p, metrics
+
+
+def sweep_worst(n: int) -> np.ndarray:
+    """The worst of each CHECKS metric over the grid of n values each of z, phi and theta, ends included.
+
+    They pass iff every point does: np.maximum keeps a NaN.  Runs (z, phi-range, all theta) blocks of at
+    most SWEEP_CHUNK points, whole z slabs while n^2 fits, so each per-axis factor is formed once.
+    """
+    z = np.linspace(Z_MIN, 1.0, n)
+    phi = np.linspace(-math.pi, math.pi, n)
+    theta = np.linspace(0.0, math.pi / 2, n)
+    dz = max(1, SWEEP_CHUNK // n**2)
+    dphi = min(n, max(1, SWEEP_CHUNK // n))
+    worst = np.zeros(len(CHECKS))
+    for i in range(0, n, dz):
+        for j in range(0, n, dphi):
+            metrics = verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
+            worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
+            del metrics  # not held while the next block runs
+    return worst
+
+
+def passes(checks: dict, values):
+    """value < bound for every metric of a {metric: bound} table, so a NaN fails.
+
+    values holds the metrics in table order along its first axis, as verify_many's do; floats give
+    a bool, arrays one flag per point.
+    """
+    values = np.asarray(values)
+    if len(values) != len(checks):  # a shorter axis would broadcast against every bound
+        raise ValueError(f"expected {len(checks)} metric values, got {len(values)}")
+    bounds = np.fromiter(checks.values(), float).reshape(-1, *(1,) * (values.ndim - 1))
+    ok = (values < bounds).all(axis=0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def single_param_reduction(z, theta) -> EjmParams:

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ejmkit import cli, ejm, linalg, states
-from ejmkit.cli import _passes, _verify_many, main
-from ejmkit.ejm import EjmParams
+from ejmkit import ejm, linalg, states
+from ejmkit.cli import main
+from ejmkit.ejm import CHECKS, EjmParams, passes, verify_many
 
 SQRT3 = math.sqrt(3.0)
 METRIC_TOL = 1e-14
@@ -125,7 +125,7 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
     A chunk of N^2 points or more runs whole z slabs (5, 50); a smaller one
     splits each slab along phi (5, 12) and (3, 6).
     """
-    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    monkeypatch.setattr(ejm, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     want = sweep_oracle(n)
     assert list(got) == list(want)
@@ -134,7 +134,7 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
     # a worst value planted in the second block must outlive every later block
-    verify_many, sizes = cli._verify_many, []
+    verify_many, sizes = ejm.verify_many, []
 
     def planted(*columns):
         p, metrics = verify_many(*columns)
@@ -143,7 +143,7 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
             metrics[:, -1] = 0.5
         return p, metrics
 
-    monkeypatch.setattr(cli, "_verify_many", planted)
+    monkeypatch.setattr(ejm, "verify_many", planted)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     assert sum(sizes) == n**3
     assert len(sizes) > 2
@@ -151,6 +151,26 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
     assert (got["pass"], code) == (False, 1)
     for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
         assert got[k] == 0.5, k
+
+
+def test_sweep_keeps_a_nan_of_one_point(capsys, monkeypatch):
+    # np.maximum carries a NaN metric of one point in one block to the report, which fails on it
+    monkeypatch.setattr(ejm, "SWEEP_CHUNK", 6)
+    verify_many, sizes = ejm.verify_many, []
+
+    def planted(*columns):
+        p, metrics = verify_many(*columns)
+        sizes.append(metrics[0].size)
+        if len(sizes) == 3:
+            metrics[6].flat[1] = math.nan
+        return p, metrics
+
+    monkeypatch.setattr(ejm, "verify_many", planted)
+    code, got = run_json(capsys, "sweep", "--grid", "3")
+    assert sizes == [6, 3] * 3
+    assert math.isnan(got["concurrence_dev"])
+    assert all(math.isfinite(got[k]) for k in CHECKS if k != "concurrence_dev")
+    assert (got["pass"], code) == (False, 1)
 
 
 def flat_sweep(n: int) -> tuple:
@@ -162,11 +182,11 @@ def flat_sweep(n: int) -> tuple:
     )
     agg: dict = {}
     ok = True
-    for start in range(0, n**3, cli.SWEEP_CHUNK):
-        flat = np.arange(start, min(start + cli.SWEEP_CHUNK, n**3))
-        _, metrics = _verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
-        ok = ok and bool(_passes(metrics).all())
-        for k, row in zip(cli.CHECKS, metrics):
+    for start in range(0, n**3, ejm.SWEEP_CHUNK):
+        flat = np.arange(start, min(start + ejm.SWEEP_CHUNK, n**3))
+        _, metrics = verify_many(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, (n, n, n)))))
+        ok = ok and bool(passes(CHECKS, metrics).all())
+        for k, row in zip(CHECKS, metrics):
             agg[k] = float(np.maximum.reduce(row, initial=agg.get(k, 0.0)))
     agg["grid"] = n
     agg["points"] = int(n**3)
@@ -184,7 +204,7 @@ def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
     None runs the default SWEEP_CHUNK; a chunk of n^3 or more runs the grid in one block.
     """
     if chunk is not None:
-        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(ejm, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     want, want_code = flat_sweep(n)
     assert list(got) == list(want)
@@ -193,15 +213,15 @@ def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
 
 
 def record_blocks(monkeypatch) -> list:
-    """The point count of every _verify_many block that cmd_sweep runs from now on."""
-    verify_many, sizes = cli._verify_many, []
+    """The point count of every verify_many block that sweep_worst runs from now on."""
+    verify_many, sizes = ejm.verify_many, []
 
     def recorded(*columns):
         p, metrics = verify_many(*columns)
         sizes.append(metrics[0].size)
         return p, metrics
 
-    monkeypatch.setattr(cli, "_verify_many", recorded)
+    monkeypatch.setattr(ejm, "verify_many", recorded)
     return sizes
 
 
@@ -211,9 +231,9 @@ def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     assert (code, got["pass"]) == (0, True)
     assert sum(sizes) == n**3
-    assert max(sizes) <= cli.SWEEP_CHUNK
+    assert max(sizes) <= ejm.SWEEP_CHUNK
     # whole z slabs while N^2 fits in a block, phi ranges of whole theta lines beyond
-    unit = n**2 if n**2 <= cli.SWEEP_CHUNK else n
+    unit = n**2 if n**2 <= ejm.SWEEP_CHUNK else n
     assert all(size % unit == 0 for size in sizes)
 
 
@@ -239,7 +259,7 @@ def test_verify_many_block_peak_memory():
     z = np.linspace(ejm.Z_MIN, 1.0, 14)[:7, None, None]
     phi = np.linspace(-math.pi, math.pi, 14)[None, :, None]
     theta = np.linspace(0.0, math.pi / 2, 14)
-    assert traced_peak(lambda: _verify_many(z, phi, theta)) <= BLOCK_PEAK_BYTES
+    assert traced_peak(lambda: verify_many(z, phi, theta)) <= BLOCK_PEAK_BYTES
 
 
 def test_sweep_request_peak_memory(capsys):
@@ -269,8 +289,8 @@ def count_calls(monkeypatch, original) -> list:
 def verify_random_points():
     rng = np.random.default_rng(64)
     z = rng.uniform(1 / SQRT3, 1.0, 64) * rng.choice((-1.0, 1.0), 64)
-    _, metrics = _verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
-    assert _passes(metrics).all()
+    _, metrics = verify_many(z, rng.uniform(-math.pi, math.pi, 64), rng.uniform(0.0, math.pi / 2, 64))
+    assert passes(CHECKS, metrics).all()
 
 
 def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
@@ -290,7 +310,7 @@ def test_verify_many_checks_theta_once(monkeypatch):
     # EjmParams checks theta; the closed-form concurrence and the geometry take it as checked
     calls = count_calls(monkeypatch, states._in_range)
     verify_random_points()
-    # the theta0 rule is a half-angle rule too: _verify_many must not check it at all
+    # the theta0 rule is a half-angle rule too: verify_many must not check it at all
     assert [a[1:] for a in calls if a[1:] in (states._THETA, states._THETA0)] == [states._THETA]
 
 
@@ -372,8 +392,8 @@ triples = st.tuples(
 @settings(max_examples=60, deadline=None)
 def test_verify_many_equals_scalar_calls(points):
     z, phi, theta = (np.array(column) for column in zip(*points))
-    p, metrics = _verify_many(z, phi, theta)
-    rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
+    p, metrics = verify_many(z, phi, theta)
+    rep, passed = dict(zip(CHECKS, metrics)), passes(CHECKS, metrics)
     for n, triple in enumerate(points):
         want = verify_one(EjmParams(*triple))
         assert (p.z[n], p.phi[n], p.theta[n]) == (want["z"], want["phi"], want["theta"])
@@ -383,20 +403,20 @@ def test_verify_many_equals_scalar_calls(points):
 
 
 def test_verify_many_on_floats_is_the_0d_case():
-    p, metrics = _verify_many(-0.7, 0.3, 0.4)
+    p, metrics = verify_many(-0.7, 0.3, 0.4)
     assert p.shape == ()
     assert [type(v) for v in (p.z, p.phi, p.theta)] == [float, float, float]
-    assert metrics.shape == (len(cli.CHECKS),)
+    assert metrics.shape == (len(CHECKS),)
 
 
 def test_verify_request_runs_the_core_on_its_floats(capsys, monkeypatch):
-    verify_many, calls = cli._verify_many, []
+    verify_many, calls = ejm.verify_many, []
 
     def recorded(*args):
         calls.append(args)
         return verify_many(*args)
 
-    monkeypatch.setattr(cli, "_verify_many", recorded)
+    monkeypatch.setattr(ejm, "verify_many", recorded)
     assert main(["verify", "--z=-0.7", "--phi=0.3", "--theta=0.4"]) == 0
     assert calls == [(-0.7, 0.3, 0.4)]
     assert [type(v) for v in calls[0]] == [float, float, float]
@@ -409,11 +429,36 @@ def test_0d_core_equals_the_one_element_core():
     for z in (sign * m for m in magnitudes for sign in (1.0, -1.0)):
         for phi in (math.pi, -math.pi, rng.uniform(-math.pi, math.pi)):
             for theta in (math.pi / 2, rng.uniform(0.0, math.pi / 2)):
-                p, metrics = _verify_many(z, phi, theta)
-                p1, metrics1 = _verify_many([z], [phi], [theta])
+                p, metrics = verify_many(z, phi, theta)
+                p1, metrics1 = verify_many([z], [phi], [theta])
                 assert (p.z, p.phi, p.theta) == (p1.z[0], p1.phi[0], p1.theta[0])
                 assert np.abs(metrics - metrics1[:, 0]).max() <= METRIC_TOL, (z, phi, theta)
-                assert bool(_passes(metrics)) == bool(_passes(metrics1)[0]), (z, phi, theta)
+                assert bool(passes(CHECKS, metrics)) == bool(passes(CHECKS, metrics1)[0]), (z, phi, theta)
+
+
+def test_reductions_see_a_fault_in_one_vertex_or_one_state(monkeypatch):
+    # modulus_dev and pairwise_dev take the worst vertex and pair, concurrence_dev the worst state:
+    # one faulty vertex or state of four shows in full, and the pairwise dots are read over cos theta
+    reduced_blochs, concurrence = ejm._reduced_blochs, ejm._concurrence
+
+    def one_vertex(amplitudes):
+        tet = reduced_blochs(amplitudes)
+        tet[:, :, 2] *= 1.0 + 1e-6  # both sides of vertex 2: its length and its three dots
+        return tet
+
+    def one_state(amplitudes):
+        c = concurrence(amplitudes)
+        c[1] += 1e-6
+        return c
+
+    monkeypatch.setattr(ejm, "_reduced_blochs", one_vertex)
+    monkeypatch.setattr(ejm, "_concurrence", one_state)
+    theta = 1.4
+    rep = dict(zip(CHECKS, verify_many(-0.8, 0.3, theta)[1].tolist()))
+    cos = math.cos(theta)
+    assert rep["modulus_dev"] == pytest.approx(1e-6 * SQRT3 / 2 * cos, rel=1e-6)
+    assert rep["pairwise_dev"] == pytest.approx(1e-6 * cos / 4, rel=1e-6)
+    assert rep["concurrence_dev"] == pytest.approx(1e-6, rel=1e-6)
 
 
 EDGE_POINTS = [
@@ -458,9 +503,9 @@ def _shifted_input(f, delta=1e-9):
     ],
 )
 def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
-    # the unchecked cores are what _verify_many calls; the public concurrence_closed,
+    # the unchecked cores are what verify_many calls; the public concurrence_closed,
     # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too.
-    # verify_one reads the Gram entries through the public matmul forms, _verify_many through
+    # verify_one reads the Gram entries through the public matmul forms, verify_many through
     # ejm._gram_upper: of the rows first (gram_matrix), then of the columns (completeness_residual).
     # The same shift reaches both to within rounding: |x + 1e-9| of an x of order 1e-16 is 1e-9 + O(1e-16)
     tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
@@ -476,10 +521,10 @@ def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
             return _shifted(upper)(b) if len(calls) - 1 == core_call else upper(b)
 
         monkeypatch.setattr(ejm, "_gram_upper", tampered_upper)
-    _, metrics = _verify_many(*(np.array(column) for column in zip(*EDGE_POINTS)))
+    _, metrics = verify_many(*(np.array(column) for column in zip(*EDGE_POINTS)))
     if core_call is not None:
         assert len(calls) == 2
-    rep, passed = dict(zip(cli.CHECKS, metrics)), _passes(metrics)
+    rep, passed = dict(zip(CHECKS, metrics)), passes(CHECKS, metrics)
     for n, triple in enumerate(EDGE_POINTS):
         want = verify_one(EjmParams(*triple))
         assert verify_pass(want) is False
@@ -536,13 +581,13 @@ def test_gram_triangle_sees_what_the_full_form_sees(monkeypatch, n, fault, seen)
         return b
 
     monkeypatch.setattr(ejm, "build_basis", faulted)
-    p, metrics = _verify_many(z, phi, theta)
+    p, metrics = verify_many(z, phi, theta)
     want = full_form_checks(p, faulted(p))
     np.testing.assert_allclose(metrics[:3], want, rtol=1e-12, atol=2.0**-52)
-    passed = metrics[:3] < cli.TOL_ALG
-    assert np.array_equal(passed, want < cli.TOL_ALG)
+    passed = metrics[:3] < ejm.TOL_ALG
+    assert np.array_equal(passed, want < ejm.TOL_ALG)
     assert (~passed).all() if seen else passed.all()
-    assert not _passes(metrics).any()
+    assert not passes(CHECKS, metrics).any()
 
 
 TOLERANCES = {
@@ -558,6 +603,13 @@ TOLERANCES = {
 }
 
 
+def test_pass_rule_needs_every_metric():
+    # a metric axis of one would broadcast against all nine bounds
+    for values in ([0.0], np.zeros((8, 3)), np.zeros(10)):
+        with pytest.raises(ValueError, match="expected 9 metric values"):
+            passes(CHECKS, values)
+
+
 def test_pass_rule_matches_per_point_rule():
     """One metric at a time just below, at, just above its bound and at NaN, at any theta."""
     thetas = (0.0, 0.7, math.pi / 2 - 0.05, math.pi / 2 - 1e-3, math.pi / 2)
@@ -566,5 +618,5 @@ def test_pass_rule_matches_per_point_rule():
             for theta in thetas:
                 want = dict.fromkeys(TOLERANCES, 0.0)
                 want.update({key: value, "theta": theta})
-                metrics = np.array([[want[k]] for k in cli.CHECKS])
-                assert bool(_passes(metrics)[0]) == verify_pass(want), (key, value, theta)
+                metrics = np.array([[want[k]] for k in CHECKS])
+                assert bool(passes(CHECKS, metrics)[0]) == verify_pass(want), (key, value, theta)

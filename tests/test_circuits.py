@@ -513,6 +513,10 @@ class TestGlobalPhaseDeviation:
         with pytest.raises(ValueError, match="reference matrix is zero"):
             global_phase_deviation(np.eye(4), np.zeros((4, 4)))
 
+    def test_the_phase_is_a_unit_number(self):
+        # the best phase of 2 I against I is 1, not 2: the deviation is the factor's distance, 1
+        assert global_phase_deviation(2 * np.eye(4), np.eye(4)) == 1.0
+
 
 class TestOutcomeProbabilities:
     def test_basis_state(self):

@@ -453,6 +453,27 @@ class TestTable1:
         assert "nan" in text.lower()
         assert code == 1
 
+    def test_finite_reduced_vector_fault_fails(self, capsys, monkeypatch):
+        # a finite fault, unlike a NaN, survives a reduced-vector deviation taken times 0
+        from ejmkit import states
+
+        clean = json.loads(run(capsys, "table1")[1])
+        reduced_blochs = states._reduced_blochs
+        blocks = []
+
+        def one_shifted(b):
+            tet = reduced_blochs(b)
+            blocks.append(1)
+            if len(blocks) == 2:
+                tet[0, 2, 1] += 1e-6  # side-first z component of state 1, in the second block
+            return tet
+
+        monkeypatch.setattr(states, "_reduced_blochs", one_shifted)
+        code, js, _ = run(capsys, "table1")
+        rows = json.loads(js)
+        assert code == 1
+        assert rows[5]["r_z"] - clean[5]["r_z"] == pytest.approx(1e-6, rel=1e-6)
+
 
 class TestConcurrence:
     def test_slice_endpoints(self, capsys):
@@ -486,6 +507,22 @@ class TestConcurrence:
         assert code == 4
         assert out == ""
         assert err == f"resource error: {message or 'out of memory'}\n"
+
+    def test_slice_maximum_below_one_fails(self, capsys, monkeypatch):
+        # the slice keeps its minimum 1/2 at theta = 0 and loses its maximum 1 at theta = pi/2
+        from ejmkit import states
+
+        concurrence_closed = states.concurrence_closed
+
+        def capped(a, theta):
+            c = concurrence_closed(a, theta)
+            return c if np.ndim(a) else np.minimum(c, 0.99)
+
+        monkeypatch.setattr(states, "concurrence_closed", capped)
+        code, text, _ = run(capsys, "concurrence", "--grid", "5", "--format", "csv")
+        vals = [float(r.split(",")[3]) for r in text.splitlines()[1:] if r.startswith("slice")]
+        assert (vals[-1], code) == (0.99, 1)
+        assert abs(vals[0] - 0.5) < 1e-12
 
 
 class TestCircuit:
@@ -527,6 +564,47 @@ class TestCircuit:
         rep = json.loads(js)
         assert rep["bsm_equivalence"] == "pass"
         assert rep["bsm_equivalence_dev"] < 1e-10
+
+    def test_no_bsm_note_at_a_cry_angle_of_2pi(self, capsys):
+        # phi_c = -3 pi/4: the CRY angle pi/2 - 2 phi_c is 2 pi, which is not the identity gate
+        from ejmkit.ejm import phi_z
+
+        code, js, _ = run(capsys, "circuit", "--z=0.7", f"--phi={float(phi_z(0.7)) - 3 * math.pi / 4!r}")
+        rep = json.loads(js)
+        assert (code, rep["pass"]) == (0, True)
+        assert rep["phi_prime"] == pytest.approx(-3 * math.pi / 4, abs=1e-15)
+        assert not [k for k in rep if k.startswith("bsm")]
+
+    def test_fidelity_rule_edge(self):
+        # the table reads the worst loss 1 - f, exact for f >= 1/2: f passes iff f >= fl(1 - 1e-10), the
+        # rule the report has always applied, on every double near that edge; a NaN fails
+        from ejmkit import ejm
+
+        edge = 1.0 - 1e-10
+        cases = [(edge, True), (np.nextafter(edge, 0.0), False), (1.0 + 2**-52, True), (math.nan, False)]
+        cases += ((edge + k * 2.0**-53, k >= 0) for k in range(-40, 41))
+        for f, want in cases:
+            fidelities = np.array([1.0, f, 1.0, 1.0])
+            assert bool((fidelities >= edge).all()) is want, f
+            assert ejm.passes(ejm.CIRCUIT_CHECKS, [0.0, (1.0 - fidelities).max()]) is want, f
+        assert ejm.passes(ejm.CIRCUIT_CHECKS, [np.nextafter(1e-10, 0.0), 0.0]) is True
+        assert ejm.passes(ejm.CIRCUIT_CHECKS, [1e-10, 0.0]) is False
+
+    def test_one_broken_fidelity_fails(self, capsys, monkeypatch):
+        # U2 after a swap of U1|psi0> = U2^dagger |Phi_3> with U2^dagger |Phi_1>, both orthogonal to |psi0>:
+        # state 3 is prepared as |Phi_1>, and states 0-2 and the detection are untouched
+        from ejmkit import cli, ejm
+
+        b = ejm.build_basis(ejm.EjmParams(1 / SQRT3, math.pi / 4, math.pi / 3))
+        u, x = (cli._U2.conj().T @ b[i] for i in (3, 1))
+        swap = np.eye(4) - np.outer(u, u.conj()) - np.outer(x, x.conj())
+        swap += np.outer(u, x.conj()) + np.outer(x, u.conj())
+        monkeypatch.setattr(cli, "_U2", cli._U2 @ swap)
+        code, js, _ = run(capsys, "circuit")
+        rep = json.loads(js)
+        assert [rep[f"prep_fidelity_{i}"] > 1 - 1e-10 for i in range(4)] == [True, True, True, False]
+        assert rep["permutation_dev"] < 1e-10
+        assert (code, rep["pass"]) == (1, False)
 
     def test_dump_rejects_csv(self, capsys):
         code, out, err = run(capsys, "circuit", "--dump", "--format", "csv")

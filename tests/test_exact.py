@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ejmkit import cli, ejm, states
+from ejmkit import ejm, states
 from ejmkit.ejm import Z_MIN, EjmParams, phi_z
 
 ULP = 2.0 ** -53  # the spacing of the doubles in [0.5, 1), where every |z| of the basis lies
@@ -103,7 +103,7 @@ def _edge_sample(n: int = 20_000) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def test_verify_metrics_stay_at_rounding_on_the_edges():
     # 2.5x the worst value over 200,000 such points; snapping 3 z^2 - 1 < 1e-14 to 0 reads 8e-14
     z, phi, theta = _edge_sample()
-    block = cli.SWEEP_CHUNK
-    worst = max(cli._verify_many(z[i:i + block], phi[i:i + block], theta[i:i + block])[1].max()
+    block = ejm.SWEEP_CHUNK
+    worst = max(ejm.verify_many(z[i:i + block], phi[i:i + block], theta[i:i + block])[1].max()
                 for i in range(0, z.size, block))
     assert worst <= 5e-15

@@ -10,6 +10,7 @@ from ejmkit.linalg import (
     kron,
     outer,
     partial_trace,
+    require_normalized,
 )
 from ejmkit.states import FiveParams, phi_state
 
@@ -97,6 +98,18 @@ class TestAsState:
         for v, shape in ((1.0, "()"), (np.zeros(3), r"\(3,\)"), (np.zeros((4, 3)), r"\(4, 3\)")):
             with pytest.raises(ValueError, match=f"must have dimension 2 or 4, got shape {shape}"):
                 as_state(v)
+
+
+class TestRequireNormalized:
+    @pytest.mark.parametrize("norm", [1 - 5e-11, 1 + 5e-11])
+    def test_norm_inside_the_bound_accepted(self, norm):
+        v = norm * np.full(4, 0.5, dtype=complex)
+        assert require_normalized(v) is not None
+
+    @pytest.mark.parametrize("norm", [1 - 2e-10, 1 + 2e-10])
+    def test_norm_outside_the_bound_rejected(self, norm):
+        with pytest.raises(ValueError, match="state is not normalized"):
+            require_normalized(norm * np.full(4, 0.5, dtype=complex))
 
 
 class TestInner:
