@@ -165,21 +165,21 @@ _CIRCUIT_KEYS = (*(f"prep_fidelity_{i}" for i in range(4)),
 
 def cmd_circuit(args) -> int:
     p = EjmParams(z=args.z, phi=args.phi, theta=args.theta)
-    prep = circuits.prep_circuit(p)
-    detect = circuits.detect_circuit(p)
     if args.dump:
-        _write(prep.dumps() + "\n" + detect.dumps(), args)
+        _write(circuits.prep_circuit(p).dumps() + "\n" + circuits.detect_circuit(p).dumps(), args)
         return 0
 
-    # the library built |00> and the basis: the gates run on them unchecked
+    # the compiled circuits run unchecked on |00> and the basis, which the library built
+    angles = circuits._angles(p)
+    prep, u1, detect, gatewise = circuits._stages(circuits._PROGRAMS[p.z < 0], angles)
     b = ejm.build_basis(p)
-    psi0 = circuits._run(prep.gates, np.array([1, 0, 0, 0], dtype=complex))
-    u1_psi0 = circuits._run(circuits._u1_gates(p.phi_prime), psi0)
+    psi0 = circuits._run(prep, np.array([1, 0, 0, 0], dtype=complex))
+    u1_psi0 = circuits._run(u1, psi0)
     prepared = np.array([psi0, u1_psi0, _U2 @ psi0, _U2 @ u1_psi0])
     fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
 
     # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
-    outcome = np.abs(circuits._run(detect.gates, b)) ** 2
+    outcome = np.abs(circuits._run(detect, b)) ** 2
     perm_dev = float(np.abs(outcome - _DETECTION_PERMUTATION).max())
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
@@ -188,10 +188,9 @@ def cmd_circuit(args) -> int:
 
     # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
     # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 it is exact
-    (cry,) = (g for g in detect.gates if g.name == "CRY")
-    if abs(math.remainder(cry.angle, 4 * math.pi)) < 2e-12:
-        bsm = circuits.Circuit(tuple(g for g in detect.gates if g.name != "CRY"))
-        dev = circuits.global_phase_deviation(detect.unitary(), bsm.unitary())
+    if abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12:
+        with_cry, without = circuits._detect_pair(gatewise)
+        dev = circuits.global_phase_deviation(with_cry.T, without.T)
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 

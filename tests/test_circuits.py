@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from ejmkit.circuits import (
     _GATES,
+    _PROGRAMS,
     DETECTION_OUTCOMES,
     Circuit,
     CircuitParseError,
     Gate,
+    _angles,
     _base_params,
+    _detect_pair,
     _fixed,
     _run,
+    _stages,
     _u1_gates,
     apply,
     detect_circuit,
@@ -27,7 +31,7 @@ from ejmkit.circuits import (
     prep_circuit,
 )
 from ejmkit.cli import main
-from ejmkit.ejm import EjmParams, build_basis, phi_z
+from ejmkit.ejm import BSM_CHECKS, CIRCUIT_CHECKS, Z_MIN, EjmParams, build_basis, passes, phi_z
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -562,3 +566,153 @@ def test_circuits_at_range_boundaries(z, phi, theta):
     assert (fidelities >= 1.0 - 1e-10).all()
     outcome = outcome_probabilities(apply(detect_circuit(p), b))
     assert np.abs(outcome - np.eye(4)[list(DETECTION_OUTCOMES)]).max() < 1e-10
+
+
+class TestGateInputs:
+    """A Gate stores Python ints and a Python float, and anything else raises ValueError."""
+
+    @pytest.mark.parametrize(
+        "angle",
+        ["x", "0.5", 1 + 0j, np.complex128(1.0), True, np.True_, np.array([0.5]), 2**64, 10**400, math.nan, -math.inf],
+        ids=["text", "numeric-text", "complex", "numpy-complex", "bool", "numpy-bool", "1-d", "int-over-64-bits",
+             "huge-int", "nan", "inf"],
+    )
+    def test_bad_angle_raises_value_error(self, angle):
+        with pytest.raises(ValueError, match="CRY angle must be finite and real"):
+            Gate("CRY", (0, 1), angle)
+
+    @pytest.mark.parametrize(
+        "qubits", [1, np.int64(1), np.array(1), None, "1", (1.0,), (True,), (np.True_,)],
+        ids=["int", "numpy-int", "0-d", "none", "text", "float", "bool", "numpy-bool"],
+    )
+    def test_bad_qubits_raise_value_error(self, qubits):
+        with pytest.raises(ValueError, match="not a sequence of integer indices"):
+            Gate("X", qubits)
+
+    @pytest.mark.parametrize(
+        "angle", [0.5, np.float64(0.5), np.float32(0.5), np.array(0.5), np.array(0.5, dtype=np.float32)],
+        ids=["float", "numpy-float", "float32", "0-d", "0-d-float32"],
+    )
+    def test_angle_is_stored_as_a_python_float(self, angle):
+        g = Gate("CRY", (1, 0), angle)
+        assert type(g.angle) is float
+        assert g == Gate("CRY", (1, 0), 0.5) and hash(g) == hash(Gate("CRY", (1, 0), 0.5))
+        assert g.dump() == "CRY 1,0,0.5"
+
+    def test_an_int_angle_is_its_float(self):
+        g = Gate("RY", (0,), 2)
+        assert type(g.angle) is float and g == Gate("RY", (0,), 2.0) and g.dump() == "RY 0,2"
+
+
+# every |z| edge of either sign at phi = +-pi and theta at both ends, and the BSM branch at phi_c = pi/4
+# (z > 0 and -1/sqrt(2) <= z < 0) and at pi/4 - 2 pi (z < -1/sqrt(2), where phi wraps)
+COMPILED_EDGES = [
+    EjmParams(sign * az, phi, theta)
+    for sign in (1.0, -1.0) for az in (Z_MIN, 1 / SQRT2, 1.0)
+    for phi in (math.pi, -math.pi, 0.3) for theta in (0.0, math.pi / 2)
+] + [EjmParams(z, bsm_phi(z), 0.4) for z in (Z_MIN, 0.7, 1 / SQRT2, 1.0, -Z_MIN, -0.65, -0.9, -1.0)]
+I4 = np.eye(4, dtype=complex)
+
+
+def compiled_unitaries(p):
+    """The compiled stages at one point as unitaries: preparation, U1 at phi', detection, and the
+    detection gate by gate."""
+    return [_run(stage, I4).T for stage in _stages(_PROGRAMS[p.z < 0], _angles(p))]
+
+
+class TestCompiled:
+    POINTS = seeded_params(27, 200) + COMPILED_EDGES
+
+    def test_points_cover_both_signs_and_both_bsm_angles(self):
+        assert {p.z < 0 for p in self.POINTS} == {True, False}
+        bsm = {round(_base_params(p) - math.pi / 4, 9) for p in COMPILED_EDGES[-8:]}
+        assert bsm == {0.0, round(-2 * math.pi, 9)}
+
+    def test_programs_equal_the_gate_by_gate_circuits(self):
+        for p in self.POINTS:
+            prep, u1, detect, gatewise = compiled_unitaries(p)
+            oracle = detect_circuit(p)
+            for got, want in ((prep, prep_circuit(p)), (u1, Circuit(_u1_gates(p.phi_prime))), (detect, oracle)):
+                assert np.abs(got - want.unitary()).max() <= 1e-15, p
+            # gate by gate, the same products as Circuit.unitary: bit for bit
+            assert np.array_equal(gatewise, oracle.unitary())
+            with_cry, without = _detect_pair(_stages(_PROGRAMS[p.z < 0], _angles(p))[3])
+            assert np.array_equal(with_cry.T, oracle.unitary())
+            assert np.array_equal(without.T, without_cry(oracle).unitary())
+
+    def test_batched_core_equals_its_one_point_calls(self):
+        for negative in (False, True):
+            points = [p for p in self.POINTS if (p.z < 0) == negative]
+            stack = EjmParams(*(np.array([getattr(p, k) for p in points]) for k in ("z", "phi", "theta")))
+            stages = _stages(_PROGRAMS[negative], _angles(stack))
+            batched = [_run(stage, I4) for stage in stages]
+            pairs = _detect_pair(stages[3])
+            for i, p in enumerate(points):
+                one = _stages(_PROGRAMS[negative], _angles(p))
+                for k, stage in enumerate(one):
+                    assert np.array_equal(_run(stage, I4), batched[k][i])
+                assert np.array_equal(_detect_pair(one[3]), pairs[:, i])
+
+    def test_constant_runs_are_multiplied_once(self):
+        # products per point in the preparation, U1 and detection: 16 for z >= 0 and 19 for z < 0,
+        # against 34 gates for z < 0 gate by gate
+        assert [sum(map(len, program[1][:3])) for program in _PROGRAMS] == [16, 19]
+        assert [len(program[1][3]) for program in _PROGRAMS] == [10, 13]
+
+    def test_a_request_builds_no_gate(self, capsys, monkeypatch):
+        built = []
+        init = Gate.__post_init__
+        monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or init(g))
+        for z, phi in ((0.7, 0.3), (-0.8, -2.0), (-0.9, bsm_phi(-0.9)), (1 / SQRT2, bsm_phi(1 / SQRT2))):
+            assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}"]) == 0
+        assert "bsm_equivalence" in capsys.readouterr().out
+        assert built == []
+
+
+DENSE_POINTS = 100_000
+PERMUTATION = np.eye(4)[list(DETECTION_OUTCOMES)]
+
+
+def stacked_phase_deviation(a, b):
+    """global_phase_deviation of each pair of matrices in two stacks (n, 4, 4)."""
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    idx = np.argmax(np.abs(b), axis=1)[:, None]
+    phase = np.take_along_axis(a, idx, 1) / np.take_along_axis(b, idx, 1)
+    return np.abs(a - phase / np.abs(phase) * b).max(axis=1)
+
+
+def test_dense_circuit_checks():
+    """The preparation fidelities, permutation_dev and the BSM equivalence on 100,000 points, through
+    the batched core; an edge or a BSM angle at every few points, at either sign of z."""
+    rng = np.random.default_rng(2027)
+    n = DENSE_POINTS
+    sign = rng.choice((-1.0, 1.0), n)
+    az, phi, theta = rng.uniform(Z_MIN, 1.0, n), rng.uniform(-math.pi, math.pi, n), rng.uniform(0, math.pi / 2, n)
+    az[::7] = np.resize([Z_MIN, 1 / SQRT2, 1.0], az[::7].shape)
+    phi[1::9] = np.resize([math.pi, -math.pi], phi[1::9].shape)
+    theta[2::5] = np.resize([0.0, math.pi / 2], theta[2::5].shape)
+    bsm = np.arange(n) % 4 == 3  # phi_c = pi/4, or pi/4 - 2 pi where phi wraps
+    phi[bsm] = phi_z(az[bsm]) + math.pi / 4 + np.where(sign[bsm] < 0, math.pi / 2, 0.0)
+    u2 = local_unitary_u2()
+    worst = np.zeros(3)
+    for negative in (False, True):
+        for chunk in np.array_split(np.flatnonzero((sign < 0) == negative), 4):
+            p = EjmParams(sign[chunk] * az[chunk], phi[chunk], theta[chunk])
+            angles = _angles(p)
+            prep, u1, detect, gatewise = _stages(_PROGRAMS[negative], angles)
+            b = build_basis(p)
+            psi0 = _run(prep, KET00[None])
+            u1_psi0 = _run(u1, psi0)
+            prepared = np.concatenate([psi0, u1_psi0, psi0 @ u2.T, u1_psi0 @ u2.T], axis=-2)
+            loss = (1.0 - np.abs((b.conj() * prepared).sum(axis=-1))).max(axis=-1)
+            perm_dev = np.abs(np.abs(_run(detect, b)) ** 2 - PERMUTATION).max(axis=(-2, -1))
+            assert passes(CIRCUIT_CHECKS, [perm_dev, loss]).all()
+            # the report's BSM rule finds every BSM point, and also z = -1/sqrt(2) at phi = pi
+            on = np.array([abs(math.remainder(a, 4 * math.pi)) < 2e-12 for a in angles[:, 0].tolist()])
+            assert on[bsm[chunk]].all()
+            with_cry, without = _detect_pair(_stages(_PROGRAMS[negative], angles[on])[3])
+            dev = stacked_phase_deviation(with_cry.swapaxes(-1, -2), without.swapaxes(-1, -2))
+            assert passes(BSM_CHECKS, [dev]).all()
+            worst = np.maximum(worst, [perm_dev.max(), loss.max(), dev.max()])
+    # the circuits are exact up to rounding: a few ulp of 1, far inside the report's 1e-10
+    assert (worst < 1e-14).all(), worst
