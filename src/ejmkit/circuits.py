@@ -231,7 +231,7 @@ def _angles(p: EjmParams) -> np.ndarray:
     """Each point's circuit angles by template slot, on a last axis of 5 (see _PREP), from its circuit
     angle phi_c: phi' = phi - phi_z for z >= 0, else (phi - pi/2) - phi_z, since the basis at z < 0 is
     the positive-z basis at phi - pi/2 with its indices cycled, which U1 and the relabelling restore."""
-    two = 2.0 * (np.where(np.less(p.z, 0), p.phi - math.pi / 2, p.phi) - p.phi_z)
+    two = 2.0 * (p.phi - math.pi / 2 * (p.z < 0) - p.phi_z)
     half_pi = math.pi / 2
     angles = np.empty((*p.shape, 5))
     angles[..., 0], angles[..., 1], angles[..., 2] = half_pi - two, half_pi - p.theta, two

@@ -25,6 +25,7 @@ gram_matrix and completeness_residual are matmuls on the (..., 4, 4) stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,7 @@ CONCURRENCE_CHECKS = {"slice_min_dev": TOL_ALG, "slice_max_dev": TOL_ALG}
 # 1 - f passes iff it is at most 1 - fl(1 - TOL_TRIG), that is below the next double up
 CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": np.nextafter(1 - (1 - TOL_TRIG), 1)}
 BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
+_BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built once per contents of a table
 
 # at most this many points per verify_many block in sweep_worst, at about 1 KB each (tracemalloc):
 # 1,728 ran 3 % more points per second on grids 10-14, but fragmented the heap to 1.4 % more peak RSS
@@ -92,7 +94,7 @@ def _root_3z2m1(z):
     The double Z_MIN, 0.70 ulp above 1/sqrt(3), stands for 1/sqrt(3): |z| = Z_MIN gives exactly 0, the
     original EJM, and the radicand is short of 3 z^2 - 1 by 3 Z_MIN^2 - 1 = 2.7e-16 at every z.
     """
-    az = np.abs(z)
+    az = abs(z)
     return np.sqrt(3.0 * (az - Z_MIN) * (az + Z_MIN))
 
 
@@ -139,14 +141,9 @@ class EjmParams:
         shape = np.broadcast(z, phi, theta).shape
         column = (4,) + (1,) * len(shape)
         zs, phis = Z_SIGNS.reshape(column) * z, PHI_SHIFTS.reshape(column) + phi
-        _freeze(
-            self,
-            z=z, phi=phi, theta=theta, shape=shape,
-            root_3z2m1=s, root_1mz2=c, e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)),
-            root_3z2=np.sqrt(3.0 * z * z), cos_theta=np.cos(theta),
-            phi_z=phi_z, phi_prime=phi - phi_z,
-            zs=zs, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z,
-        )
+        _freeze(self, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z, zs=zs,
+                e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)), root_3z2=np.sqrt(3.0 * z * z),
+                cos_theta=np.cos(theta), phi_prime=phi - phi_z, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z)
 
 
 def _columns(p: EjmParams, factor, columns, dtype=complex) -> np.ndarray:
@@ -216,7 +213,7 @@ def _gram_upper(b: np.ndarray) -> np.ndarray:
     k follows the product's memory layout, so both products are C-ordered, and give the same bits.
     """
     if b.size < 16 * _GRAM_ROWS:
-        return (b.take(_UPPER[0], 0).conj() * b.take(_UPPER[1], 0)).sum(axis=1)
+        return np.add.reduce(b.take(_UPPER[0], 0).conj() * b.take(_UPPER[1], 0), 1)
     return np.concatenate([np.multiply(b[i].conj(), b[i:], order="C").sum(axis=1) for i in range(4)])
 
 
@@ -227,12 +224,16 @@ def gram_matrix(b: np.ndarray) -> np.ndarray:
 
 def gram_closed(p: EjmParams) -> np.ndarray:
     """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
-    phis, g = p.phis, p.sng_zs
-    cos = np.cos(phis[:, None] - phis[None, :])
-    # sng(z_i z_j) = sng(z_i) sng(z_j): z_i z_j is never 0 on the domain
-    gram = _public(0.25 * (2.0 * cos + g[:, None] * g[None, :] + 1.0))
+    gram = _public(_gram_closed(p, *np.indices((4, 4))))
     # free of theta: the leading axes are those of z and phi, without the length-1 axes of theta's
     return gram[(0,) * (len(p.shape) - max(np.ndim(p.z), np.ndim(p.phi)))]
+
+
+def _gram_closed(p: EjmParams, i, j) -> np.ndarray:
+    """gram_closed at the entries (i, j), point-axis-last: verify_many reads the ten _UPPER ones."""
+    phis, g = p.phis, p.sng_zs
+    # sng(z_i z_j) = sng(z_i) sng(z_j): z_i z_j is never 0 on the domain
+    return 0.25 * (2.0 * np.cos(phis[i] - phis[j]) + g[i] * g[j] + 1.0)
 
 
 def completeness_residual(b: np.ndarray):
@@ -282,12 +283,17 @@ def tetrahedron_geometry_check(vectors, theta):
 
 def _tetrahedron_geometry(vectors: np.ndarray, cos):
     """tetrahedron_geometry_check on (3, 4, ...) vectors and cos theta > 0, unchecked."""
-    products = vectors[:, _DOTS[0]]  # a gather is a new array: the product is taken in place
-    products *= vectors[:, _DOTS[1]]
-    dots = products.sum(axis=0)
-    modulus_dev = np.abs(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos).max(axis=0)
-    pairwise_dev = np.abs(dots[4:] + cos * cos / 4.0).max(axis=0) / cos
+    products = vectors.take(_DOTS[0], 1)  # a gather is a new array: the product is taken in place
+    products *= vectors.take(_DOTS[1], 1)
+    dots = np.add.reduce(products)
+    modulus_dev = _worst(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos)
+    pairwise_dev = _worst(dots[4:] + cos * cos / 4.0) / cos
     return _plain(modulus_dev), _plain(pairwise_dev)
+
+
+def _worst(x, axis=0):
+    """max |x| over axis, in ufunc calls, without the wrappers of the array methods."""
+    return np.maximum.reduce(np.absolute(x), axis)
 
 
 def verify_many(z, phi, theta):
@@ -301,12 +307,7 @@ def verify_many(z, phi, theta):
     whole domain, theta = pi/2 included.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
-
-    def worst(x, axes=(-2, -1)):
-        return np.abs(x).max(axis=axes)
-
-    def upper_dev(upper, target):  # the ten entries of a Hermitian Gram matrix, from _gram_upper
-        return worst(upper.transpose(*range(1, upper.ndim), 0) - target, -1)
+    eye = _EYE_UPPER.reshape(-1, *(1,) * len(p.shape))
 
     # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
     # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
@@ -314,27 +315,26 @@ def verify_many(z, phi, theta):
     metrics = np.empty((len(CHECKS), *p.shape))
     kets = basis_from_kets(p)
     b = build_basis(p)
-    kets_dev = worst(b - kets)
+    kets_dev = _worst(b - kets, (-2, -1))
     del kets
     # max is exact: the larger of the two paths' worst entries is the worst entry of both
-    metrics[3] = np.maximum(kets_dev, worst(b - basis_phi_z_form(p)))
+    metrics[3] = np.maximum(kets_dev, _worst(b - basis_phi_z_form(p), (-2, -1)))
     gram = _gram_upper(_kernel(b))
-    metrics[0] = upper_dev(gram, _EYE_UPPER)
-    metrics[1] = upper_dev(gram, gram_closed(p)[(..., *_UPPER)])
+    metrics[0] = _worst(gram - eye)
+    metrics[1] = _worst(gram - _gram_closed(p, *_UPPER))
     del gram
     # contiguous for the kernels that read the columns row by row, and the basis goes for the copy
     amplitudes = np.ascontiguousarray(_kernel(b).swapaxes(0, 1))
     del b
-    metrics[2] = upper_dev(_gram_upper(amplitudes), _EYE_UPPER)
+    metrics[2] = _worst(_gram_upper(amplitudes) - eye)
     # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
     # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
     first, second = _reduced_blochs(amplitudes)
-    conc_dev = _concurrence(amplitudes) - _concurrence_closed(SQRT3, p.theta)
-    metrics[6] = np.abs(conc_dev).max(axis=0)
+    metrics[6] = _worst(_concurrence(amplitudes) - _concurrence_closed(SQRT3, p.theta))
     del amplitudes
     closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
-    metrics[4] = worst(first + second, (0, 1))
-    metrics[5] = worst(first - closed, (0, 1))
+    metrics[4] = _worst(first + second, (0, 1))
+    metrics[5] = _worst(first - closed, (0, 1))
     metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
     return p, metrics
 
@@ -368,8 +368,7 @@ def passes(checks: dict, values):
     values = np.asarray(values)
     if len(values) != len(checks):  # a shorter axis would broadcast against every bound
         raise ValueError(f"expected {len(checks)} metric values, got {len(values)}")
-    bounds = np.fromiter(checks.values(), float).reshape(-1, *(1,) * (values.ndim - 1))
-    ok = (values < bounds).all(axis=0)
+    ok = (values.T < _BOUNDS(tuple(checks.values()))).all(axis=-1).T  # the metric axis last, against the bounds
     return bool(ok) if ok.ndim == 0 else ok
 
 

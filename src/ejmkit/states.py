@@ -18,6 +18,9 @@ from .linalg import require_normalized
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+_TWO_PI = np.float64(2.0 * math.pi)  # a numpy scalar: its product with a numpy bool skips the ufunc machinery
+# (1, -1) and (-i/2, i/2), whose outer products with z and phi give 1 +- z and -+ i phi/2 on a leading axis
+_PM, _HALF_I, _SWAP = np.array([1.0, -1.0]), np.array([-0.5j, 0.5j]), np.array([[0, 1], [1, 0]])
 
 
 class ParameterRangeError(ValueError):
@@ -34,15 +37,18 @@ def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: 
 
     Raises ParameterRangeError naming the first entry outside [lo - tol, hi + tol].  NaN compares
     False, so it fails every range, and a range of all finite doubles rejects +-inf too.  A 0-d x
-    comes back as a Python float, an array as a new array: never the caller's own.
+    is a numpy scalar throughout, which skips the ufunc machinery of a 0-d array, and comes back as a
+    Python float; an array comes back as a new array: never the caller's own.
     """
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x) if modulus else x
+    x = np.array(x, dtype=float)[()]
+    ax = abs(x) if modulus else x
     ok = (ax >= lo - tol) & (ax <= hi + tol)
-    if not ok.all():
+    if b"\0" in ok.tobytes():  # a False entry, found by a byte scan instead of a reduction
         raise ParameterRangeError(message.format(float(x[~ok][0])))
-    clipped = np.minimum(np.maximum(ax, lo), hi)
-    return _plain(np.copysign(clipped, x) if modulus else clipped)
+    if b"\0" in ((ax > lo) & (ax <= hi)).tobytes():  # the clip: identity on (lo, hi]; -0.0 to 0.0 at lo = 0
+        clipped = np.minimum(np.maximum(ax, lo), hi)
+        x = np.copysign(clipped, x) if modulus else clipped
+    return _plain(x)
 
 
 # (message, lo, hi, tolerance, on |x|) of each range rule
@@ -58,11 +64,11 @@ _THETA0 = "theta0 must lie in [0, pi/2], got {!r}", 0.0, math.pi / 2, 1e-15
 
 
 def _freeze(obj, **fields) -> None:
-    """Set the fields of a frozen dataclass, each array read-only, so a write raises ValueError."""
-    for name, value in fields.items():
+    """Set a frozen dataclass's fields in one update, each array read-only, so a write raises ValueError."""
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
 
 
 def _root_1mz2(z):
@@ -74,10 +80,9 @@ def _root_1mz2(z):
 def wrap_angle(phi):
     """Wrap an angle, or an array of angles, into (-pi, pi]."""
     phi = _in_range(phi, *_PHI)
-    # fmod and the one-period shift are exact, so angles inside (-pi, pi] come back unchanged
-    w = np.fmod(phi, 2.0 * math.pi)
-    w = np.where(w > math.pi, w - 2.0 * math.pi, w)
-    return _plain(np.where(w <= -math.pi, w + 2.0 * math.pi, w))
+    # fmod is exact and leaves |w| < 2 pi: at most one exact shift applies, and none is w - (+0.0) = w
+    w = np.fmod(phi, _TWO_PI)
+    return _plain(w - (_TWO_PI * (w > math.pi) - _TWO_PI * (w <= -math.pi)))
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,8 @@ class FiveParams:
     theta: float
 
     def __post_init__(self):
-        _freeze(
-            self, a=_in_range(self.a, *_A), z=_in_range(self.z, *_Z), phi=wrap_angle(self.phi),
-            theta0=_in_range(self.theta0, *_THETA0), theta=_in_range(self.theta, *_THETA),
-        )
+        _freeze(self, a=_in_range(self.a, *_A), z=_in_range(self.z, *_Z), phi=wrap_angle(self.phi),
+                theta0=_in_range(self.theta0, *_THETA0), theta=_in_range(self.theta, *_THETA))
 
 
 def unit_vector_m(z, phi) -> np.ndarray:
@@ -110,18 +113,17 @@ def unit_vector_m(z, phi) -> np.ndarray:
 
     z and phi broadcast; the vector is the last axis.
     """
-    z = _in_range(z, *_Z)
-    phi = _in_range(phi, *_PHI)
+    z, phi = _in_range(z, *_Z), _in_range(phi, *_PHI)
     r = _root_1mz2(z)
     return np.stack(np.broadcast_arrays(r * np.cos(phi), r * np.sin(phi), z), axis=-1)
 
 
 def _m_pair(z, phi) -> np.ndarray:
-    """Unchecked (|m>, |-m>), shape (2, 2, ...): the pair axis, then the ket axis."""
-    u, v = np.sqrt(1.0 + z), np.sqrt(1.0 - z)
-    e_minus, e_plus = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-    # the four products share a shape, so they stack without broadcasting
-    return np.array([(u * e_minus, v * e_plus), (v * e_minus, -u * e_plus)]) / SQRT2
+    """Unchecked (|m>, |-m>), shape (2, 2, ...): the pair axis, then the ket axis; z and phi of one ndim."""
+    # (sqrt(1 + z), sqrt(1 - z)) gathered into [[u, v], [v, u]], times (e^{-i phi/2}, e^{i phi/2})
+    pair = np.sqrt(1.0 + np.multiply.outer(_PM, z)).take(_SWAP, 0) * np.exp(np.multiply.outer(_HALF_I, phi))
+    np.negative(pair[1, 1, ...], out=pair[1, 1, ...])
+    return pair / SQRT2
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -129,26 +131,25 @@ def ket_m(z, phi) -> np.ndarray:
 
     z and phi broadcast; the state is the last axis.
     """
-    return np.moveaxis(_m_pair(_in_range(z, *_Z), _in_range(phi, *_PHI))[0], 0, -1)
+    return np.moveaxis(_m_pair(*np.broadcast_arrays(_in_range(z, *_Z), _in_range(phi, *_PHI)))[0], 0, -1)
 
 
 def ket_minus_m(z, phi) -> np.ndarray:
     """The orthogonal partner of ket_m, pointing along -unit_vector_m."""
-    return np.moveaxis(_m_pair(_in_range(z, *_Z), _in_range(phi, *_PHI))[1], 0, -1)
+    return np.moveaxis(_m_pair(*np.broadcast_arrays(_in_range(z, *_Z), _in_range(phi, *_PHI)))[1], 0, -1)
 
 
 def _rotated_pair(z, phi, w):
-    """Unchecked (|m_0>, |m_1>), ket axis first; w = i e^{i theta0} has no more axes than z, phi."""
-    m, mm = _m_pair(z, phi)
-    minus, plus = 1.0 - w, 1.0 + w
-    return (minus * m + plus * mm) / 2.0, (plus * m + minus * mm) / 2.0
+    """Unchecked (|m_0>, |m_1>), shaped as _m_pair's; w = i e^{i theta0} has no more axes than z and phi."""
+    pair = _m_pair(z, phi)
+    # |m_0> = ((1 - w)|m> + (1 + w)|-m>)/2 and |m_1> = ((1 - w)|-m> + (1 + w)|m>)/2, the pair reversed
+    return ((1.0 - w) * pair + (1.0 + w) * pair[::-1]) / 2.0
 
 
 def _checked_pair(z, phi, theta0) -> np.ndarray:
     """(|m_0>, |m_1>) of checked arguments, shape (2, ..., 2): the ket axis last."""
     # broadcast first: the kets put their own axis first, and theta0 may carry the most axes
-    checked = _in_range(z, *_Z), _in_range(phi, *_PHI), _in_range(theta0, *_THETA0)
-    z, phi, theta0 = np.broadcast_arrays(*checked)
+    z, phi, theta0 = np.broadcast_arrays(_in_range(z, *_Z), _in_range(phi, *_PHI), _in_range(theta0, *_THETA0))
     return np.moveaxis(_rotated_pair(z, phi, 1j * np.exp(1j * theta0)), 1, -1)
 
 
@@ -192,12 +193,12 @@ def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
     w = i e^{i theta0} and e_th = e^{i theta}; a, w and e_th carry no more axes than z and phi,
     whose kets lead with their own axis.  Nothing is checked: callers pass validated parameters.
     """
-    m0, m1 = _rotated_pair(z, phi, w)
+    m = _rotated_pair(z, phi, w)
     norm = np.sqrt(2.0 * a * a + 2.0)
-    plus, minus = (a + e_th) / norm, (a - e_th) / norm
-    # |u,v> is the (2, 2) outer product u v^T, formed at the shape of z and phi before the weights
-    v = plus * (m0[:, None] * m1[None, :])
-    v += minus * (m1[:, None] * m0[None, :])
+    # |m0,m1> and |m1,m0> as (2, 2) outer products u v^T, formed at the shape of z and phi before the weights
+    products = m[:, :, None] * m[::-1, None, :]
+    v = (a + e_th) / norm * products[0]
+    v += (a - e_th) / norm * products[1]
     return v.reshape((4,) + v.shape[2:])
 
 
@@ -218,8 +219,8 @@ def _reduced_blochs(s: np.ndarray) -> np.ndarray:
     rho_01 = a c* + b d*, the side-first vector is (2 Re rho_01, -2 Im rho_01,
     |a|^2 + |b|^2 - |c|^2 - |d|^2).  The side-second vector swaps b and c.
     """
-    x = s[_RHO_RIGHT].conj()
-    np.multiply(s[_RHO_LEFT], x, out=x)  # a c*, b d*, a b*, c d*
+    x = s.take(_RHO_RIGHT, 0).conj()  # take: a gather without the machinery of fancy indexing
+    np.multiply(s.take(_RHO_LEFT, 0), x, out=x)  # a c*, b d*, a b*, c d*
     rho01 = 2.0 * (x[::2] + x[1::2])
     del x
     out = np.empty((2, 3) + rho01.shape[1:])

@@ -507,9 +507,11 @@ def test_every_check_sees_a_tampered_diagnostic(monkeypatch, module, name):
     # tetrahedron_geometry_check and reduced_tetrahedron, and so verify_one, call them too.
     # verify_one reads the Gram entries through the public matmul forms, verify_many through
     # ejm._gram_upper: of the rows first (gram_matrix), then of the columns (completeness_residual).
-    # The same shift reaches both to within rounding: |x + 1e-9| of an x of order 1e-16 is 1e-9 + O(1e-16)
+    # The same shift reaches both to within rounding: |x + 1e-9| of an x of order 1e-16 is 1e-9 + O(1e-16).
+    # gram_closed is formed by ejm._gram_closed, at every entry for the public form and at the ten
+    # upper ones for verify_many, so the shift goes into that core, which both read
     tamper = _shifted_input if name == "_tetrahedron_geometry" else _shifted
-    original = getattr(module, name)
+    original = getattr(module, "_gram_closed" if name == "gram_closed" else name)
     replace_everywhere(monkeypatch, original, tamper(original))
     core_call = {"gram_matrix": 0, "completeness_residual": 1}.get(name)
     if core_call is not None:
@@ -608,6 +610,20 @@ def test_pass_rule_needs_every_metric():
     for values in ([0.0], np.zeros((8, 3)), np.zeros(10)):
         with pytest.raises(ValueError, match="expected 9 metric values"):
             passes(CHECKS, values)
+
+
+def test_pass_rule_reads_the_table_it_is_given(monkeypatch):
+    # the bounds are built once per table contents, never per dict identity or at import: a fresh
+    # table with other bounds, and an entry of CHECKS changed in place, each move the verdict
+    metrics = np.full(len(CHECKS), 5e-13)
+    assert passes(CHECKS, metrics)
+    assert not passes(dict.fromkeys(CHECKS, 1e-13), metrics)
+    assert passes(dict.fromkeys(CHECKS, 1e-12), metrics)
+    monkeypatch.setitem(ejm.CHECKS, "pairwise_dev", 1e-13)
+    assert not passes(ejm.CHECKS, metrics)
+    assert passes(ejm.CHECKS, metrics[:, None] * [0.0, 1.0]).tolist() == [True, False]
+    monkeypatch.setitem(ejm.CHECKS, "pairwise_dev", 1e-12)
+    assert passes(ejm.CHECKS, metrics)
 
 
 def test_pass_rule_matches_per_point_rule():

@@ -1014,3 +1014,11 @@ class TestReportEncoding:
 def assert_indent_2(report, out):
     assert all(isinstance(v, (str, int, float)) for v in report.values()), report
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_verify_echoes_negative_zero_phi(capsys):
+    # the wrap of phi keeps the sign of a zero, so the report echoes the angle as it was given
+    code, out, _ = run(capsys, "verify", "--phi=-0.0")
+    assert code == 0 and '\n  "phi": -0.0,\n' in out
+    code, out, _ = run(capsys, "verify", "--phi=-0.0", "--format", "csv")
+    assert code == 0 and "\nphi,-0\n" in out

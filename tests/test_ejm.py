@@ -93,6 +93,18 @@ class TestParams:
             assert isinstance(getattr(p, name), float), name
         assert p.phi_z == phi_z(0.8)
 
+    def test_a_float_triple_holds_no_0d_array(self):
+        # a 0-d array would send every later operation through numpy's full ufunc machinery
+        for triple in ((0.8, 0.3, 0.7), (-1 / SQRT3, -math.pi, math.pi / 2), (np.float64(-1.0), -0.0, 0.0)):
+            p = EjmParams(*triple)
+            for name in ("z", "phi", "theta", "root_3z2m1", "root_1mz2", "e_theta", "theta0", "root_3z2",
+                         "cos_theta", "phi_z", "phi_prime"):
+                field = getattr(p, name)
+                assert isinstance(field, (float, complex, np.generic)), (triple, name, type(field))
+            for name in ("zs", "phis", "sng_zs", "dphis"):
+                field = getattr(p, name)
+                assert type(field) is np.ndarray and field.shape == (4,) and not field.flags.writeable, name
+
     def test_derived_from_the_checked_triple(self):
         # z is clipped to 1 and phi wrapped to pi before anything is derived from them
         p, q = EjmParams(1 + 5e-13, 3 * math.pi, 0.4), EjmParams(1.0, math.pi, 0.4)

@@ -179,3 +179,34 @@ def test_weight_at_the_bound_gives_finite_states(a):
     assert np.abs(phi_state_tensor(p) - state).max() < 1e-15
     assert 0.0 <= concurrence_closed(a, 0.4) <= 1.0
     assert np.isfinite(reduced_bloch_closed(p)).all()
+
+
+def _reference_wrap(phi: float) -> float:
+    """(-pi, pi] by one exact fmod and at most one exact period shift, with no shift for angles inside."""
+    w = math.fmod(phi, 2.0 * math.pi)
+    if w > math.pi:
+        return w - 2.0 * math.pi
+    if w <= -math.pi:
+        return w + 2.0 * math.pi
+    return w
+
+
+WRAP_EDGES = [
+    0.0, -0.0, math.pi, -math.pi,
+    math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, -4.0), math.nextafter(-math.pi, 0.0),
+    2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300,
+]
+
+
+def test_wrap_keeps_signed_zero_and_period_edges_bit_for_bit():
+    # the period shift subtracts +0.0 where none applies, which keeps -0.0; the same bits for a
+    # float, a numpy scalar and elementwise in one array
+    want = np.array([_reference_wrap(phi) for phi in WRAP_EDGES])
+    elementwise = wrap_angle(np.array(WRAP_EDGES))
+    assert elementwise.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for phi, expected in zip(WRAP_EDGES, want):
+        for given in (phi, np.float64(phi)):
+            got = wrap_angle(given)
+            assert type(got) is float and np.float64(got).view(np.int64) == expected.view(np.int64), (given, got)
+    assert np.signbit(wrap_angle(-0.0)) and np.signbit(elementwise[1])
