@@ -1,26 +1,22 @@
 """Three-parameter elegant joint measurement basis and its proof obligations.
 
-A single (z, phi, theta) triple, with |z| in [1/sqrt(3), 1], determines four
-orthonormal two-qubit states.  Each basis state is the five-parameter state
-of :mod:`ejmkit.states` with weight a = sqrt(3), theta0 = arcsin(1/sqrt(3 z^2))
-and per-index parameters
+A single (z, phi, theta) triple, with |z| in [1/sqrt(3), 1], determines four orthonormal two-qubit
+states: the five-parameter state of :mod:`ejmkit.states` at weight a = sqrt(3), theta0 =
+arcsin(1/sqrt(3 z^2)) and
 
     phi_i = phi + (0, pi/2, -pi, -pi/2)[i],    z_i = (z, -z, z, -z)[i].
 
-Three independent construction paths are provided and agree elementwise:
-the tensor-product path (basis_from_kets, which is that five-parameter state
-at a = sqrt(3), built by the same kernel as states.phi_state_tensor), the
-simplified coefficient path (build_basis, the canonical one) and the
-phi_z-rotated path (basis_phi_z_form).
+Three independent construction paths agree elementwise: the tensor-product path (basis_from_kets,
+the kernel of states.phi_state_tensor), the simplified coefficient path (build_basis, the canonical
+one) and the phi_z-rotated path (basis_phi_z_form).  State i differs from state 0 only by the phase
+e^{-i shift_i} and the sign of z_i, so the last two, and the closed reduced vectors, are compiled at
+import: a constant matrix times a few per-point factors, in one matmul (_compiled).
 
-Everything here is array-shaped.  z, phi and theta may be broadcastable
-arrays; a basis then has shape (..., 4, 4), with state i at [..., i, :],
-and every diagnostic keeps the leading axes.  A triple of floats is the
-n = 1 case of the same code.  Internally the arrays are point-axis-last: a
-basis is built as (4, 4, ...), state i at [i], so every per-point product is
-an elementwise op on contiguous point vectors, and the public functions
-return the (..., 4, 4) views of those arrays (_public, inverted by _kernel);
-gram_matrix and completeness_residual are matmuls on the (..., 4, 4) stack.
+Everything here is array-shaped: z, phi and theta broadcast, a basis has shape (..., 4, 4) with
+state i at [..., i, :], every diagnostic keeps the leading axes, and a triple of floats is the n = 1
+case of the same code.  Internally the arrays are point-axis-last, a basis (4, 4, ...) with state i
+at [i], so every per-point product is elementwise on contiguous point vectors, and the public
+functions return the (..., 4, 4) views (_public, inverted by _kernel).
 """
 
 from __future__ import annotations
@@ -41,6 +37,13 @@ _EJM_Z = f"|z| must lie in [1/sqrt(3), 1] ~ [{Z_MIN:.6f}, 1], got z = {{!r}}", Z
 
 PHI_SHIFTS = np.array([0.0, math.pi / 2, -math.pi, -math.pi / 2])
 Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+# e^{-i shift_i} = (1, -i, -1, i) and z_i/z = (1, -1, 1, -1) as the exact values they stand for; then the
+# compiled constructions of build_basis, basis_phi_z_form (the sign of |11> apart) and reduced_tetrahedron_closed
+_PHASES, _SIGNS = np.round(np.exp(-1j * PHI_SHIFTS)) + 0.0, np.round(Z_SIGNS) + 0.0
+_BASIS, _PHI_Z_BASIS = (np.array([[[u, 0, 0, 0], [0, 0, -s, -1], [0, 0, -s, 1], [0, last * u.conjugate(), 0, 0]]
+                                  for u, s in zip(_PHASES, _SIGNS)]).reshape(16, 4) + 0.0 for last in (1, -1))
+_TETRAHEDRON = np.array([[[u.real, u.imag, 0], [-u.imag, u.real, 0], [0, 0, s]]
+                         for u, s in zip(_PHASES, _SIGNS)]).reshape(12, 3) + 0.0
 
 # vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
@@ -121,8 +124,8 @@ class EjmParams:
     - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
     - phi_z = phi_z(z), and phi_prime = phi - phi_z; for z < 0 the circuits run at phi - pi/2 - phi_z;
-    - shape, the broadcast shape of the triple, and zs, phis, sng_zs and dphis: z_i = z Z_SIGNS[i],
-      phi_i = phi + PHI_SHIFTS[i], sng(z_i), phi_i - phi_z: a state axis of 4, then len(shape) axes.
+    - shape, the broadcast shape of the triple, and zs, phis and sng_zs: z_i = z Z_SIGNS[i],
+      phi_i = phi + PHI_SHIFTS[i] and sng(z_i): a state axis of 4, then len(shape) axes.
 
     These and the three fields are read-only, so an in-place write raises
     ValueError instead of corrupting every later basis built from them.
@@ -143,15 +146,15 @@ class EjmParams:
         zs, phis = Z_SIGNS.reshape(column) * z, PHI_SHIFTS.reshape(column) + phi
         _freeze(self, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z, zs=zs,
                 e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)), root_3z2=np.sqrt(3.0 * z * z),
-                cos_theta=np.cos(theta), phi_prime=phi - phi_z, phis=phis, sng_zs=sng(zs), dphis=phis - phi_z)
+                cos_theta=np.cos(theta), phi_prime=phi - phi_z, phis=phis, sng_zs=sng(zs))
 
 
-def _columns(p: EjmParams, factor, columns, dtype=complex) -> np.ndarray:
-    """factor times each column, written along axis 1 of one (4, len(columns), ...) array."""
-    out = np.empty((4, len(columns)) + p.shape, dtype)
-    for k, column in enumerate(columns):
-        np.multiply(factor, column, out=out[:, k])
-    return out
+def _compiled(template: np.ndarray, shape: tuple, *factors) -> np.ndarray:
+    """A compiled template (4 m, k) times k per-point factors, each broadcast to shape, in one matmul: (..., 4, m)."""
+    f = np.empty((len(factors), *shape), template.dtype)
+    for k, factor in enumerate(factors):
+        f[k] = factor
+    return _public((template @ f.reshape(len(factors), -1)).reshape(4, len(template) // 4, *shape))
 
 
 def _public(x: np.ndarray) -> np.ndarray:
@@ -167,17 +170,15 @@ def _kernel(x: np.ndarray) -> np.ndarray:
 def build_basis(p: EjmParams) -> np.ndarray:
     """Canonical basis constructor via the simplified coefficient form, shape (..., 4, 4).
 
-    State i is pre (a_+ e^{-i phi_i}, -b_+, -b_-, a_- e^{i phi_i}), with the |00>/|11>
-    coefficients a_+- = (i sqrt(3 z^2 - 1) +- sqrt(1 - z^2))/sqrt(2) and the |01>/|10>
-    coefficients b_+- = (z_i +- |z| e^{i theta})/sqrt(2).
+    State i is pre (a_+ e^{-i phi_i}, -b_+, -b_-, a_- e^{i phi_i}), with the |00>/|11> coefficients
+    a_+- = (i sqrt(3 z^2 - 1) +- sqrt(1 - z^2))/sqrt(2) and the |01>/|10> coefficients b_+- = (z_i +-
+    |z| e^{i theta})/sqrt(2): _BASIS on the factors pre a_+- e^{-+i phi}, pre z/sqrt(2), pre |z| e^{i theta}/sqrt(2).
     """
     s, c = p.root_3z2m1, p.root_1mz2
-    az_e = np.abs(p.z) * p.e_theta
-    b_plus, b_minus = (p.zs + az_e) / SQRT2, (p.zs - az_e) / SQRT2
-    pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z)
-    e = np.exp(1j * p.phis)
-    columns = ((1j * s + c) / SQRT2 / e, -b_plus, -b_minus, (1j * s - c) / SQRT2 * e)
-    return _public(_columns(p, pre, columns))
+    pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z) / SQRT2
+    e = np.exp(1j * p.phi)
+    return _compiled(_BASIS, p.shape, pre * (1j * s + c) / e, pre * (1j * s - c) * e, pre * p.z,
+                     pre * abs(p.z) * p.e_theta)
 
 
 def basis_from_kets(p: EjmParams) -> np.ndarray:
@@ -192,17 +193,15 @@ def basis_from_kets(p: EjmParams) -> np.ndarray:
 
 
 def basis_phi_z_form(p: EjmParams) -> np.ndarray:
-    """Basis via the phi_z-rotated closed form.
+    """Basis via the phi_z-rotated closed form, which agrees elementwise with build_basis.
 
-    For z > 0 the bracket of state i alternates between (e^{-i phi'},
-    -r_+, -r_-, -e^{i phi'}) patterns with phi' = phi_i - phi_z; the
-    general form below covers z < 0 as well through sng(z_i) and agrees
-    elementwise with build_basis.
+    State i is pre (e^{-i phi'_i}, -r_+, -r_-, -e^{i phi'_i}), phi'_i = phi_i - phi_z, r_+- = (sng(z_i) +-
+    e^{i theta})/sqrt(2) and sng(z_i) = _SIGNS[i] sng(z): _PHI_Z_BASIS on the factors pre e^{-+i phi'},
+    pre sng(z)/sqrt(2) and pre e^{i theta}/sqrt(2).
     """
     pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * p.root_3z2)
-    g, e_th = p.sng_zs, p.e_theta
-    e = np.exp(1j * p.dphis)
-    return _public(_columns(p, pre, (1.0 / e, -(g + e_th) / SQRT2, -(g - e_th) / SQRT2, -e)))
+    e = np.exp(1j * p.phi_prime)
+    return _compiled(_PHI_Z_BASIS, p.shape, pre / e, pre * e, pre * p.sng_zs[0] / SQRT2, pre * p.e_theta / SQRT2)
 
 
 def _gram_upper(b: np.ndarray) -> np.ndarray:
@@ -256,8 +255,8 @@ def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
     (1/sqrt(2)) cos theta (cos(phi_i - phi_z), sin(phi_i - phi_z),
     sng(z_i)/sqrt(2)); for z > 0 the last component is (-1)^i/sqrt(2).
     """
-    columns = (np.cos(p.dphis), np.sin(p.dphis), p.sng_zs / SQRT2)
-    return _public(_columns(p, p.cos_theta / SQRT2, columns, float))
+    c = p.cos_theta / SQRT2  # _TETRAHEDRON on c (cos phi', sin phi', sng(z)/sqrt(2))
+    return _compiled(_TETRAHEDRON, p.shape, c * np.cos(p.phi_prime), c * np.sin(p.phi_prime), c * p.sng_zs[0] / SQRT2)
 
 
 def tetrahedron_geometry_check(vectors, theta):
@@ -366,8 +365,8 @@ def passes(checks: dict, values):
     a bool, arrays one flag per point.
     """
     values = np.asarray(values)
-    if len(values) != len(checks):  # a shorter axis would broadcast against every bound
-        raise ValueError(f"expected {len(checks)} metric values, got {len(values)}")
+    if values.shape[:1] != (len(checks),):  # a shorter axis, or none, would broadcast against every bound
+        raise ValueError(f"expected {len(checks)} metric values, got shape {values.shape}")
     ok = (values.T < _BOUNDS(tuple(checks.values()))).all(axis=-1).T  # the metric axis last, against the bounds
     return bool(ok) if ok.ndim == 0 else ok
 

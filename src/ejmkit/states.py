@@ -234,7 +234,8 @@ def _reduced_blochs(s: np.ndarray) -> np.ndarray:
 
 def _concurrence(s: np.ndarray) -> np.ndarray:
     """C = 2|ad - bc| of checked states (4, ...), amplitudes on the first axis."""
-    return 2.0 * np.abs(s[0] * s[3] - s[1] * s[2])
+    ad, bc = s[:2] * s[:1:-1]  # one array product: numpy's complex scalars would round one state apart from a stack
+    return 2.0 * np.abs(ad - bc)
 
 
 def concurrence_numeric(s):

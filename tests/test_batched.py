@@ -610,6 +610,11 @@ def test_pass_rule_needs_every_metric():
     for values in ([0.0], np.zeros((8, 3)), np.zeros(10)):
         with pytest.raises(ValueError, match="expected 9 metric values"):
             passes(CHECKS, values)
+    # a one-metric table is no exception: a lone value has no metric axis to read
+    for values in (1e-17, np.float64(1e-17), np.array(1e-17)):
+        with pytest.raises(ValueError, match=r"expected 1 metric values, got shape \(\)"):
+            passes(ejm.BSM_CHECKS, values)
+    assert passes(ejm.BSM_CHECKS, [1e-17]) is True
 
 
 def test_pass_rule_reads_the_table_it_is_given(monkeypatch):

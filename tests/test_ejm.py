@@ -101,7 +101,7 @@ class TestParams:
                          "cos_theta", "phi_z", "phi_prime"):
                 field = getattr(p, name)
                 assert isinstance(field, (float, complex, np.generic)), (triple, name, type(field))
-            for name in ("zs", "phis", "sng_zs", "dphis"):
+            for name in ("zs", "phis", "sng_zs"):
                 field = getattr(p, name)
                 assert type(field) is np.ndarray and field.shape == (4,) and not field.flags.writeable, name
 
