@@ -11,7 +11,7 @@ Conventions: Y denotes i*sigma_y (real rotation), S = diag(1, i),
 Ry(zeta) = exp(-i zeta sigma_y / 2), Phase(xi) = diag(1, e^{i xi}).
 Controls activate on |1>.  The circuits are templates per sign of z, built
 as Gates at one point (prep_circuit, detect_circuit) or compiled (_compile),
-so that one gather forms their operators at points of any shape (_stages).
+so that one matmul forms their operators at points of any shape (_stages).
 """
 
 from __future__ import annotations
@@ -22,21 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_normalized
+from .linalg import I4, require_normalized
 from .ejm import EjmParams
 
 _R = 1 / math.sqrt(2)
 
 
 def _bank(angles) -> np.ndarray:
-    """The values gate entries are gathered from: angles (..., k) give (..., 2 + 5 k), holding 0, 1
-    and then per angle a: cos(a/2), -sin(a/2), sin(a/2), e^{ia} and e^{-ia}."""
-    a = np.asarray(angles, dtype=float)
-    half, e = a / 2.0, np.exp(1j * a)  # e^{ia}, equal bit for bit to complex(cos a, sin a)
-    bank = np.empty((*a.shape[:-1], 2 + 5 * a.shape[-1]), dtype=complex)
-    bank[..., 0], bank[..., 1], bank[..., 2::5], bank[..., 4::5] = 0, 1, np.cos(half), np.sin(half)
-    bank[..., 3::5], bank[..., 5::5], bank[..., 6::5] = -bank[..., 4::5], e, e.conj()
-    return bank
+    """The values every gate entry is linear in: each angle a gains a last axis of six, the cosines and then
+    the sines of 0, a/2 and a, so that its first is cos 0 = 1."""
+    x = np.asarray(angles, dtype=float)[..., None] * (0.0, 0.5, 1.0)
+    return np.concatenate((np.cos(x), np.sin(x)), axis=-1)
 
 
 # name -> (arity, needs angle, factory of the 2x2 entries (u00, u01, u10, u11))
@@ -45,11 +41,14 @@ _GATES = {
     "Y": (1, False, lambda _: (0, 1, -1, 0)), "S": (1, False, lambda _: (1, 0, 0, 1j)),  # Y = i sigma_y
     "CNOT": (2, False, lambda _: (0, 1, 1, 0)), "CS": (2, False, lambda _: (1, 0, 0, 1j)),
 }
-# an angle gate's (u00, u01, u10, u11) as bank positions for its angle in slot 0; slot j adds 5 j past 1
-_AT = {"RY": (2, 3, 4, 2), "PHASE": (1, 0, 0, 5), "PHASEDG": (1, 0, 0, 6)}
-_AT.update({"C" + name: at for name, at in _AT.items()})
-_GATES.update({name: (1 + name.startswith("C"), True, lambda angle, at=list(at): _bank([angle])[at])
-               for name, at in _AT.items()})
+# an angle gate's entry vector (0, 1, u00, u01, u10, u11) over its angle's bank: e^{+-ia} = cos a +- i sin a
+_ONE, _COS_HALF, _COS, _SIN_HALF, _SIN = np.eye(6)[[0, 1, 2, 4, 5]]  # sin 0, at 3, enters no entry
+_LIN = {name: np.transpose((0 * _ONE, _ONE, *u)) for name, u in (
+    ("RY", (_COS_HALF, -_SIN_HALF, _SIN_HALF, _COS_HALF)), ("PHASE", (_ONE, 0 * _ONE, 0 * _ONE, _COS + 1j * _SIN)),
+    ("PHASEDG", (_ONE, 0 * _ONE, 0 * _ONE, _COS - 1j * _SIN)))}
+_LIN.update({"C" + name: lin for name, lin in _LIN.items()})
+_GATES.update({name: (1 + name.startswith("C"), True, lambda angle, lin=lin[:, 2:]: _bank(angle) @ lin)
+               for name, lin in _LIN.items()})
 
 # where u00, u01, u10, u11 sit in a gate's entry vector (0, 1, u00, u01, u10, u11)
 _U = np.arange(2, 6).reshape(2, 2)
@@ -188,39 +187,45 @@ def _gates(template, angles) -> tuple:
 
 
 def _compile(*templates) -> tuple:
-    """(template, fuse) pairs as one program (table, stages): per template, its operators on row states
-    in order, each run of angle-free gates as one constant (each gate alone without fuse) and each angle
-    gate as its index k in `table` (k, 4, 4), the bank positions of every angle gate's operator."""
-    table, stages = [], []
-    for template, fuse in templates:
-        stages.append(stage := [])
+    """(template, fold) pairs as one program (m, slots, ends) of operators on row states, in order: fold
+    multiplies each run of angle-free gates into the angle gate next to it (a stage's leading run from the
+    left, every later run from the right), and without it each gate stays alone.  An operator's entries are
+    linear in the bank of one angle (_bank), its slot, so a constant m (k, 6, 32) forms each operator's 16
+    entries, as real and imaginary parts, as bank[slots[j]] @ m[j]; ends are the stages' ends."""
+    ops, slots, ends = [], [], []
+    for template, fold in templates:
+        left, start = I4, len(ops)
         for name, qubits, *slot in template:
-            if slot:
-                stage.append(len(table))
-                at = [i + 5 * slot[0] if i > 1 else i for i in _AT[name]]
-                table.append(np.array([0, 1, *at])[_SLOTS[qubits]])
-            elif fuse and stage and not isinstance(stage[-1], int):
-                stage[-1] = stage[-1] @ _fixed(name, qubits).op
+            if slot or not fold:  # an angle gate, or a constant operator times cos 0 = 1 of slot 0
+                entries = _LIN[name][:, _SLOTS[qubits]] if slot else _ONE[:, None, None] * _fixed(name, qubits).op
+                ops.append(left @ entries)
+                slots += slot or [0]
+                left = I4
+            elif len(ops) == start:
+                left = left @ _fixed(name, qubits).op
             else:
-                stage.append(_fixed(name, qubits).op)
-    return np.array(table), stages
+                ops[-1] = ops[-1] @ _fixed(name, qubits).op
+        ends.append(len(ops))
+    return np.array(ops, dtype=complex).reshape(len(ops), 6, 16).view(float), slots, ends
 
 
 def _stages(program, angles) -> list:
-    """The stages of a program at circuit angles (..., 5), as operator lists for _run: one gather
-    from the bank forms every angle gate's (..., 4, 4) operator, and the constants broadcast."""
-    table, stages = program
-    ops = _bank(angles)[..., table]
-    return [[ops[..., k, :, :] if isinstance(k, int) else k for k in stage] for stage in stages]
+    """The stages of a program at circuit angles (5, ...), each a stack (k, ..., 4, 4) of operators for _run,
+    formed in one matmul a point at a time, so that a stack of points equals its one-point calls bit for bit."""
+    m, slots, ends = program
+    bank = _bank(angles)[slots][..., None, :]  # (k, ..., 1, 6): the bank of each operator's angle
+    ops = (bank @ m.reshape(len(m), *(1,) * (bank.ndim - 3), 6, 32)).view(complex).reshape(*bank.shape[:-2], 4, 4)
+    return [ops[start:end] for start, end in zip([0, *ends], ends)]
 
 
-# per sign of z: the preparation, U1 at phi' and the detection, fused, and the detection gate by gate
-_PROGRAMS = [_compile((prep, True), (_U1[4], True), (detect, True), (detect, False))
-             for prep, detect in zip(_PREPS, _DETECTS)]
+# [z < 0][bsm]: the preparation, U1 at phi' and the detection, folded, and in a BSM program the detection
+# gate by gate too, so that one matmul forms every operator of a request
+_PROGRAMS = [[(m[:ends[2]], slots[:ends[2]], ends[:3]), (m, slots, ends)] for m, slots, ends in (
+    _compile((prep, True), (_U1[4], True), (detect, True), (detect, False)) for prep, detect in zip(_PREPS, _DETECTS))]
 _CRY = [g[0] for g in _DETECT].index("CRY")  # its place in either detection template
 
 
-def _detect_pair(gatewise: list) -> np.ndarray:
+def _detect_pair(gatewise: np.ndarray) -> np.ndarray:
     """(2, ..., 4, 4): a gate-by-gate detection stage run on I4 as Circuit.unitary runs it, with
     and without its CRY gate, so each is the transpose of that circuit's unitary."""
     v = _run(gatewise[:_CRY], np.eye(4, dtype=complex))
@@ -228,14 +233,14 @@ def _detect_pair(gatewise: list) -> np.ndarray:
 
 
 def _angles(p: EjmParams) -> np.ndarray:
-    """Each point's circuit angles by template slot, on a last axis of 5 (see _PREP), from its circuit
+    """Each point's circuit angles by template slot, on a first axis of 5 (see _PREP), from its circuit
     angle phi_c: phi' = phi - phi_z for z >= 0, else (phi - pi/2) - phi_z, since the basis at z < 0 is
     the positive-z basis at phi - pi/2 with its indices cycled, which U1 and the relabelling restore."""
     two = 2.0 * (p.phi - math.pi / 2 * (p.z < 0) - p.phi_z)
     half_pi = math.pi / 2
-    angles = np.empty((*p.shape, 5))
-    angles[..., 0], angles[..., 1], angles[..., 2] = half_pi - two, half_pi - p.theta, two
-    angles[..., 3], angles[..., 4] = two + half_pi, 2.0 * p.phi_prime + half_pi
+    angles = np.empty((5, *p.shape))
+    angles[0], angles[1], angles[2] = half_pi - two, half_pi - p.theta, two
+    angles[3], angles[4] = two + half_pi, 2.0 * p.phi_prime + half_pi
     return angles
 
 
@@ -281,10 +286,10 @@ def local_unitary_u2() -> np.ndarray:
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max-abs entrywise deviation of a from b after the best global phase."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    ref = b[idx]
+    k = np.argmax(np.abs(b))  # a flat index in C order, as flat reads it, whatever the memory layout
+    ref = b.flat[k]
     if abs(ref) < 1e-300:
         raise ValueError("reference matrix is zero")
-    phase = a[idx] / ref
+    phase = a.flat[k] / ref
     phase /= abs(phase)
     return float(np.abs(a - phase * b).max())

@@ -40,6 +40,8 @@ TABLE1_BLOCKS = [
     (1.0, 3 * math.pi / 4, [(0, 0, 1), (0, 0, -1), (0, 0, 1), (0, 0, -1)]),
 ]
 REDUCED_SIGNS = np.array(TABLE1_BLOCKS[0][2], dtype=float)
+# json.dumps with these separators, built once: each keeps the C encoder, which an indent turns off
+_ROWS_JSON, _REPORT_JSON = (json.JSONEncoder(separators=(sep, ": ")).encode for sep in (",\n    ", ",\n  "))
 
 
 def fmt(x: float) -> str:
@@ -55,7 +57,7 @@ def _emit(rows, header, args):
     else:
         # json.dumps(rows, indent=2) for flat, non-empty rows, through the C encoder, which indent
         # turns off: a raw newline is only ever a separator, so "},\n    {" only ever joins two rows
-        js = json.dumps([dict(zip(header, row)) for row in rows], separators=(",\n    ", ": "))
+        js = _ROWS_JSON([dict(zip(header, row)) for row in rows])
         _write("[\n  {\n    " + js[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n", args)
 
 
@@ -64,9 +66,8 @@ def _emit_report(report: dict, args):
     if args.format == "csv":
         _emit(report.items(), ["key", "value"], args)
     else:
-        # json.dumps(report, indent=2) for a flat report, through the C encoder,
-        # which indent turns off
-        _write("{\n  " + json.dumps(report, separators=(",\n  ", ": "))[1:-1] + "\n}\n", args)
+        # json.dumps(report, indent=2) for a flat report, through the C encoder
+        _write("{\n  " + _REPORT_JSON(report)[1:-1] + "\n}\n", args)
 
 
 class OutputError(OSError):
@@ -157,7 +158,8 @@ def cmd_concurrence(args) -> int:
 
 # per-request constants of cmd_circuit: row i is the outcome that detects basis state i
 _DETECTION_PERMUTATION = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
-_U2 = circuits.local_unitary_u2()
+# per prepared state, the signs that apply the identity (rows 0, 1) or U2 = sigma_z (x) sigma_z (rows 2, 3)
+_PREPARED_SIGNS = np.repeat([np.ones(4), circuits.local_unitary_u2().diagonal().real], 2, axis=0)
 # report keys of the four fidelities and the 4x4 outcome matrix, in row order
 _CIRCUIT_KEYS = (*(f"prep_fidelity_{i}" for i in range(4)),
                  *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")))
@@ -169,13 +171,17 @@ def cmd_circuit(args) -> int:
         _write(circuits.prep_circuit(p).dumps() + "\n" + circuits.detect_circuit(p).dumps(), args)
         return 0
 
-    # the compiled circuits run unchecked on |00> and the basis, which the library built
+    # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
+    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 it is exact
     angles = circuits._angles(p)
-    prep, u1, detect, gatewise = circuits._stages(circuits._PROGRAMS[p.z < 0], angles)
+    bsm = abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12
+    # the compiled circuits run unchecked on |00> and the basis, which the library built; |00> through
+    # the first operator is its row 0
+    prep, u1, detect, *gatewise = circuits._stages(circuits._PROGRAMS[p.z < 0][bsm], angles)
     b = ejm.build_basis(p)
-    psi0 = circuits._run(prep, np.array([1, 0, 0, 0], dtype=complex))
+    psi0 = circuits._run(prep[1:], prep[0, 0])
     u1_psi0 = circuits._run(u1, psi0)
-    prepared = np.array([psi0, u1_psi0, _U2 @ psi0, _U2 @ u1_psi0])
+    prepared = np.array([psi0, u1_psi0, psi0, u1_psi0]) * _PREPARED_SIGNS
     fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
 
     # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
@@ -185,11 +191,8 @@ def cmd_circuit(args) -> int:
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
-
-    # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
-    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 it is exact
-    if abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12:
-        with_cry, without = circuits._detect_pair(gatewise)
+    if bsm:
+        with_cry, without = circuits._detect_pair(*gatewise)
         dev = circuits.global_phase_deviation(with_cry.T, without.T)
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"

@@ -87,8 +87,8 @@ np.empty(1 << 21)
 
 
 def sng(x):
-    """Sign function with sng(0) = +1 (unreachable on the valid domain), elementwise."""
-    return _plain(np.where(np.less(x, 0), -1.0, 1.0))
+    """Sign function with sng(0) = +1 (unreachable on the valid domain), of a float or elementwise of an array."""
+    return _plain(np.copysign(1.0, x + 0.0))  # x + 0.0 turns -0.0 into +0.0
 
 
 def _root_3z2m1(z):

@@ -42,11 +42,11 @@ def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: 
     """
     x = np.array(x, dtype=float)[()]
     ax = abs(x) if modulus else x
-    ok = (ax >= lo - tol) & (ax <= hi + tol)
-    if b"\0" in ok.tobytes():  # a False entry, found by a byte scan instead of a reduction
-        raise ParameterRangeError(message.format(float(x[~ok][0])))
-    if b"\0" in ((ax > lo) & (ax <= hi)).tobytes():  # the clip: identity on (lo, hi]; -0.0 to 0.0 at lo = 0
-        clipped = np.minimum(np.maximum(ax, lo), hi)
+    if b"\0" in ((ax > lo) & (ax <= hi)).tobytes():  # by a byte scan, an entry off (lo, hi], where clip = identity
+        ok = (ax >= lo - tol) & (ax <= hi + tol)
+        if b"\0" in ok.tobytes():
+            raise ParameterRangeError(message.format(float(x[~ok][0])))
+        clipped = np.minimum(np.maximum(ax, lo), hi)  # -0.0 to 0.0 at lo = 0
         x = np.copysign(clipped, x) if modulus else clipped
     return _plain(x)
 

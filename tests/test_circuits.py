@@ -517,6 +517,26 @@ class TestGlobalPhaseDeviation:
         with pytest.raises(ValueError, match="reference matrix is zero"):
             global_phase_deviation(np.eye(4), np.zeros((4, 4)))
 
+    def test_equals_its_unravel_form_bit_for_bit(self):
+        # the reference entry by a flat argmax: the same entry as np.unravel_index finds, in C order,
+        # on C-ordered and transposed inputs, such as the report's BSM pair
+        def unravelled(a, b):
+            idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+            phase = a[idx] / b[idx]
+            return float(np.abs(a - phase / abs(phase) * b).max())
+
+        rng = np.random.default_rng(31)
+        pairs = [(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), rng.normal(size=(4, 4)) + 0j)
+                 for _ in range(100)]
+        pairs += [(a.T, b.T) for a, b in pairs] + [(a, b.T) for a, b in pairs]
+        for p in COMPILED_EDGES[-8:]:
+            with_cry, without = _detect_pair(_stages(_PROGRAMS[p.z < 0][True], _angles(p))[3])
+            pairs.append((with_cry.T, without.T))
+        for a, b in pairs:
+            assert global_phase_deviation(a, b) == unravelled(a, b)
+        with pytest.raises(ValueError, match="reference matrix is zero"):
+            global_phase_deviation(np.eye(4), np.zeros((4, 4)).T)
+
     def test_the_phase_is_a_unit_number(self):
         # the best phase of 2 I against I is 1, not 2: the deviation is the factor's distance, 1
         assert global_phase_deviation(2 * np.eye(4), np.eye(4)) == 1.0
@@ -614,10 +634,15 @@ COMPILED_EDGES = [
 I4 = np.eye(4, dtype=complex)
 
 
+def compiled_stages(negative, angles):
+    """The compiled stages at circuit angles: preparation, U1 at phi' and detection, folded, and the
+    detection gate by gate (a BSM program)."""
+    return _stages(_PROGRAMS[negative][True], angles)
+
+
 def compiled_unitaries(p):
-    """The compiled stages at one point as unitaries: preparation, U1 at phi', detection, and the
-    detection gate by gate."""
-    return [_run(stage, I4).T for stage in _stages(_PROGRAMS[p.z < 0], _angles(p))]
+    """The compiled stages at one point as unitaries."""
+    return [_run(stage, I4).T for stage in compiled_stages(p.z < 0, _angles(p))]
 
 
 class TestCompiled:
@@ -636,7 +661,7 @@ class TestCompiled:
                 assert np.abs(got - want.unitary()).max() <= 1e-15, p
             # gate by gate, the same products as Circuit.unitary: bit for bit
             assert np.array_equal(gatewise, oracle.unitary())
-            with_cry, without = _detect_pair(_stages(_PROGRAMS[p.z < 0], _angles(p))[3])
+            with_cry, without = _detect_pair(compiled_stages(p.z < 0, _angles(p))[3])
             assert np.array_equal(with_cry.T, oracle.unitary())
             assert np.array_equal(without.T, without_cry(oracle).unitary())
 
@@ -644,20 +669,22 @@ class TestCompiled:
         for negative in (False, True):
             points = [p for p in self.POINTS if (p.z < 0) == negative]
             stack = EjmParams(*(np.array([getattr(p, k) for p in points]) for k in ("z", "phi", "theta")))
-            stages = _stages(_PROGRAMS[negative], _angles(stack))
+            stages = compiled_stages(negative, _angles(stack))
             batched = [_run(stage, I4) for stage in stages]
             pairs = _detect_pair(stages[3])
             for i, p in enumerate(points):
-                one = _stages(_PROGRAMS[negative], _angles(p))
+                one = compiled_stages(negative, _angles(p))
                 for k, stage in enumerate(one):
                     assert np.array_equal(_run(stage, I4), batched[k][i])
                 assert np.array_equal(_detect_pair(one[3]), pairs[:, i])
 
     def test_constant_runs_are_multiplied_once(self):
-        # products per point in the preparation, U1 and detection: 16 for z >= 0 and 19 for z < 0,
-        # against 34 gates for z < 0 gate by gate
-        assert [sum(map(len, program[1][:3])) for program in _PROGRAMS] == [16, 19]
-        assert [len(program[1][3]) for program in _PROGRAMS] == [10, 13]
+        # operators per point in the preparation, U1 and detection, each angle gate with its neighbouring
+        # runs of angle-free gates: 7 for z >= 0 and 9 for z < 0, against 27 and 34 gates gate by gate
+        assert [[ends for _, _, ends in pair] for pair in _PROGRAMS] == [[[3, 5, 7], [3, 5, 7, 17]],
+                                                                         [[5, 7, 9], [5, 7, 9, 22]]]
+        # each operator's 16 complex entries, as 32 real and imaginary parts, over the six bank values of an angle
+        assert all(m.shape == (ends[-1], 6, 32) for pair in _PROGRAMS for m, _, ends in pair)
 
     def test_a_request_builds_no_gate(self, capsys, monkeypatch):
         built = []
@@ -699,7 +726,7 @@ def test_dense_circuit_checks():
         for chunk in np.array_split(np.flatnonzero((sign < 0) == negative), 4):
             p = EjmParams(sign[chunk] * az[chunk], phi[chunk], theta[chunk])
             angles = _angles(p)
-            prep, u1, detect, gatewise = _stages(_PROGRAMS[negative], angles)
+            prep, u1, detect = _stages(_PROGRAMS[negative][False], angles)
             b = build_basis(p)
             psi0 = _run(prep, KET00[None])
             u1_psi0 = _run(u1, psi0)
@@ -708,9 +735,9 @@ def test_dense_circuit_checks():
             perm_dev = np.abs(np.abs(_run(detect, b)) ** 2 - PERMUTATION).max(axis=(-2, -1))
             assert passes(CIRCUIT_CHECKS, [perm_dev, loss]).all()
             # the report's BSM rule finds every BSM point, and also z = -1/sqrt(2) at phi = pi
-            on = np.array([abs(math.remainder(a, 4 * math.pi)) < 2e-12 for a in angles[:, 0].tolist()])
+            on = np.array([abs(math.remainder(a, 4 * math.pi)) < 2e-12 for a in angles[0].tolist()])
             assert on[bsm[chunk]].all()
-            with_cry, without = _detect_pair(_stages(_PROGRAMS[negative], angles[on])[3])
+            with_cry, without = _detect_pair(_stages(_PROGRAMS[negative][True], angles[:, on])[3])
             dev = stacked_phase_deviation(with_cry.swapaxes(-1, -2), without.swapaxes(-1, -2))
             assert passes(BSM_CHECKS, [dev]).all()
             worst = np.maximum(worst, [perm_dev.max(), loss.max(), dev.max()])

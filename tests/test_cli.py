@@ -591,15 +591,13 @@ class TestCircuit:
         assert ejm.passes(ejm.CIRCUIT_CHECKS, [1e-10, 0.0]) is False
 
     def test_one_broken_fidelity_fails(self, capsys, monkeypatch):
-        # U2 after a swap of U1|psi0> = U2^dagger |Phi_3> with U2^dagger |Phi_1>, both orthogonal to |psi0>:
-        # state 3 is prepared as |Phi_1>, and states 0-2 and the detection are untouched
-        from ejmkit import cli, ejm
+        # state 3 without its U2 is prepared as U1|psi0> = -|Phi_1>, orthogonal to |Phi_3>: states 0-2
+        # and the detection are untouched
+        from ejmkit import cli
 
-        b = ejm.build_basis(ejm.EjmParams(1 / SQRT3, math.pi / 4, math.pi / 3))
-        u, x = (cli._U2.conj().T @ b[i] for i in (3, 1))
-        swap = np.eye(4) - np.outer(u, u.conj()) - np.outer(x, x.conj())
-        swap += np.outer(u, x.conj()) + np.outer(x, u.conj())
-        monkeypatch.setattr(cli, "_U2", cli._U2 @ swap)
+        signs = cli._PREPARED_SIGNS.copy()
+        signs[3] = 1.0
+        monkeypatch.setattr(cli, "_PREPARED_SIGNS", signs)
         code, js, _ = run(capsys, "circuit")
         rep = json.loads(js)
         assert [rep[f"prep_fidelity_{i}"] > 1 - 1e-10 for i in range(4)] == [True, True, True, False]

@@ -146,6 +146,23 @@ class TestPhiZ:
             phi_z(0.4)
 
 
+class TestSng:
+    # sng(0) = +1 at either zero, and the smallest subnormal keeps its sign
+    CASES = [(0.0, 1.0), (-0.0, 1.0), (5e-324, 1.0), (-5e-324, -1.0), (1.0, 1.0), (-1.0, -1.0),
+             (math.inf, 1.0), (-math.inf, -1.0)]
+
+    @pytest.mark.parametrize("x,want", CASES)
+    def test_a_float_gives_a_float(self, x, want):
+        got = ejm.sng(x)
+        assert type(got) is float and got == want
+
+    def test_an_array_gives_an_array(self):
+        x, want = np.array(self.CASES).T
+        got = ejm.sng(x)
+        assert got.dtype == float and np.array_equal(got, want)
+        assert np.array_equal(ejm.sng(x.reshape(2, 4)), want.reshape(2, 4))
+
+
 def coefficient_moduli(p: EjmParams) -> np.ndarray:
     """|a_+|, |b_+|, |b_-|, |a_-| per state: amplitudes over the prefactor's modulus 1/(2|z|)."""
     return 2.0 * np.abs(np.asarray(p.z))[..., None, None] * np.abs(build_basis(p))
