@@ -218,7 +218,7 @@ def _stages(program, angles) -> list:
     return [ops[start:end] for start, end in zip([0, *ends], ends)]
 
 
-# [z < 0][bsm]: the preparation, U1 at phi' and the detection, folded, and in a BSM program the detection
+# [z < 0][bsm]: the preparation, U1 at phi' and the detection, folded, and in a result (i) program the detection
 # gate by gate too, so that one matmul forms every operator of a request
 _PROGRAMS = [[(m[:ends[2]], slots[:ends[2]], ends[:3]), (m, slots, ends)] for m, slots, ends in (
     _compile((prep, True), (_U1[4], True), (detect, True), (detect, False)) for prep, detect in zip(_PREPS, _DETECTS))]
@@ -262,9 +262,9 @@ def prep_circuit(p: EjmParams) -> Circuit:
 
 
 def detect_circuit(p: EjmParams) -> Circuit:
-    """Circuit mapping basis state i onto a definite computational outcome.  Its one CRY gate carries
-    the (z, phi) dependence, through phi_c (_angles); at phi_c = pi/4 it is the identity, so the circuit
-    without it is a Bell state measurement."""
+    """Circuit mapping basis state i onto a definite outcome.  Its one CRY gate carries the (z, phi) dependence,
+    through phi_c (_angles); at phi_c = pi/4, result (i)'s point, where the basis has none, it is the identity.
+    Without it the circuit is a BSM only at theta = pi/2: its states have concurrence sqrt(5/8 - 3 cos(2 theta)/8)."""
     _base_params(p)
     return Circuit(_gates(_DETECTS[p.z < 0], _angles(p).tolist()))
 

@@ -172,7 +172,7 @@ def cmd_circuit(args) -> int:
         return 0
 
     # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
-    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the BSM case too; near pi/4 it is exact
+    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the result (i) case too; near pi/4 it is exact
     angles = circuits._angles(p)
     bsm = abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12
     # the compiled circuits run unchecked on |00> and the basis, which the library built; |00> through
@@ -230,6 +230,23 @@ class _Parser(argparse.ArgumentParser):
             return value
         return super()._get_values(action, arg_strings)
 
+    def read_exact(self, tokens):
+        """parse_args(tokens) read straight off this parser's actions, when every token is an exact
+        --flag=value of its own or its bare store_true flag; None for any other tokens."""
+        args = argparse.Namespace(**self.parsed_defaults)
+        for flag, joined, text in (token.partition("=") for token in tokens):
+            action = self._option_string_actions.get(flag)
+            if action is None or (action.nargs, action.const) != ((None, None) if joined else (0, True)):
+                return None
+            try:
+                value = (action.type or str)(text) if joined else True
+            except ValueError:
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            setattr(args, action.dest, value)  # a repeated flag: the last one wins, as in argparse
+        return args
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ejm", description=__doc__)
@@ -258,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
         sp.set_defaults(func=func, command=name)
+        sp.parsed_defaults = vars(sp.parse_args([]))  # immutable scalars and func, shared by read_exact
     parser.subcommands = sub.choices  # name -> subcommand parser, for main's direct dispatch
     return parser
 
@@ -275,12 +293,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a leading subcommand parses with its own parser and skips the top-level pass; any
-        # other argv, and unrecognized extras, take the full parser for its usage and errors
+        # exact --flag=value tokens after a subcommand are read off its actions; other argv takes the full parser
         sub = _parser().subcommands.get(argv[0]) if argv else None
-        args, extras = sub.parse_known_args(argv[1:]) if sub else (None, True)
-        if extras:
-            args = _parser().parse_args(argv)
+        args = (sub.read_exact(argv[1:]) if sub else None) or _parser().parse_args(argv)
         if args.command in ("sweep", "concurrence") and args.grid < 2:
             return _fail(2, "error: --grid must be >= 2")
         if args.command == "circuit" and args.dump and args.format == "csv":

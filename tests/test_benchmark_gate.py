@@ -5,13 +5,16 @@ responses count as failed operations (a missing report key, pass not true,
 a wrong echo or a non-zero exit code).  Running a slice of each stream
 through cli.main here makes a report change that the benchmark would count
 as a failure fail the test suite first.  The module needs only the standard
-library; it is loaded from its file and never modified.
+library; it is loaded from its file and never modified.  The same slice pins
+the parse route: the requests join every flag as --flag=value, so each one is
+read off its subcommand's actions and none runs argparse's parse.
 
 perfbench/tracer.py wraps ejmkit's public functions by name, and the benchmark
 reads per-function counts from it.  Loaded the same way, it checks that every
 function the benchmark reads is still one the tracer can wrap.
 """
 
+import argparse
 import importlib.util
 import itertools
 import json
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import ejmkit
+from ejmkit import cli
 from ejmkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,12 +44,21 @@ SEED = 11
 
 
 @pytest.mark.parametrize("workload,rounds", [("verify", 200), ("circuit", 200), ("sweep", 1)])
-def test_benchmark_accepts_every_response(capsys, workload, rounds):
+def test_benchmark_accepts_every_response(capsys, monkeypatch, workload, rounds):
     stream = itertools.islice(workloads.rounds(workload, SEED), rounds)
     requests = [req for rnd in stream for req in rnd]
     if workload == "verify":
         # the boundary slice the geometry band used to leave unchecked
         assert {"theta_half_pi", "theta_near_half_pi"} <= {req.kind for req in requests}
+    cli._parser()  # built first: building it parses each subcommand's defaults once
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse_known_args(self, *args, **kwargs):
+        parses.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse_known_args)
     failures = []
     for req in requests:
         code = main(list(req.argv))
@@ -54,6 +67,7 @@ def test_benchmark_accepts_every_response(capsys, workload, rounds):
         if reason is not None:
             failures.append((req.argv, reason))
     assert failures == []
+    assert parses == []
 
 
 def test_tracer_wraps_every_function_the_benchmark_reads():

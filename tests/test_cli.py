@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ejmkit import cli
 from ejmkit.circuits import Circuit
 from ejmkit.cli import main
 
@@ -211,11 +212,12 @@ def fuzz_argv(command: str, pairs) -> list:
     return argv
 
 
-def run_fuzzed(argv, *own_errors):
+def run_fuzzed(argv, *own_errors, foreign=False):
     """stdout of main(argv), once the code is 0 or 2; None on 2, once that is one error line.
 
     The error line is a parameter error, a usage error or one of own_errors.  Usage errors end in
-    argparse's SystemExit, the way the console script ends, after argparse's usage block.
+    argparse's SystemExit, the way the console script ends, after the subcommand's usage block;
+    with foreign, also after the top-level one, for the flags of other subcommands that argv holds.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -228,9 +230,10 @@ def run_fuzzed(argv, *own_errors):
     if code == 2:
         assert out == "", argv
         *usage, line = err.splitlines()
+        foreign = foreign and line.startswith("ejm: error: unrecognized arguments: ")
         prefixes = ("parameter error: ", f"ejm {argv[0]}: error: ", *own_errors)
-        assert err.endswith("\n") and line.startswith(prefixes), argv
-        assert not usage or usage[0].startswith(f"usage: ejm {argv[0]}"), argv
+        assert err.endswith("\n") and (foreign or line.startswith(prefixes)), argv
+        assert not usage or usage[0].startswith("usage: ejm [-h] {" if foreign else f"usage: ejm {argv[0]}"), argv
         return None
     assert err == "", argv
     return out
@@ -340,6 +343,71 @@ def test_sweep_argv_fuzz(pairs):
     grids = [value for flag, value, _ in pairs if flag == "--grid"]
     n = int(grids[-1]) if grids else 6
     assert (int(rep["grid"]), int(rep["points"])) == (n, n**3), argv
+
+
+def table_of(out: str, csv: bool, keys: tuple) -> list:
+    """The rows of a table, each a dict in the documented key order: JSON, or CSV with its values as text."""
+    if not csv:
+        rows = json.loads(out)
+        assert all(tuple(row) == keys for row in rows)
+        return rows
+    header, *lines = out.splitlines()
+    assert header == ",".join(keys) and all(line.count(",") == len(keys) - 1 for line in lines)
+    return [dict(zip(keys, line.split(","))) for line in lines]
+
+
+BASIS_KEYS = ("state", "basis", "re", "im", "phi_z", "theta0")
+
+
+@given(st.lists(st.one_of(flag_values, formats), max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_basis_argv_fuzz(pairs):
+    """Every basis argv ends in 0 with four unit-norm states, or in 2 with one error line."""
+    argv = fuzz_argv("basis", pairs)
+    out = run_fuzzed(argv)
+    if out is None:
+        return
+    rows = table_of(out, csv_chosen(pairs), BASIS_KEYS)
+    labels = [(int(row["state"]), row["basis"]) for row in rows]
+    assert labels == [(i, lab) for i in range(4) for lab in ("00", "01", "10", "11")], argv
+    amplitudes = np.array([float(row["re"]) + 1j * float(row["im"]) for row in rows]).reshape(4, 4)
+    assert np.abs(np.linalg.norm(amplitudes, axis=1) - 1.0).max() < 1e-12, argv
+
+
+TABLE1_KEYS = ("z", "phi", "phi_z", "i", "z_i", "phi_i", "m_x", "m_y", "m_z", "r_x", "r_y", "r_z")
+
+
+# --z and --phi are flags of other subcommands here
+@given(st.lists(st.one_of(flag_values, formats), max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_table1_argv_fuzz(pairs):
+    """Every table1 argv ends in 0 with the three reference blocks, or in 2 with one error line."""
+    argv = fuzz_argv("table1", pairs)
+    out = run_fuzzed(argv, foreign=True)
+    if out is None:
+        return
+    rows = table_of(out, csv_chosen(pairs), TABLE1_KEYS)
+    assert [int(row["i"]) for row in rows] == [0, 1, 2, 3] * 3, argv
+
+
+CONCURRENCE_KEYS = ("kind", "a", "theta", "concurrence")
+
+
+# GRID_POOL keeps the grids at most 7; --z, --phi and --theta are flags of other subcommands here
+@given(st.lists(st.one_of(st.tuples(st.just("--grid"), st.sampled_from(GRID_POOL), st.booleans()),
+                          flag_values, formats), max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_concurrence_argv_fuzz(pairs):
+    """Every concurrence argv ends in 0 with an n x n grid and its n-point slice, or in 2 with one error line."""
+    argv = fuzz_argv("concurrence", pairs)
+    out = run_fuzzed(argv, "error: --grid must be >= 2", foreign=True)
+    if out is None:
+        return
+    grids = [value for flag, value, _ in pairs if flag == "--grid"]
+    n = int(grids[-1]) if grids else 6
+    rows = table_of(out, csv_chosen(pairs), CONCURRENCE_KEYS)
+    assert [row["kind"] for row in rows] == ["grid"] * n**2 + ["slice"] * n, argv
+    assert all(0.0 <= float(row["concurrence"]) <= 1.0 for row in rows), argv
 
 
 @pytest.mark.parametrize(
@@ -847,6 +915,19 @@ DISPATCH_ARGV = [
     ("verify", "--z", "-6e-1", "--phi", "-1e-3"),
     ("circuit", "--format=csv"),
     ("sweep", "--grid=2"),
+    # the direct read's edges: an empty value, a value joined to a flag that takes none, a single dash,
+    # a repeated flag, values int() or the choices reject, values float() reads, a bare store_true flag
+    ("verify", "--z="),
+    ("verify", "--out="),
+    ("circuit", "--dump=1"),
+    ("verify", "--help=1"),
+    ("verify", "-z=0.6"),
+    ("verify", "--z=0.6", "--z=0.7"),
+    ("sweep", "--grid=3.0"),
+    ("verify", "--format=CSV"),
+    ("verify", "--z=nan"),
+    ("verify", "--z=1_0"),
+    ("circuit", "--z=-0.7", "--dump"),
 ]
 
 
@@ -860,8 +941,10 @@ def assert_full_parser_outcome(capsys, monkeypatch, argv):
 
 
 class TestDirectDispatch:
-    """main parses a leading subcommand with that subcommand's cached parser; every argv must
-    give the exit code, stdout and stderr of the full parser, _parser().parse_args."""
+    """main has two parse routes.  A leading subcommand followed only by exact --flag=value tokens of
+    its own, or its bare --dump, is read straight off that subcommand's actions (read_exact); every
+    other argv goes through the full parser, _parser().parse_args.  Every argv must give the exit
+    code, stdout and stderr of the full parser."""
 
     @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
     def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
@@ -906,6 +989,38 @@ class TestDirectDispatch:
         assert outcome(capsys, ["verify", "--grid", "4"])[0] == ("exit", 2)
         assert outcome(capsys, ["--format=json", "verify"])[0] == ("exit", 2)
         assert len(full_parses) == 2
+
+
+def test_parsed_defaults_are_immutable_scalars():
+    """read_exact starts every Namespace from one snapshot per subcommand: a mutable default in it
+    would carry one call's changes into the next."""
+    for command, sub in cli._parser().subcommands.items():
+        assert sub.parsed_defaults == vars(sub.parse_args([])), command
+        for key, value in sub.parsed_defaults.items():
+            scalar = isinstance(value, (type(None), bool, int, float, str))
+            assert scalar or (key == "func" and callable(value)), (command, key, value)
+
+
+# flags of every subcommand, abbreviations, single-dash forms and help, each bare, joined or separate
+other_flags = st.tuples(
+    st.sampled_from(("--grid", "--out", "--dump", "--th", "--for", "-z", "-h", "--help")),
+    st.one_of(st.none(), values, st.sampled_from(GRID_POOL)),
+    st.booleans(),
+)
+
+
+@given(st.sampled_from(SUBCOMMANDS), st.lists(st.one_of(flag_values, formats, other_flags), max_size=4))
+@example("circuit", [("--z", "nan", True), ("--dump", None, False), ("--z", "-0.0", True)])
+@example("sweep", [("--grid", "3", True), ("--out", "--", True), ("--format", "csv", True)])
+@settings(max_examples=300, deadline=None)
+def test_direct_read_is_the_subcommand_parse(command, pairs):
+    """read_exact declines (None) or returns the Namespace of the subcommand parser's parse_args."""
+    sub = cli._parser().subcommands[command]
+    args = fuzz_argv(command, pairs)[1:]
+    read = sub.read_exact(args)
+    if read is not None:
+        # repr tells a NaN from a NaN-free value and -0.0 from 0.0
+        assert repr(sorted(vars(read).items())) == repr(sorted(vars(sub.parse_args(args)).items())), args
 
 
 class TestRowEncoding:
