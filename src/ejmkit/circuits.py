@@ -10,8 +10,8 @@ each basis state onto one computational outcome:
 Conventions: Y denotes i*sigma_y (real rotation), S = diag(1, i),
 Ry(zeta) = exp(-i zeta sigma_y / 2), Phase(xi) = diag(1, e^{i xi}).
 Controls activate on |1>.  The circuits are templates per sign of z, built
-as Gates at one point (prep_circuit, detect_circuit) or compiled (_compile),
-so that one matmul forms their operators at points of any shape (_stages).
+as Gates at one point (prep_circuit, detect_circuit) or as one folded program
+per sign (_PROGRAMS), whose operators one matmul forms at any shape (_stages).
 """
 
 from __future__ import annotations
@@ -181,25 +181,23 @@ _PREPS = (_PREP, _PREP + _U1[3])
 _DETECTS = (_DETECT, _DETECT + (("CNOT", (0, 1)), ("X", (0,)), ("X", (1,))))
 
 
-def _gates(template, angles) -> tuple:
-    """The Gates of a template at one point's circuit angles, floats by slot."""
+def _gates(angles, template) -> tuple:
+    """The Gates of a template at one point's angles, floats by slot; the angles come first, as they check the point."""
     return tuple(Gate(name, q, angles[slot[0]]) if slot else _fixed(name, q) for name, q, *slot in template)
 
 
 def _compile(*templates) -> tuple:
-    """(template, fold) pairs as one program (m, slots, ends) of operators on row states, in order: fold
-    multiplies each run of angle-free gates into the angle gate next to it (a stage's leading run from the
-    left, every later run from the right), and without it each gate stays alone.  An operator's entries are
-    linear in the bank of one angle (_bank), its slot, so a constant m (k, 6, 32) forms each operator's 16
-    entries, as real and imaginary parts, as bank[slots[j]] @ m[j]; ends are the stages' ends."""
+    """Templates as one program (m, slots, ends) of operators on row states, in order: each run of angle-free gates
+    folds into the angle gate next to it, a stage's leading run from the left and every later run from the right.
+    An operator's entries are linear in the bank of one angle (_bank), its slot, so a constant m (k, 6, 32) forms
+    its 16 entries, as real and imaginary parts, as bank[slots[j]] @ m[j]; ends are the stages' ends."""
     ops, slots, ends = [], [], []
-    for template, fold in templates:
+    for template in templates:
         left, start = I4, len(ops)
         for name, qubits, *slot in template:
-            if slot or not fold:  # an angle gate, or a constant operator times cos 0 = 1 of slot 0
-                entries = _LIN[name][:, _SLOTS[qubits]] if slot else _ONE[:, None, None] * _fixed(name, qubits).op
-                ops.append(left @ entries)
-                slots += slot or [0]
+            if slot:
+                ops.append(left @ _LIN[name][:, _SLOTS[qubits]])
+                slots += slot
                 left = I4
             elif len(ops) == start:
                 left = left @ _fixed(name, qubits).op
@@ -218,18 +216,12 @@ def _stages(program, angles) -> list:
     return [ops[start:end] for start, end in zip([0, *ends], ends)]
 
 
-# [z < 0][bsm]: the preparation, U1 at phi' and the detection, folded, and in a result (i) program the detection
-# gate by gate too, so that one matmul forms every operator of a request
-_PROGRAMS = [[(m[:ends[2]], slots[:ends[2]], ends[:3]), (m, slots, ends)] for m, slots, ends in (
-    _compile((prep, True), (_U1[4], True), (detect, True), (detect, False)) for prep, detect in zip(_PREPS, _DETECTS))]
-_CRY = [g[0] for g in _DETECT].index("CRY")  # its place in either detection template
-
-
-def _detect_pair(gatewise: np.ndarray) -> np.ndarray:
-    """(2, ..., 4, 4): a gate-by-gate detection stage run on I4 as Circuit.unitary runs it, with
-    and without its CRY gate, so each is the transpose of that circuit's unitary."""
-    v = _run(gatewise[:_CRY], np.eye(4, dtype=complex))
-    return _run(gatewise[_CRY + 1:], np.stack([v @ gatewise[_CRY], v]))
+# [z < 0]: the preparation, U1 at phi' and the detection, folded, so that one matmul forms every operator of a request
+_PROGRAMS = [_compile(prep, _U1[4], detect) for prep, detect in zip(_PREPS, _DETECTS)]
+# [z < 0]: the detection's angle-free run after its CRY, its last angle gate, folded as _compile folds a run, so the
+# detection stage's last operator is the CRY times this run; cli.cmd_circuit runs it alone at result (i)'s point
+_AFTER_CRY = [functools.reduce(np.matmul, (_fixed(*g).op for g in d[[g[0] for g in d].index("CRY") + 1:]), I4)
+              for d in _DETECTS]
 
 
 def _angles(p: EjmParams) -> np.ndarray:
@@ -244,29 +236,27 @@ def _angles(p: EjmParams) -> np.ndarray:
     return angles
 
 
-def _base_params(p: EjmParams) -> float:
-    """The circuit angle phi_c of one point, half its slot 2 (_angles); an array point raises ValueError."""
+def _point_angles(p: EjmParams) -> list:
+    """One point's circuit angles, floats by slot (_angles), phi_c half of slot 2; an array raises ValueError."""
     if p.shape:  # EjmParams stores a 0-d input as a Python float, so only an array has a shape
         raise ValueError(f"the circuits take one parameter point, got EjmParams of shape {p.shape}")
-    return float(_angles(p)[2]) / 2.0
+    return _angles(p).tolist()
 
 
 def _u1_gates(phi_prime: float) -> tuple:
-    return _gates(_U1[0], [2.0 * phi_prime + math.pi / 2])
+    return _gates([2.0 * phi_prime + math.pi / 2], _U1[0])
 
 
 def prep_circuit(p: EjmParams) -> Circuit:
     """Circuit mapping |00> onto basis state 0 (up to global phase)."""
-    _base_params(p)
-    return Circuit(_gates(_PREPS[p.z < 0], _angles(p).tolist()))
+    return Circuit(_gates(_point_angles(p), _PREPS[p.z < 0]))
 
 
 def detect_circuit(p: EjmParams) -> Circuit:
     """Circuit mapping basis state i onto a definite outcome.  Its one CRY gate carries the (z, phi) dependence,
     through phi_c (_angles); at phi_c = pi/4, result (i)'s point, where the basis has none, it is the identity.
     Without it the circuit is a BSM only at theta = pi/2: its states have concurrence sqrt(5/8 - 3 cos(2 theta)/8)."""
-    _base_params(p)
-    return Circuit(_gates(_DETECTS[p.z < 0], _angles(p).tolist()))
+    return Circuit(_gates(_point_angles(p), _DETECTS[p.z < 0]))
 
 
 # outcome index (in |00>,|01>,|10>,|11| order) detecting basis state i

@@ -177,7 +177,7 @@ def cmd_circuit(args) -> int:
     bsm = abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12
     # the compiled circuits run unchecked on |00> and the basis, which the library built; |00> through
     # the first operator is its row 0
-    prep, u1, detect, *gatewise = circuits._stages(circuits._PROGRAMS[p.z < 0][bsm], angles)
+    prep, u1, detect = circuits._stages(circuits._PROGRAMS[p.z < 0], angles)
     b = ejm.build_basis(p)
     psi0 = circuits._run(prep[1:], prep[0, 0])
     u1_psi0 = circuits._run(u1, psi0)
@@ -192,8 +192,9 @@ def cmd_circuit(args) -> int:
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
     if bsm:
-        with_cry, without = circuits._detect_pair(*gatewise)
-        dev = circuits.global_phase_deviation(with_cry.T, without.T)
+        # the detection unitary with and without its CRY: the last operator is the CRY times the run after it
+        head = circuits._run(detect[:-1], circuits.I4)
+        dev = circuits.global_phase_deviation((head @ detect[-1]).T, (head @ circuits._AFTER_CRY[p.z < 0]).T)
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ejmkit import circuits
 from ejmkit.circuits import (
+    _AFTER_CRY,
     _GATES,
     _PROGRAMS,
     DETECTION_OUTCOMES,
@@ -16,9 +18,8 @@ from ejmkit.circuits import (
     CircuitParseError,
     Gate,
     _angles,
-    _base_params,
-    _detect_pair,
     _fixed,
+    _point_angles,
     _run,
     _stages,
     _u1_gates,
@@ -336,16 +337,38 @@ class TestBsmRule:
             # phi' = phi - phi_z, and phi - pi/2 - phi_z for z < 0
             phi = target + delta + float(phi_z(z)) + (math.pi / 2 if z < 0 else 0.0)
             p = EjmParams(z, phi, 0.4)
-            bsm = abs(math.remainder(_base_params(p) - math.pi / 4, 2 * math.pi)) < 1e-12
+            bsm = abs(math.remainder(_point_angles(p)[2] / 2 - math.pi / 4, 2 * math.pi)) < 1e-12
             assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", "--theta=0.4"]) == 0
             report = json.loads(capsys.readouterr().out)
             assert ("bsm_equivalence_dev" in report) == ("bsm_equivalence" in report) == bsm
             if bsm:
+                # the report forms the pair from the folded detection, the gate-by-gate circuits in another
+                # order of products: the same value to within 2.2e-16, a rounding error plus the CRY's own
+                # deviation, about |delta| / 2 for a CRY angle of -2 delta
                 detect = detect_circuit(p)
                 want = global_phase_deviation(detect.unitary(), without_cry(detect).unitary())
-                assert report["bsm_equivalence_dev"] == want
+                assert abs(report["bsm_equivalence_dev"] - want) <= 2.2e-16
+                assert report["bsm_equivalence_dev"] < 1e-15 + abs(delta)
             seen.add(bsm)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("z", [0.7, -0.65, -0.9], ids=["z>0", "z<0", "z<0-wrapped"])
+    def test_a_wrong_run_after_the_cry_fails_the_check(self, capsys, monkeypatch, z):
+        # the detection without its CRY, with any one gate of the run after it dropped, is not the detection
+        negative, detect = z < 0, circuits._DETECTS[z < 0]
+        after = detect[[g[0] for g in detect].index("CRY") + 1:]
+        phi = bsm_phi(z)
+        for drop in range(len(after)):
+            runs = list(_AFTER_CRY)
+            runs[negative] = I4
+            for g in after[:drop] + after[drop + 1:]:
+                runs[negative] = runs[negative] @ _fixed(*g).op
+            monkeypatch.setattr(circuits, "_AFTER_CRY", runs)
+            # pass and the exit code follow CIRCUIT_CHECKS alone, which the CRY-free run does not enter
+            assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", "--theta=0.4"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["bsm_equivalence"] == "fail" and report["pass"] is True, (z, drop)
+            assert report["bsm_equivalence_dev"] > 0.1
 
 
 class TestSerialization:
@@ -431,7 +454,7 @@ class TestOnePoint:
     def test_array_parameters_raise_one_value_error(self, z, theta, shape):
         p = EjmParams(z, 0.3, theta)
         message = re.escape(f"one parameter point, got EjmParams of shape {shape}")
-        for build in (prep_circuit, detect_circuit, _base_params):
+        for build in (prep_circuit, detect_circuit, _point_angles):
             with pytest.raises(ValueError, match=message):
                 build(p)
 
@@ -530,8 +553,10 @@ class TestGlobalPhaseDeviation:
                  for _ in range(100)]
         pairs += [(a.T, b.T) for a, b in pairs] + [(a, b.T) for a, b in pairs]
         for p in COMPILED_EDGES[-8:]:
-            with_cry, without = _detect_pair(_stages(_PROGRAMS[p.z < 0][True], _angles(p))[3])
-            pairs.append((with_cry.T, without.T))
+            # the detection unitaries with and without the CRY at a result (i) point: transposed views, as
+            # the report's pair is
+            detect = detect_circuit(p)
+            pairs.append((detect.unitary(), without_cry(detect).unitary()))
         for a, b in pairs:
             assert global_phase_deviation(a, b) == unravelled(a, b)
         with pytest.raises(ValueError, match="reference matrix is zero"):
@@ -635,9 +660,15 @@ I4 = np.eye(4, dtype=complex)
 
 
 def compiled_stages(negative, angles):
-    """The compiled stages at circuit angles: preparation, U1 at phi' and detection, folded, and the
-    detection gate by gate (a BSM program)."""
-    return _stages(_PROGRAMS[negative][True], angles)
+    """The compiled stages at circuit angles: preparation, U1 at phi' and detection, folded."""
+    return _stages(_PROGRAMS[negative], angles)
+
+
+def detection_pair(detect, negative):
+    """The detection with and without its CRY, as operators on row states, from the folded detection stage
+    (k, ..., 4, 4) as cmd_circuit forms them: its last operator is the CRY times the run _AFTER_CRY."""
+    head = _run(detect[:-1], I4)
+    return head @ detect[-1], head @ _AFTER_CRY[negative]
 
 
 def compiled_unitaries(p):
@@ -650,20 +681,18 @@ class TestCompiled:
 
     def test_points_cover_both_signs_and_both_bsm_angles(self):
         assert {p.z < 0 for p in self.POINTS} == {True, False}
-        bsm = {round(_base_params(p) - math.pi / 4, 9) for p in COMPILED_EDGES[-8:]}
+        bsm = {round(_point_angles(p)[2] / 2 - math.pi / 4, 9) for p in COMPILED_EDGES[-8:]}
         assert bsm == {0.0, round(-2 * math.pi, 9)}
 
     def test_programs_equal_the_gate_by_gate_circuits(self):
         for p in self.POINTS:
-            prep, u1, detect, gatewise = compiled_unitaries(p)
+            prep, u1, detect = compiled_unitaries(p)
             oracle = detect_circuit(p)
             for got, want in ((prep, prep_circuit(p)), (u1, Circuit(_u1_gates(p.phi_prime))), (detect, oracle)):
                 assert np.abs(got - want.unitary()).max() <= 1e-15, p
-            # gate by gate, the same products as Circuit.unitary: bit for bit
-            assert np.array_equal(gatewise, oracle.unitary())
-            with_cry, without = _detect_pair(compiled_stages(p.z < 0, _angles(p))[3])
-            assert np.array_equal(with_cry.T, oracle.unitary())
-            assert np.array_equal(without.T, without_cry(oracle).unitary())
+            with_cry, without = detection_pair(compiled_stages(p.z < 0, _angles(p))[2], p.z < 0)
+            assert np.abs(with_cry.T - oracle.unitary()).max() <= 1e-15, p
+            assert np.abs(without.T - without_cry(oracle).unitary()).max() <= 1e-15, p
 
     def test_batched_core_equals_its_one_point_calls(self):
         for negative in (False, True):
@@ -671,20 +700,18 @@ class TestCompiled:
             stack = EjmParams(*(np.array([getattr(p, k) for p in points]) for k in ("z", "phi", "theta")))
             stages = compiled_stages(negative, _angles(stack))
             batched = [_run(stage, I4) for stage in stages]
-            pairs = _detect_pair(stages[3])
             for i, p in enumerate(points):
                 one = compiled_stages(negative, _angles(p))
+                assert len(one) == 3
                 for k, stage in enumerate(one):
                     assert np.array_equal(_run(stage, I4), batched[k][i])
-                assert np.array_equal(_detect_pair(one[3]), pairs[:, i])
 
     def test_constant_runs_are_multiplied_once(self):
         # operators per point in the preparation, U1 and detection, each angle gate with its neighbouring
         # runs of angle-free gates: 7 for z >= 0 and 9 for z < 0, against 27 and 34 gates gate by gate
-        assert [[ends for _, _, ends in pair] for pair in _PROGRAMS] == [[[3, 5, 7], [3, 5, 7, 17]],
-                                                                         [[5, 7, 9], [5, 7, 9, 22]]]
+        assert [ends for _, _, ends in _PROGRAMS] == [[3, 5, 7], [5, 7, 9]]
         # each operator's 16 complex entries, as 32 real and imaginary parts, over the six bank values of an angle
-        assert all(m.shape == (ends[-1], 6, 32) for pair in _PROGRAMS for m, _, ends in pair)
+        assert all(m.shape == (ends[-1], 6, 32) for m, _, ends in _PROGRAMS)
 
     def test_a_request_builds_no_gate(self, capsys, monkeypatch):
         built = []
@@ -726,7 +753,7 @@ def test_dense_circuit_checks():
         for chunk in np.array_split(np.flatnonzero((sign < 0) == negative), 4):
             p = EjmParams(sign[chunk] * az[chunk], phi[chunk], theta[chunk])
             angles = _angles(p)
-            prep, u1, detect = _stages(_PROGRAMS[negative][False], angles)
+            prep, u1, detect = _stages(_PROGRAMS[negative], angles)
             b = build_basis(p)
             psi0 = _run(prep, KET00[None])
             u1_psi0 = _run(u1, psi0)
@@ -737,7 +764,7 @@ def test_dense_circuit_checks():
             # the report's BSM rule finds every BSM point, and also z = -1/sqrt(2) at phi = pi
             on = np.array([abs(math.remainder(a, 4 * math.pi)) < 2e-12 for a in angles[0].tolist()])
             assert on[bsm[chunk]].all()
-            with_cry, without = _detect_pair(_stages(_PROGRAMS[negative][True], angles[:, on])[3])
+            with_cry, without = detection_pair(detect[:, on], negative)
             dev = stacked_phase_deviation(with_cry.swapaxes(-1, -2), without.swapaxes(-1, -2))
             assert passes(BSM_CHECKS, [dev]).all()
             worst = np.maximum(worst, [perm_dev.max(), loss.max(), dev.max()])
