@@ -7,11 +7,11 @@ each basis state onto one computational outcome:
 
     state 0 -> |11>,  state 1 -> |00>,  state 2 -> |10>,  state 3 -> |01>.
 
-Conventions: Y denotes i*sigma_y (real rotation), S = diag(1, i),
-Ry(zeta) = exp(-i zeta sigma_y / 2), Phase(xi) = diag(1, e^{i xi}).
-Controls activate on |1>.  The circuits are templates per sign of z, built
-as Gates at one point (prep_circuit, detect_circuit) or as one folded program
-per sign (_PROGRAMS), whose operators one matmul forms at any shape (_stages).
+Conventions: Y denotes i*sigma_y (real rotation), S = diag(1, i), Ry(zeta) = exp(-i zeta sigma_y / 2),
+Phase(xi) = diag(1, e^{i xi}); controls activate on |1>.  One table, _LIN, gives every gate's entries as a
+linear map from the bank of its angle (_bank).  The circuits are templates per sign of z, built as Gates at
+one point (prep_circuit, detect_circuit) or as one folded program per sign (_PROGRAMS), both from that table,
+whose operators one matmul forms at any shape (_stages).
 """
 
 from __future__ import annotations
@@ -35,20 +35,17 @@ def _bank(angles) -> np.ndarray:
     return np.concatenate((np.cos(x), np.sin(x)), axis=-1)
 
 
-# name -> (arity, needs angle, factory of the 2x2 entries (u00, u01, u10, u11))
-_GATES = {
-    "H": (1, False, lambda _: (_R, _R, _R, -_R)), "X": (1, False, lambda _: (0, 1, 1, 0)),
-    "Y": (1, False, lambda _: (0, 1, -1, 0)), "S": (1, False, lambda _: (1, 0, 0, 1j)),  # Y = i sigma_y
-    "CNOT": (2, False, lambda _: (0, 1, 1, 0)), "CS": (2, False, lambda _: (1, 0, 0, 1j)),
-}
-# an angle gate's entry vector (0, 1, u00, u01, u10, u11) over its angle's bank: e^{+-ia} = cos a +- i sin a
-_ONE, _COS_HALF, _COS, _SIN_HALF, _SIN = np.eye(6)[[0, 1, 2, 4, 5]]  # sin 0, at 3, enters no entry
-_LIN = {name: np.transpose((0 * _ONE, _ONE, *u)) for name, u in (
+# every gate's entry vector (0, 1, u00, u01, u10, u11) as a map (6, 6) from the bank of its angle (_bank), with
+# e^{+-ia} = cos a +- i sin a; an angle-free gate's entries sit on row 0 alone, cos 0 = 1
+_ONE, _COS_HALF, _COS, _SIN_HALF, _SIN = np.eye(6, dtype=complex)[[0, 1, 2, 4, 5]]  # sin 0, at 3, enters no entry
+_LIN = {name: np.outer(_ONE, (0, 1, *u)) for name, u in (
+    ("H", (_R, _R, _R, -_R)), ("X", (0, 1, 1, 0)), ("Y", (0, 1, -1, 0)), ("S", (1, 0, 0, 1j)))}  # Y = i sigma_y
+_LIN.update({name: np.transpose((0 * _ONE, _ONE, *u)) for name, u in (
     ("RY", (_COS_HALF, -_SIN_HALF, _SIN_HALF, _COS_HALF)), ("PHASE", (_ONE, 0 * _ONE, 0 * _ONE, _COS + 1j * _SIN)),
-    ("PHASEDG", (_ONE, 0 * _ONE, 0 * _ONE, _COS - 1j * _SIN)))}
-_LIN.update({"C" + name: lin for name, lin in _LIN.items()})
-_GATES.update({name: (1 + name.startswith("C"), True, lambda angle, lin=lin[:, 2:]: _bank(angle) @ lin)
-               for name, lin in _LIN.items()})
+    ("PHASEDG", (_ONE, 0 * _ONE, 0 * _ONE, _COS - 1j * _SIN)))})
+_LIN.update({"C" + name: _LIN[name] for name in ("S", "RY", "PHASE", "PHASEDG")}, CNOT=_LIN["X"])
+# name -> (arity, needs angle): an angle gate's entries read its bank past row 0
+_TAKES = {name: (1 + name.startswith("C"), bool(lin[1:].any())) for name, lin in _LIN.items()}
 
 # where u00, u01, u10, u11 sit in a gate's entry vector (0, 1, u00, u01, u10, u11)
 _U = np.arange(2, 6).reshape(2, 2)
@@ -71,9 +68,9 @@ class Gate:
     op: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in _GATES:
+        if self.name not in _TAKES:
             raise ValueError(f"unknown gate {self.name!r}")
-        arity, needs_angle, entries = _GATES[self.name]
+        arity, needs_angle = _TAKES[self.name]
         qubits = tuple(self.qubits) if np.iterable(self.qubits) else (None,)
         if not all(type(q) is int or isinstance(q, np.integer) for q in qubits):
             raise ValueError(f"{self.name} qubits {self.qubits!r} are not a sequence of integer indices")
@@ -88,7 +85,7 @@ class Gate:
                 raise ValueError(f"{self.name} angle must be finite and real: a float, int64 or numpy real, "
                                  f"got {self.angle!r}")
             object.__setattr__(self, "angle", float(angle))
-        op = np.array((0, 1, *entries(self.angle)), dtype=complex)[_SLOTS[qubits]]
+        op = (_LIN[self.name][0] if self.angle is None else _bank(self.angle) @ _LIN[self.name])[_SLOTS[qubits]]
         op.flags.writeable = False
         object.__setattr__(self, "op", op)
 
@@ -107,7 +104,7 @@ class Circuit:
 
     def unitary(self) -> np.ndarray:
         """The full 4x4 unitary: column k is the circuit applied to basis state k."""
-        return _run(self.gates, np.eye(4, dtype=complex)).T
+        return _run((g.op for g in self.gates), np.eye(4, dtype=complex)).T
 
     def dumps(self) -> str:
         """Line-oriented text form: one `GATE q[,q2][,angle]` per line."""
@@ -134,9 +131,9 @@ class CircuitParseError(ValueError):
 
 def _parse_gate(line: str) -> Gate:
     name, *rest = line.split(None, 1)
-    if name not in _GATES:
+    if name not in _TAKES:
         raise ValueError(f"unknown gate {name!r}")
-    arity, needs_angle, _ = _GATES[name]
+    arity, needs_angle = _TAKES[name]
     fields = rest[0].split(",") if rest else []
     if len(fields) != arity + needs_angle:
         raise ValueError(f"{name} takes {arity + needs_angle} comma-separated field(s)")
@@ -146,14 +143,14 @@ def _parse_gate(line: str) -> Gate:
 
 def apply(c: Circuit, states) -> np.ndarray:
     """Run the circuit on a normalized two-qubit state or a stack (..., 4) of them."""
-    return _run(c.gates, require_normalized(states))
+    return _run((g.op for g in c.gates), require_normalized(states))
 
 
-def _run(gates, v: np.ndarray) -> np.ndarray:
-    """apply without its entry check, for complex states (..., 4) the library built; the gates
-    are Gates, or operators on row states as in a compiled stage (_stages)."""
-    for g in gates:
-        v = v @ (g.op if isinstance(g, Gate) else g)
+def _run(ops, v: np.ndarray) -> np.ndarray:
+    """apply without its entry check, for complex states (..., 4) the library built; the operators
+    act on row states, v @ op: Gate.op, or a compiled stage (_stages)."""
+    for op in ops:
+        v = v @ op
     return v
 
 
@@ -200,9 +197,9 @@ def _compile(*templates) -> tuple:
                 slots += slot
                 left = I4
             elif len(ops) == start:
-                left = left @ _fixed(name, qubits).op
+                left = left @ _LIN[name][0][_SLOTS[qubits]]
             else:
-                ops[-1] = ops[-1] @ _fixed(name, qubits).op
+                ops[-1] = ops[-1] @ _LIN[name][0][_SLOTS[qubits]]
         ends.append(len(ops))
     return np.array(ops, dtype=complex).reshape(len(ops), 6, 16).view(float), slots, ends
 
@@ -219,9 +216,9 @@ def _stages(program, angles) -> list:
 # [z < 0]: the preparation, U1 at phi' and the detection, folded, so that one matmul forms every operator of a request
 _PROGRAMS = [_compile(prep, _U1[4], detect) for prep, detect in zip(_PREPS, _DETECTS)]
 # [z < 0]: the detection's angle-free run after its CRY, its last angle gate, folded as _compile folds a run, so the
-# detection stage's last operator is the CRY times this run; cli.cmd_circuit runs it alone at result (i)'s point
-_AFTER_CRY = [functools.reduce(np.matmul, (_fixed(*g).op for g in d[[g[0] for g in d].index("CRY") + 1:]), I4)
-              for d in _DETECTS]
+# detection stage's last operator is the CRY times this run; cli.cmd_circuit compares the two at result (i)'s point
+_AFTER_CRY = [functools.reduce(np.matmul, (_LIN[n][0][_SLOTS[q]] for n, q in d[[g[0] for g in d].index("CRY") + 1:]),
+                               I4) for d in _DETECTS]
 
 
 def _angles(p: EjmParams) -> np.ndarray:
@@ -274,8 +271,10 @@ def local_unitary_u2() -> np.ndarray:
 
 
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-abs entrywise deviation of a from b after the best global phase."""
+    """Max-abs entrywise deviation of a from b after the best global phase; a and b have one shape."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:  # they would broadcast, or raise numpy's broadcast error
+        raise ValueError(f"shapes differ: {a.shape} against {b.shape}")
     k = np.argmax(np.abs(b))  # a flat index in C order, as flat reads it, whatever the memory layout
     ref = b.flat[k]
     if abs(ref) < 1e-300:

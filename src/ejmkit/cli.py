@@ -192,9 +192,8 @@ def cmd_circuit(args) -> int:
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
     if bsm:
-        # the detection unitary with and without its CRY: the last operator is the CRY times the run after it
-        head = circuits._run(detect[:-1], circuits.I4)
-        dev = circuits.global_phase_deviation((head @ detect[-1]).T, (head @ circuits._AFTER_CRY[p.z < 0]).T)
+        # the detection with and without its CRY share every operator but the last, the CRY times the run after it
+        dev = circuits.global_phase_deviation(detect[-1], circuits._AFTER_CRY[p.z < 0])
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 

@@ -372,10 +372,10 @@ def passes(checks: dict, values):
 
 
 def single_param_reduction(z, theta) -> EjmParams:
-    """The triple at phi = phi_z(z) + pi/4, whose basis is independent of z.
+    """The triple at phi = phi_z(z) + pi/4, plus pi/2 for z < 0, whose basis is independent of z.
 
-    This recovers the earlier one-parameter measurement family: for any
-    admissible z, build_basis of the result coincides (up to a global phase
-    per state) with the z = 1/sqrt(3), phi = pi/4 basis.
+    This recovers the earlier one-parameter measurement family: for any admissible z, build_basis of the
+    result coincides, up to a phase per state, with the z = 1/sqrt(3), phi = pi/4 basis: state j with its
+    state j for z > 0, and with its state (j + 1) mod 4 for z < 0.  Elementwise on arrays.
     """
-    return EjmParams(z=z, phi=phi_z(z) + math.pi / 4, theta=theta)
+    return EjmParams(z=z, phi=phi_z(z) + math.pi / 4 + math.pi / 2 * (np.asarray(z) < 0), theta=theta)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ejmkit import circuits
 from ejmkit.circuits import (
     _AFTER_CRY,
-    _GATES,
     _PROGRAMS,
+    _TAKES,
     DETECTION_OUTCOMES,
     Circuit,
     CircuitParseError,
@@ -72,11 +72,23 @@ P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 
 
+# each gate's 2x2 block by its definition (Y = i sigma_y), with the controlled gates' targets: the reference for
+# the entries of the gate table, at the angle a
+BLOCKS = {
+    "H": lambda a: np.array([[1, 1], [1, -1]]) / SQRT2, "X": lambda a: [[0, 1], [1, 0]],
+    "Y": lambda a: [[0, 1], [-1, 0]], "S": lambda a: np.diag([1, 1j]),
+    "RY": lambda a: [[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]],
+    "PHASE": lambda a: np.diag([1, np.cos(a) + 1j * np.sin(a)]),
+    "PHASEDG": lambda a: np.diag([1, np.cos(a) - 1j * np.sin(a)]),
+}
+BLOCKS.update({"C" + name: BLOCKS[name] for name in ("S", "RY", "PHASE", "PHASEDG")}, CNOT=BLOCKS["X"])
+
+
 def kron_unitary(g: Gate) -> np.ndarray:
-    """The 4x4 unitary of a gate built from Kronecker products: the reference
+    """The 4x4 unitary of a gate built from Kronecker products of its block: the reference
     for the operator each gate gathers from its entries."""
-    arity, _, entries = _GATES[g.name]
-    u = np.reshape(entries(g.angle), (2, 2))
+    arity, _ = _TAKES[g.name]
+    u = np.asarray(BLOCKS[g.name](g.angle))
     if arity == 1:
         return np.kron(u, I2) if g.qubits == (0,) else np.kron(I2, u)
     if g.qubits == (0, 1):
@@ -127,7 +139,7 @@ class TestGates:
             assert g == Gate("X", (1,)) and hash(g) == hash(Gate("X", (1,)))
             assert g.dump() == "X 1"
         # and its operator acts on the wire it names
-        np.testing.assert_array_equal(_run((Gate("X", [1]),), KET00), [0, 1, 0, 0])
+        np.testing.assert_array_equal(_run((Gate("X", [1]).op,), KET00), [0, 1, 0, 0])
         assert Circuit.loads(Circuit((Gate("CNOT", [1, 0]),)).dumps()) == Circuit((Gate("CNOT", (1, 0)),))
 
     @pytest.mark.parametrize(
@@ -155,7 +167,7 @@ class TestGates:
         # every gate on every wire assignment: symmetric 2x2 matrices alone hide a transposed kernel
         every = [
             Gate(name, wires, 0.7 if needs_angle else None)
-            for name, (arity, needs_angle, _) in _GATES.items()
+            for name, (arity, needs_angle) in _TAKES.items()
             for wires in WIRES[arity]
         ]
         for g in all_gate_variants() + every:
@@ -212,14 +224,14 @@ class TestApply:
 
 def gates_named(name):
     """Strategy: a gate of this name on any valid wires, with any finite angle."""
-    arity, needs_angle, _ = _GATES[name]
+    arity, needs_angle = _TAKES[name]
     angles = st.floats(allow_nan=False, allow_infinity=False) if needs_angle else st.none()
     return st.builds(Gate, st.just(name), st.sampled_from(WIRES[arity]), angles)
 
 
-ANGLE_FREE = [Gate(name, wires) for name, (arity, needs_angle, _) in _GATES.items()
+ANGLE_FREE = [Gate(name, wires) for name, (arity, needs_angle) in _TAKES.items()
               if not needs_angle for wires in WIRES[arity]]
-ANGLED = sorted(name for name, (_, needs_angle, _) in _GATES.items() if needs_angle)
+ANGLED = sorted(name for name, (_, needs_angle) in _TAKES.items() if needs_angle)
 
 
 def bsm_phi(z: float) -> float:
@@ -252,7 +264,7 @@ class TestSharedGates:
         for p in EDGE_PARAMS + seeded_params(21):
             for c in (prep_circuit(p), detect_circuit(p), without_cry(detect_circuit(p))):
                 for states in (KET00, build_basis(p), eye):
-                    assert np.array_equal(_run(c.gates, states), apply(c, states))
+                    assert np.array_equal(_run([g.op for g in c.gates], states), apply(c, states))
                 assert np.array_equal(c.unitary(), apply(c, eye).T)
                 assert Circuit.loads(c.dumps()) == c
 
@@ -262,13 +274,13 @@ class TestSharedGates:
             for c in built_circuits(p):
                 want = kron_circuit_unitary(c.gates)
                 for states in (KET00, build_basis(p), eye):
-                    assert np.abs(_run(c.gates, states) - states @ want.T).max() < 1e-15
+                    assert np.abs(_run([g.op for g in c.gates], states) - states @ want.T).max() < 1e-15
                 assert np.abs(c.unitary() - want).max() < 1e-15
         # consecutive angle gates that share an angle and do not commute
         same = [Gate("RY", (0,), 0.5), Gate("PHASE", (0,), 0.5), Gate("CRY", (0, 1), 0.5), Gate("H", (1,)),
                 Gate("RY", (1,), 0.5), Gate("CPHASE", (1, 0), 0.5), Gate("PHASEDG", (1,), 0.5)]
         states = random_states(np.random.default_rng(22), (5,))
-        assert np.abs(_run(same, states) - states @ kron_circuit_unitary(same).T).max() < 1e-15
+        assert np.abs(_run([g.op for g in same], states) - states @ kron_circuit_unitary(same).T).max() < 1e-15
 
     @given(st.lists(st.tuples(st.lists(st.sampled_from(ANGLE_FREE), max_size=6),
                               st.sampled_from(ANGLED).flatmap(gates_named)), min_size=1, max_size=4),
@@ -278,7 +290,7 @@ class TestSharedGates:
         # each segment is a run of angle-free gates, maybe empty, closed by a gate with an angle
         gates = [g for free, angled in segments for g in (*free, angled)] + tail
         states = np.vstack([random_states(np.random.default_rng(len(gates)), (3,)), np.eye(4)])
-        assert np.abs(_run(gates, states) - states @ kron_circuit_unitary(gates).T).max() < 1e-15
+        assert np.abs(_run([g.op for g in gates], states) - states @ kron_circuit_unitary(gates).T).max() < 1e-15
 
     def test_gate_cache_stays_bounded(self, capsys):
         # every request has its own angles; the cache holds only the angle-free gates
@@ -406,7 +418,7 @@ class TestSerialization:
         assert message.startswith(f"line 3: {line!r}: ")
         assert reason in message
 
-    @given(st.lists(st.sampled_from(sorted(_GATES)).flatmap(gates_named), max_size=20))
+    @given(st.lists(st.sampled_from(sorted(_TAKES)).flatmap(gates_named), max_size=20))
     @settings(max_examples=80, deadline=None)
     def test_loads_inverts_dumps(self, gates):
         c = Circuit(tuple(gates))
@@ -562,6 +574,16 @@ class TestGlobalPhaseDeviation:
         with pytest.raises(ValueError, match="reference matrix is zero"):
             global_phase_deviation(np.eye(4), np.zeros((4, 4)).T)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.eye(4), [1, 0, 0, 0]), ([1, 0, 0, 0], np.eye(4)), (np.eye(2), np.eye(4)), (np.eye(4), np.eye(4)[:1])],
+        ids=["matrix-vector", "vector-matrix", "2x2-4x4", "4x4-1x4"],
+    )
+    def test_mismatched_shapes_rejected(self, a, b):
+        # shapes that broadcast would compare rows with one vector; others would raise numpy's own error
+        with pytest.raises(ValueError, match=re.escape(f"shapes differ: {np.shape(a)} against {np.shape(b)}")):
+            global_phase_deviation(a, b)
+
     def test_the_phase_is_a_unit_number(self):
         # the best phase of 2 I against I is 1, not 2: the deviation is the factor's distance, 1
         assert global_phase_deviation(2 * np.eye(4), np.eye(4)) == 1.0
@@ -666,7 +688,7 @@ def compiled_stages(negative, angles):
 
 def detection_pair(detect, negative):
     """The detection with and without its CRY, as operators on row states, from the folded detection stage
-    (k, ..., 4, 4) as cmd_circuit forms them: its last operator is the CRY times the run _AFTER_CRY."""
+    (k, ..., 4, 4): its last operator is the CRY times the run _AFTER_CRY."""
     head = _run(detect[:-1], I4)
     return head @ detect[-1], head @ _AFTER_CRY[negative]
 
@@ -764,8 +786,9 @@ def test_dense_circuit_checks():
             # the report's BSM rule finds every BSM point, and also z = -1/sqrt(2) at phi = pi
             on = np.array([abs(math.remainder(a, 4 * math.pi)) < 2e-12 for a in angles[0].tolist()])
             assert on[bsm[chunk]].all()
-            with_cry, without = detection_pair(detect[:, on], negative)
-            dev = stacked_phase_deviation(with_cry.swapaxes(-1, -2), without.swapaxes(-1, -2))
+            # as the report bounds it: the pair shares every operator but the last
+            last = detect[-1, on]
+            dev = stacked_phase_deviation(last, np.broadcast_to(_AFTER_CRY[negative], last.shape))
             assert passes(BSM_CHECKS, [dev]).all()
             worst = np.maximum(worst, [perm_dev.max(), loss.max(), dev.max()])
     # the circuits are exact up to rounding: a few ulp of 1, far inside the report's 1e-10

@@ -593,6 +593,10 @@ class TestConcurrence:
         assert abs(vals[0] - 0.5) < 1e-12
 
 
+# reports of each writer: a key-value report, a table and the circuit text
+OUT_REPORTS = [("verify",), ("circuit",), ("sweep",), ("basis", "--format", "csv"), ("circuit", "--dump")]
+
+
 class TestCircuit:
     def test_defaults_pass(self, capsys):
         code, js, _ = run(capsys, "circuit")
@@ -692,12 +696,16 @@ class TestCircuit:
         assert detect.gates[0].name == "CNOT"
 
     def test_unwritable_out_path(self, capsys, tmp_path):
+        # a missing directory, a directory and a full device, for every kind of report
         path = tmp_path / "missing" / "report.json"
-        code, out, err = run(capsys, "verify", "--out", str(path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("output error: cannot write")
-        assert len(err.strip().splitlines()) == 1
+        targets = [str(path), str(tmp_path)] + ["/dev/full"] * os.path.exists("/dev/full")
+        for argv in OUT_REPORTS:
+            for target in targets:
+                code, out, err = run(capsys, *argv, "--out", target)
+                assert code == 3, (argv, target)
+                assert out == ""
+                assert err.startswith("output error: cannot write")
+                assert len(err.strip().splitlines()) == 1
         assert not path.exists()
 
     def test_out_file(self, capsys, tmp_path):
@@ -708,11 +716,12 @@ class TestCircuit:
         assert json.loads(path.read_text())["pass"] is True
 
     def test_empty_out_path(self, capsys):
-        code, out, err = run(capsys, "verify", "--out", "")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("output error: cannot write")
-        assert len(err.strip().splitlines()) == 1
+        for argv in OUT_REPORTS:
+            code, out, err = run(capsys, *argv, "--out", "")
+            assert code == 3, argv
+            assert out == ""
+            assert err.startswith("output error: cannot write")
+            assert len(err.strip().splitlines()) == 1
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -507,15 +508,30 @@ class TestSingleParamReduction:
             assert single_param_reduction(z, 0.3).phi == math.pi / 4
         assert abs(single_param_reduction(1 / SQRT2, 0.3).phi - math.pi / 2) < 1e-12
         assert abs(single_param_reduction(1.0, 0.3).phi - 3 * math.pi / 4) < 1e-12
+        # pi/2 more for z < 0, elementwise on an array z
+        assert abs(single_param_reduction(-1 / SQRT2, 0.3).phi - math.pi) < 1e-12
+        z = np.array([-0.8, 0.8, -1.0])
+        assert single_param_reduction(z, 0.3).phi.tolist() == [single_param_reduction(x, 0.3).phi for x in z.tolist()]
 
     # phase-aligned max-abs deviation: linear in a state error, where 1 - |<u|v>| is quadratic
     def test_independent_of_z_up_to_phase(self):
+        # for z < 0, state j is the reference state (j + 1) mod 4
         th = 0.6
         ref = build_basis(single_param_reduction(1 / SQRT3, th))
-        for z in (1 / SQRT2, 0.8, 0.95, 1.0):
+        for z in (1 / SQRT2, 0.8, 0.95, 1.0, -1 / SQRT3, -1 / SQRT2, -0.8, -1.0):
             other = build_basis(single_param_reduction(z, th))
-            for u, v in zip(ref, other):
-                assert global_phase_deviation(v, u) <= 1e-14
+            for u, v in zip(np.roll(ref, -(z < 0), axis=0), other):
+                assert global_phase_deviation(v, u) <= 1e-14, z
+
+    def test_circuit_takes_the_result_i_branch(self, capsys):
+        # the circuits' angle phi_c is pi/4 at the returned point, at either sign of z
+        from ejmkit.cli import main
+
+        for z in (1 / SQRT2, 0.8, -1 / SQRT3, -0.8, -1.0):
+            p = single_param_reduction(z, 0.6)
+            assert main(["circuit", f"--z={p.z!r}", f"--phi={p.phi!r}", f"--theta={p.theta!r}"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["bsm_equivalence"] == "pass" and report["bsm_equivalence_dev"] < 1e-15, z
 
     def test_matches_special_case_form(self):
         th = 0.5
