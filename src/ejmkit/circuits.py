@@ -26,12 +26,13 @@ from .linalg import I4, require_normalized
 from .ejm import EjmParams
 
 _R = 1 / math.sqrt(2)
+_HALVES = np.array([0.0, 0.5, 1.0])
 
 
 def _bank(angles) -> np.ndarray:
     """The values every gate entry is linear in: each angle a gains a last axis of six, the cosines and then
     the sines of 0, a/2 and a, so that its first is cos 0 = 1."""
-    x = np.asarray(angles, dtype=float)[..., None] * (0.0, 0.5, 1.0)
+    x = np.asarray(angles, dtype=float)[..., None] * _HALVES
     return np.concatenate((np.cos(x), np.sin(x)), axis=-1)
 
 
@@ -201,7 +202,7 @@ def _compile(*templates) -> tuple:
             else:
                 ops[-1] = ops[-1] @ _LIN[name][0][_SLOTS[qubits]]
         ends.append(len(ops))
-    return np.array(ops, dtype=complex).reshape(len(ops), 6, 16).view(float), slots, ends
+    return np.array(ops, dtype=complex).reshape(len(ops), 6, 16).view(float), np.array(slots), ends
 
 
 def _stages(program, angles) -> list:
@@ -271,7 +272,9 @@ def local_unitary_u2() -> np.ndarray:
 
 
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-abs entrywise deviation of a from b after the best global phase; a and b have one shape."""
+    """Max-abs entrywise deviation of a from b after the global phase that matches them at b's largest entry;
+    a and b have one shape.  Where a is 0 at that entry every phase matches equally well, and the phase is 1:
+    the deviation is then finite and at least that entry's modulus."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:  # they would broadcast, or raise numpy's broadcast error
         raise ValueError(f"shapes differ: {a.shape} against {b.shape}")
@@ -280,5 +283,5 @@ def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     if abs(ref) < 1e-300:
         raise ValueError("reference matrix is zero")
     phase = a.flat[k] / ref
-    phase /= abs(phase)
+    phase = phase / abs(phase) if phase else 1.0
     return float(np.abs(a - phase * b).max())

@@ -64,7 +64,9 @@ def _emit(rows, header, args):
 def _emit_report(report: dict, args):
     """Write a report as key,value CSV rows or as one JSON object."""
     if args.format == "csv":
-        _emit(report.items(), ["key", "value"], args)
+        # the rows _emit writes: %.17g of a float is fmt's text, %s of any other value str's
+        _write("key,value\n" + "".join(("%s,%.17g\n" if isinstance(v, float) else "%s,%s\n") % (k, v)
+                                       for k, v in report.items()), args)
     else:
         # json.dumps(report, indent=2) for a flat report, through the C encoder
         _write("{\n  " + _REPORT_JSON(report)[1:-1] + "\n}\n", args)
@@ -182,11 +184,11 @@ def cmd_circuit(args) -> int:
     psi0 = circuits._run(prep[1:], prep[0, 0])
     u1_psi0 = circuits._run(u1, psi0)
     prepared = np.array([psi0, u1_psi0, psi0, u1_psi0]) * _PREPARED_SIGNS
-    fidelities = np.abs((b.conj() * prepared).sum(axis=-1))
+    fidelities = np.abs(np.add.reduce(b.conj() * prepared, axis=-1))
 
     # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
     outcome = np.abs(circuits._run(detect, b)) ** 2
-    perm_dev = float(np.abs(outcome - _DETECTION_PERMUTATION).max())
+    perm_dev = float(np.maximum.reduce(np.abs(outcome - _DETECTION_PERMUTATION), axis=None))
 
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
@@ -197,7 +199,7 @@ def cmd_circuit(args) -> int:
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 
-    report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, (1.0 - fidelities).max()])
+    report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, np.maximum.reduce(1.0 - fidelities)])
     _emit_report(report, args)
     return 0 if ok else 1
 

@@ -110,21 +110,42 @@ def phi_z(z):
     return _plain(np.arctan2(_root_3z2m1(z), _root_1mz2(z)))
 
 
+class _Derived:
+    """A field of EjmParams derived from the others on its first read and stored in the instance, where later
+    reads find it before this descriptor; an array is stored read-only."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        value = p.__dict__[self.name] = self.derive(p)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        return value
+
+
 @dataclass(frozen=True)
 class EjmParams:
     """The measurement-basis triple (z, phi, theta).
 
     Each field is a float or an array; arrays broadcast against each other
-    and describe a stack of bases.  phi is wrapped into (-pi, pi].  On
-    construction, from the checked triple, it derives the factors that the
-    construction paths, the closed forms and the circuits share:
+    and describe a stack of bases.  phi is wrapped into (-pi, pi].  From the
+    checked triple it derives the factors that the construction paths, the
+    closed forms and the circuits share: on construction those that every
+    request reads, and those marked * on their first read (_Derived), so that
+    a circuit request never computes them:
 
     - root_3z2m1 = sqrt(3 z^2 - 1), exactly 0 at |z| = Z_MIN, which stands for 1/sqrt(3);
-    - root_1mz2 = sqrt(1 - z^2), root_3z2 = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta = cos theta;
-    - theta0 = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
+    - root_1mz2 = sqrt(1 - z^2), root_3z2* = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta* = cos theta;
+    - theta0* = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
     - phi_z = phi_z(z), and phi_prime = phi - phi_z; for z < 0 the circuits run at phi - pi/2 - phi_z;
-    - shape, the broadcast shape of the triple, and zs, phis and sng_zs: z_i = z Z_SIGNS[i],
+    - shape, the broadcast shape of the triple, and zs*, phis* and sng_zs*: z_i = z Z_SIGNS[i],
       phi_i = phi + PHI_SHIFTS[i] and sng(z_i): a state axis of 4, then len(shape) axes.
 
     These and the three fields are read-only, so an in-place write raises
@@ -135,18 +156,21 @@ class EjmParams:
     phi: float
     theta: float
 
+    zs = _Derived(lambda p: Z_SIGNS.reshape(-1, *(1,) * len(p.shape)) * p.z)
+    phis = _Derived(lambda p: PHI_SHIFTS.reshape(-1, *(1,) * len(p.shape)) + p.phi)
+    sng_zs = _Derived(lambda p: sng(p.zs))
+    theta0 = _Derived(lambda p: _plain(np.arctan2(1.0, p.root_3z2m1)))
+    root_3z2 = _Derived(lambda p: np.sqrt(3.0 * p.z * p.z))
+    cos_theta = _Derived(lambda p: np.cos(p.theta))
+
     def __post_init__(self):
         z = _in_range(self.z, *_EJM_Z)
         phi = wrap_angle(self.phi)
         theta = _in_range(self.theta, *_THETA)
         s, c = _root_3z2m1(z), _root_1mz2(z)
         phi_z = _plain(np.arctan2(s, c))
-        shape = np.broadcast(z, phi, theta).shape
-        column = (4,) + (1,) * len(shape)
-        zs, phis = Z_SIGNS.reshape(column) * z, PHI_SHIFTS.reshape(column) + phi
-        _freeze(self, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z, zs=zs,
-                e_theta=np.exp(1j * theta), theta0=_plain(np.arctan2(1.0, s)), root_3z2=np.sqrt(3.0 * z * z),
-                cos_theta=np.cos(theta), phi_prime=phi - phi_z, phis=phis, sng_zs=sng(zs))
+        _freeze(self, z=z, phi=phi, theta=theta, shape=np.broadcast(z, phi, theta).shape, root_3z2m1=s,
+                root_1mz2=c, phi_z=phi_z, e_theta=np.exp(1j * theta), phi_prime=phi - phi_z)
 
 
 def _compiled(template: np.ndarray, shape: tuple, *factors) -> np.ndarray:
@@ -367,7 +391,7 @@ def passes(checks: dict, values):
     values = np.asarray(values)
     if values.shape[:1] != (len(checks),):  # a shorter axis, or none, would broadcast against every bound
         raise ValueError(f"expected {len(checks)} metric values, got shape {values.shape}")
-    ok = (values.T < _BOUNDS(tuple(checks.values()))).all(axis=-1).T  # the metric axis last, against the bounds
+    ok = np.logical_and.reduce(values.T < _BOUNDS(tuple(checks.values())), axis=-1).T  # metric axis last
     return bool(ok) if ok.ndim == 0 else ok
 
 

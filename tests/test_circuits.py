@@ -588,6 +588,13 @@ class TestGlobalPhaseDeviation:
         # the best phase of 2 I against I is 1, not 2: the deviation is the factor's distance, 1
         assert global_phase_deviation(2 * np.eye(4), np.eye(4)) == 1.0
 
+    @pytest.mark.parametrize("a, b", [([0, 1], [1, 0]), ([[0.6, 0.8], [0, 1j]], [[0.6, 0.8], [1, 0]])],
+                             ids=["pair", "stacked"])
+    def test_a_zero_at_the_reference_entry_takes_phase_1(self, a, b):
+        # every phase matches a 0 equally well there: with phase 1 the deviation is |a - b|, finite and at
+        # least |b_k|, and no RuntimeWarning (an error here) comes from dividing 0 by 0
+        assert global_phase_deviation(a, b) == np.abs(np.subtract(a, b)).max() == 1.0
+
 
 class TestOutcomeProbabilities:
     def test_basis_state(self):

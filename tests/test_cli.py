@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ejmkit import cli
+from ejmkit import cli, ejm
 from ejmkit.circuits import Circuit
+from ejmkit.ejm import EjmParams
 from ejmkit.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -598,6 +600,25 @@ OUT_REPORTS = [("verify",), ("circuit",), ("sweep",), ("basis", "--format", "csv
 
 
 class TestCircuit:
+    @pytest.mark.parametrize("argv, result_i", [
+        (("--z=0.7", "--phi=0.3", "--theta=0.4"), False),
+        (("--z=-0.8", "--phi=-2.0", "--theta=1.0", "--format=csv"), False),
+        (("--z=0.7071067811865476", "--phi=1.5707963267948966"), True),
+        (("--z=-0.9", "--phi=-2.705736389934933", "--theta=0.4", "--format=csv"), True),
+    ], ids=["z>0", "z<0", "result-i-z>0", "result-i-z<0"])
+    def test_reads_no_factor_derived_on_first_read(self, capsys, monkeypatch, argv, result_i):
+        want = run(capsys, "circuit", *argv)
+
+        def unread(p):
+            raise AssertionError("a circuit request read a factor derived on first read")
+
+        for name, value in vars(EjmParams).items():
+            if isinstance(value, ejm._Derived):
+                monkeypatch.setattr(value, "derive", unread)
+        got = run(capsys, "circuit", *argv)
+        assert got == want and got[0] == 0
+        assert ("bsm_equivalence" in got[1]) == result_i
+
     def test_defaults_pass(self, capsys):
         code, js, _ = run(capsys, "circuit")
         assert code == 0
@@ -836,6 +857,21 @@ class TestBrokenBasis:
             rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
         assert len(rows) == 12
         assert all(len(row) == 12 and math.isfinite(row["r_z"]) for row in rows)
+
+
+def test_csv_report_rows_are_the_table_rows(capsys):
+    # _emit_report's one format per row against _emit's fmt/str per cell, on the edge values and random bits
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308, 0.1,
+             np.float64(-0.1), np.float64(math.nan), True, False, 0, -7, 10**20, "ok", "fail", ""]
+    bits = np.random.default_rng(34).integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    values = edges + bits.view(float).tolist() + list(bits[:100].view(float))
+    report = {f"k{i}": v for i, v in enumerate(values)}
+    args = argparse.Namespace(format="csv", out=None)
+    cli._emit_report(report, args)
+    got = capsys.readouterr().out
+    cli._emit(report.items(), ["key", "value"], args)
+    assert got == capsys.readouterr().out
+    assert got.splitlines()[1:4] == ["k0,0", "k1,-0", "k2,inf"]
 
 
 class TestParserReuse:

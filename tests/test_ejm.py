@@ -106,6 +106,38 @@ class TestParams:
                 field = getattr(p, name)
                 assert type(field) is np.ndarray and field.shape == (4,) and not field.flags.writeable, name
 
+    # the factors derived on first read, and the formula each must equal bit for bit
+    LAZY = {
+        "zs": lambda p: Z_SIGNS.reshape((4,) + (1,) * len(p.shape)) * p.z,
+        "phis": lambda p: PHI_SHIFTS.reshape((4,) + (1,) * len(p.shape)) + p.phi,
+        "sng_zs": lambda p: np.copysign(1.0, Z_SIGNS.reshape((4,) + (1,) * len(p.shape)) * p.z + 0.0),
+        "theta0": lambda p: (lambda t: t if t.ndim else float(t))(np.arctan2(1.0, p.root_3z2m1)),  # a float at n = 1
+        "root_3z2": lambda p: np.sqrt(3.0 * p.z * p.z),
+        "cos_theta": lambda p: np.cos(p.theta),
+    }
+    LAZY_TRIPLES = [(0.8, 0.3, 0.7), (-1 / SQRT3, -math.pi, math.pi / 2), (-1.0, -0.0, 0.0),
+                    (np.array([[0.7], [-0.9], [1 / SQRT3]]), np.array([0.4, -2.0, 3.0]), np.array([[[0.6]], [[1.5]]]))]
+
+    @pytest.mark.parametrize("triple", LAZY_TRIPLES, ids=["float", "z<0-edge", "signed-zero", "broadcast"])
+    def test_lazy_fields_equal_their_formulas_bit_for_bit(self, triple):
+        p = EjmParams(*triple)
+        for name, formula in self.LAZY.items():
+            got, want = getattr(p, name), formula(p)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+    @pytest.mark.parametrize("triple", LAZY_TRIPLES, ids=["float", "z<0-edge", "signed-zero", "broadcast"])
+    def test_lazy_fields_are_stored_on_first_read_and_read_only(self, triple):
+        for name in self.LAZY:
+            p = EjmParams(*triple)
+            assert name not in vars(p), name
+            field = getattr(p, name)
+            assert vars(p)[name] is field and getattr(p, name) is field, name
+            if isinstance(field, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    field[(0,) * field.ndim] = 0.0
+        assert isinstance(EjmParams.zs, ejm._Derived)  # class access gives the descriptor
+
     def test_derived_from_the_checked_triple(self):
         # z is clipped to 1 and phi wrapped to pi before anything is derived from them
         p, q = EjmParams(1 + 5e-13, 3 * math.pi, 0.4), EjmParams(1.0, math.pi, 0.4)

@@ -7,6 +7,7 @@ the double Z_MIN standing for 1/sqrt(3), as in test_exact.  The paths share its 
 so they are compared raw, entry by entry.  Points: the edge product of |z| in {Z_MIN, Z_MIN + 1 ulp,
 1/sqrt(2), 1 - 1 ulp, 1} with both signs, phi in {-pi, 0, pi/4, pi} and theta in {0, pi/2 - 1 ulp,
 pi/2}, then 100 seeded points of both signs.  Each bound is 4x the worst error measured over them.
+The states that the circuits prepare are compared up to a global phase per state.
 """
 
 import math
@@ -15,7 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ejmkit import ejm
+from ejmkit import circuits, ejm
 from ejmkit.ejm import Z_MIN, EjmParams
 
 _AZ = (Z_MIN, np.nextafter(Z_MIN, 1.0), 1 / math.sqrt(2), np.nextafter(1.0, 0.0), 1.0)
@@ -39,6 +40,8 @@ BOUNDS = {
     "basis_phi_z_form": 4 * 3.4e-16,
     "basis_from_kets": 4 * 7.3e-16,
     "reduced_tetrahedron_closed": 4 * 3.2e-16,
+    "compiled_circuits": 4 * 7.0e-16,
+    "prep_circuit": 4 * 4.6e-16,
 }
 
 
@@ -96,3 +99,21 @@ def test_compiled_tables_are_exact():
         parts = np.concatenate([template.real.ravel(), np.imag(template).ravel()])
         assert set(parts.tolist()) <= {-1.0, 0.0, 1.0}
         assert not np.signbit(parts[parts == 0.0]).any()
+
+
+def test_circuit_prepared_states_are_the_truth():
+    # the four states the circuit report prepares: psi0 = |00> through the compiled preparation and
+    # U1 psi0, each also times U2; and state 0 again, gate by gate
+    u2 = circuits.local_unitary_u2().diagonal()
+    compiled = gates = 0.0
+    for k, point in enumerate(zip(Z, PHI, THETA)):
+        p = EjmParams(*point)
+        prep, u1, _ = circuits._stages(circuits._PROGRAMS[p.z < 0], circuits._angles(p))
+        psi0 = circuits._run(prep[1:], prep[0, 0])
+        u1_psi0 = circuits._run(u1, psi0)
+        for i, state in enumerate((psi0, u1_psi0, u2 * psi0, u2 * u1_psi0)):
+            compiled = max(compiled, circuits.global_phase_deviation(state, BASIS_REF[k, i]))
+        state0 = circuits.apply(circuits.prep_circuit(p), np.eye(4)[0])
+        gates = max(gates, circuits.global_phase_deviation(state0, BASIS_REF[k, 0]))
+    assert compiled <= BOUNDS["compiled_circuits"]
+    assert gates <= BOUNDS["prep_circuit"]
