@@ -111,10 +111,11 @@ def cmd_basis(args) -> int:
 
 def cmd_verify(args) -> int:
     p, metrics = ejm.verify_many(args.z, args.phi, args.theta)
-    report = {"z": p.z, "phi": p.phi, "theta": p.theta, **dict(zip(ejm.CHECKS, metrics.tolist()))}
+    values = metrics.tolist()
+    report = {"z": p.z, "phi": p.phi, "theta": p.theta, **dict(zip(ejm.CHECKS, values))}
     # the geometry is checked at every theta; the key stays for report readers
     report.update(geometry="ok", report_tolerance=ejm.TOL_TRIG)
-    report["pass"] = ok = ejm.passes(ejm.CHECKS, metrics)
+    report["pass"] = ok = ejm.passes(ejm.CHECKS, values)
     _emit_report(report, args)
     return 0 if ok else 1
 
@@ -199,7 +200,7 @@ def cmd_circuit(args) -> int:
         report["bsm_equivalence_dev"] = dev
         report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
 
-    report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, np.maximum.reduce(1.0 - fidelities)])
+    report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, float(np.maximum.reduce(1.0 - fidelities))])
     _emit_report(report, args)
     return 0 if ok else 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ _TETRAHEDRON = np.array([[[u.real, u.imag, 0], [-u.imag, u.real, 0], [0, 0, s]]
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
 _UPPER = np.triu_indices(4)  # the ten entries i <= j of a 4x4 matrix, row by row: all of a Hermitian one
 _EYE_UPPER = I4[_UPPER]  # the entries of I that the three unitarity checks read
+# sng(z_i z_j) = sng(z)^2 Z_SIGNS[i] Z_SIGNS[j], and sng(z)^2 = 1 exactly: the closed Gram's sign term is constant
+_SIGN_PRODUCTS = np.multiply.outer(Z_SIGNS, Z_SIGNS)
 _GRAM_ROWS = 128
 
 # pass/fail tolerances, and per report a table of each metric -> the bound it must stay below (passes).
@@ -73,7 +76,7 @@ TABLE1_CHECKS = {"m_dev": TOL_TRIG, "r_dev": TOL_TRIG, "norm_dev": ATOL_TRIG}
 CONCURRENCE_CHECKS = {"slice_min_dev": TOL_ALG, "slice_max_dev": TOL_ALG}
 # every fidelity f >= fl(1 - TOL_TRIG). 1 - f is exact for f >= 1/2 (Sterbenz), so the worst loss
 # 1 - f passes iff it is at most 1 - fl(1 - TOL_TRIG), that is below the next double up
-CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": np.nextafter(1 - (1 - TOL_TRIG), 1)}
+CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": math.nextafter(1 - (1 - TOL_TRIG), 1)}
 BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
 _BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built once per contents of a table
 
@@ -169,15 +172,19 @@ class EjmParams:
         theta = _in_range(self.theta, *_THETA)
         s, c = _root_3z2m1(z), _root_1mz2(z)
         phi_z = _plain(np.arctan2(s, c))
-        _freeze(self, z=z, phi=phi, theta=theta, shape=np.broadcast(z, phi, theta).shape, root_3z2m1=s,
-                root_1mz2=c, phi_z=phi_z, e_theta=np.exp(1j * theta), phi_prime=phi - phi_z)
+        shape = () if type(z) is type(phi) is type(theta) is float else np.broadcast(z, phi, theta).shape
+        _freeze(self, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z,
+                e_theta=np.exp(1j * theta), phi_prime=phi - phi_z)
 
 
 def _compiled(template: np.ndarray, shape: tuple, *factors) -> np.ndarray:
     """A compiled template (4 m, k) times k per-point factors, each broadcast to shape, in one matmul: (..., 4, m)."""
-    f = np.empty((len(factors), *shape), template.dtype)
-    for k, factor in enumerate(factors):
-        f[k] = factor
+    if not shape:  # one point: its 0-d factors stacked in one call
+        f = np.array(factors, template.dtype)
+    else:
+        f = np.empty((len(factors), *shape), template.dtype)
+        for k, factor in enumerate(factors):
+            f[k] = factor
     return _public((template @ f.reshape(len(factors), -1)).reshape(4, len(template) // 4, *shape))
 
 
@@ -248,15 +255,16 @@ def gram_matrix(b: np.ndarray) -> np.ndarray:
 def gram_closed(p: EjmParams) -> np.ndarray:
     """Closed form (1/4)[2 cos(phi_i - phi_j) + sng(z_i z_j) + 1], shape (..., 4, 4)."""
     gram = _public(_gram_closed(p, *np.indices((4, 4))))
-    # free of theta: the leading axes are those of z and phi, without the length-1 axes of theta's
-    return gram[(0,) * (len(p.shape) - max(np.ndim(p.z), np.ndim(p.phi)))]
+    # free of theta: the leading axes are those of z and phi, without the length-1 axes of theta's; the
+    # sign term is constant, so z's axes come from a broadcast
+    lead = np.broadcast_shapes(np.shape(p.z), np.shape(p.phi))
+    return np.broadcast_to(gram[(0,) * (len(p.shape) - len(lead))], (*lead, 4, 4)).copy()
 
 
 def _gram_closed(p: EjmParams, i, j) -> np.ndarray:
     """gram_closed at the entries (i, j), point-axis-last: verify_many reads the ten _UPPER ones."""
-    phis, g = p.phis, p.sng_zs
-    # sng(z_i z_j) = sng(z_i) sng(z_j): z_i z_j is never 0 on the domain
-    return 0.25 * (2.0 * np.cos(phis[i] - phis[j]) + g[i] * g[j] + 1.0)
+    phis, signs = p.phis, _SIGN_PRODUCTS[i, j].reshape(*np.shape(i), *(1,) * len(p.shape))
+    return 0.25 * (2.0 * np.cos(phis[i] - phis[j]) + signs + 1.0)
 
 
 def completeness_residual(b: np.ndarray):
@@ -365,17 +373,18 @@ def verify_many(z, phi, theta):
 def sweep_worst(n: int) -> np.ndarray:
     """The worst of each CHECKS metric over the grid of n values each of z, phi and theta, ends included.
 
-    They pass iff every point does: np.maximum keeps a NaN.  Runs (z, phi-range, all theta) blocks of at
-    most SWEEP_CHUNK points, whole z slabs while n^2 fits, so each per-axis factor is formed once.
+    They pass iff every point does: np.maximum keeps a NaN.  phi = -pi wraps to exactly pi, the last phi,
+    so that slice, which would repeat the pi slice bit for bit, is not run.  Runs (z, phi-range, all theta)
+    blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each per-axis factor is formed once.
     """
     z = np.linspace(Z_MIN, 1.0, n)
-    phi = np.linspace(-math.pi, math.pi, n)
+    phi = np.linspace(-math.pi, math.pi, n)[1:]
     theta = np.linspace(0.0, math.pi / 2, n)
-    dz = max(1, SWEEP_CHUNK // n**2)
-    dphi = min(n, max(1, SWEEP_CHUNK // n))
+    dz = max(1, SWEEP_CHUNK // (n * len(phi)))
+    dphi = min(len(phi), max(1, SWEEP_CHUNK // n))
     worst = np.zeros(len(CHECKS))
     for i in range(0, n, dz):
-        for j in range(0, n, dphi):
+        for j in range(0, len(phi), dphi):
             metrics = verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
             worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
             del metrics  # not held while the next block runs
@@ -386,8 +395,10 @@ def passes(checks: dict, values):
     """value < bound for every metric of a {metric: bound} table, so a NaN fails.
 
     values holds the metrics in table order along its first axis, as verify_many's do; floats give
-    a bool, arrays one flag per point.
+    a bool, arrays one flag per point.  A list of Python floats, one per metric, is compared in Python.
     """
+    if type(values) is list and len(values) == len(checks) and all(type(v) is float for v in values):
+        return all(map(operator.lt, values, checks.values()))
     values = np.asarray(values)
     if values.shape[:1] != (len(checks),):  # a shorter axis, or none, would broadcast against every bound
         raise ValueError(f"expected {len(checks)} metric values, got shape {values.shape}")

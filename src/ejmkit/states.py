@@ -38,8 +38,11 @@ def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: 
     Raises ParameterRangeError naming the first entry outside [lo - tol, hi + tol].  NaN compares
     False, so it fails every range, and a range of all finite doubles rejects +-inf too.  A 0-d x
     is a numpy scalar throughout, which skips the ufunc machinery of a 0-d array, and comes back as a
-    Python float; an array comes back as a new array: never the caller's own.
+    Python float; an array comes back as a new array: never the caller's own.  A Python float inside
+    (lo, hi] comes back as is, without numpy: the value that the array rule gives it.
     """
+    if type(x) is float and lo < (abs(x) if modulus else x) <= hi:
+        return x
     x = np.array(x, dtype=float)[()]
     ax = abs(x) if modulus else x
     if b"\0" in ((ax > lo) & (ax <= hi)).tobytes():  # by a byte scan, an entry off (lo, hi], where clip = identity
@@ -79,6 +82,8 @@ def _root_1mz2(z):
 
 def wrap_angle(phi):
     """Wrap an angle, or an array of angles, into (-pi, pi]."""
+    if type(phi) is float and -math.pi < phi <= math.pi:  # a Python float the wrap leaves as is, -0.0 too
+        return phi
     phi = _in_range(phi, *_PHI)
     # fmod is exact and leaves |w| < 2 pi: at most one exact shift applies, and none is w - (+0.0) = w
     w = np.fmod(phi, _TWO_PI)

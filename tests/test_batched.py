@@ -118,12 +118,13 @@ def test_sweep_matches_per_point_oracle(capsys, n):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
 
-@pytest.mark.parametrize("n,chunk", [(5, 50), (5, 12), (3, 6)])
+@pytest.mark.parametrize("n,chunk", [(5, 50), (5, 15), (4, 8)])
 def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
     """Several full blocks plus a partial last one give the per-point result.
 
-    A chunk of N^2 points or more runs whole z slabs (5, 50); a smaller one
-    splits each slab along phi (5, 12) and (3, 6).
+    The sweep runs the N - 1 values of phi past -pi, which wraps onto pi.  A
+    chunk of a z slab of N (N - 1) points or more runs whole z slabs (5, 50);
+    a smaller one splits each slab along phi (5, 15) and (4, 8).
     """
     monkeypatch.setattr(ejm, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
@@ -145,7 +146,7 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
 
     monkeypatch.setattr(ejm, "verify_many", planted)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
-    assert sum(sizes) == n**3
+    assert sum(sizes) == n**2 * (n - 1)
     assert len(sizes) > 2
     assert sizes[-1] < sizes[0]
     assert (got["pass"], code) == (False, 1)
@@ -167,7 +168,7 @@ def test_sweep_keeps_a_nan_of_one_point(capsys, monkeypatch):
 
     monkeypatch.setattr(ejm, "verify_many", planted)
     code, got = run_json(capsys, "sweep", "--grid", "3")
-    assert sizes == [6, 3] * 3
+    assert sizes == [6] * 3  # whole z slabs of 3 theta by the 2 phi past -pi
     assert math.isnan(got["concurrence_dev"])
     assert all(math.isfinite(got[k]) for k in CHECKS if k != "concurrence_dev")
     assert (got["pass"], code) == (False, 1)
@@ -230,10 +231,11 @@ def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
     sizes = record_blocks(monkeypatch)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     assert (code, got["pass"]) == (0, True)
-    assert sum(sizes) == n**3
+    # the phi = -pi slice wraps onto the phi = pi one, and runs once
+    assert sum(sizes) == n**2 * (n - 1)
     assert max(sizes) <= ejm.SWEEP_CHUNK
-    # whole z slabs while N^2 fits in a block, phi ranges of whole theta lines beyond
-    unit = n**2 if n**2 <= ejm.SWEEP_CHUNK else n
+    # whole z slabs of N (N - 1) points while one fits in a block, phi ranges of whole theta lines beyond
+    unit = n * (n - 1) if n * (n - 1) <= ejm.SWEEP_CHUNK else n
     assert all(size % unit == 0 for size in sizes)
 
 
