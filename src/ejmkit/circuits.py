@@ -11,17 +11,20 @@ Conventions: Y denotes i*sigma_y (real rotation), S = diag(1, i), Ry(zeta) = exp
 Phase(xi) = diag(1, e^{i xi}); controls activate on |1>.  One table, _LIN, gives every gate's entries as a
 linear map from the bank of its angle (_bank).  The circuits are templates per sign of z, built as Gates at
 one point (prep_circuit, detect_circuit) or as one folded program per sign (_PROGRAMS), both from that table,
-whose operators one matmul forms at any shape (_stages).
+whose operators one matmul forms at any shape (_stages).  circuit_checks runs the program at one point and gives
+the values of the `ejm circuit` report.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ejm
 from .linalg import I4, require_normalized
 from .ejm import EjmParams
 
@@ -217,7 +220,7 @@ def _stages(program, angles) -> list:
 # [z < 0]: the preparation, U1 at phi' and the detection, folded, so that one matmul forms every operator of a request
 _PROGRAMS = [_compile(prep, _U1[4], detect) for prep, detect in zip(_PREPS, _DETECTS)]
 # [z < 0]: the detection's angle-free run after its CRY, its last angle gate, folded as _compile folds a run, so the
-# detection stage's last operator is the CRY times this run; cli.cmd_circuit compares the two at result (i)'s point
+# detection stage's last operator is the CRY times this run; circuit_checks compares the two at result (i)'s point
 _AFTER_CRY = [functools.reduce(np.matmul, (_LIN[n][0][_SLOTS[q]] for n, q in d[[g[0] for g in d].index("CRY") + 1:]),
                                I4) for d in _DETECTS]
 
@@ -234,11 +237,16 @@ def _angles(p: EjmParams) -> np.ndarray:
     return angles
 
 
-def _point_angles(p: EjmParams) -> list:
-    """One point's circuit angles, floats by slot (_angles), phi_c half of slot 2; an array raises ValueError."""
+def _one_point(p: EjmParams) -> EjmParams:
+    """p, which must be one parameter point: an array raises ValueError."""
     if p.shape:  # EjmParams stores a 0-d input as a Python float, so only an array has a shape
         raise ValueError(f"the circuits take one parameter point, got EjmParams of shape {p.shape}")
-    return _angles(p).tolist()
+    return p
+
+
+def _point_angles(p: EjmParams) -> list:
+    """One point's circuit angles, floats by slot (_angles), phi_c half of slot 2; an array raises ValueError."""
+    return _angles(_one_point(p)).tolist()
 
 
 def _u1_gates(phi_prime: float) -> tuple:
@@ -274,14 +282,53 @@ def local_unitary_u2() -> np.ndarray:
 def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max-abs entrywise deviation of a from b after the global phase that matches them at b's largest entry;
     a and b have one shape.  Where a is 0 at that entry every phase matches equally well, and the phase is 1:
-    the deviation is then finite and at least that entry's modulus."""
+    the deviation is then finite and at least that entry's modulus.  Where a or b is NaN or infinite at that
+    entry no phase matches, and the deviation is NaN."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:  # they would broadcast, or raise numpy's broadcast error
         raise ValueError(f"shapes differ: {a.shape} against {b.shape}")
     k = np.argmax(np.abs(b))  # a flat index in C order, as flat reads it, whatever the memory layout
-    ref = b.flat[k]
+    at, ref = a.flat[k], b.flat[k]
     if abs(ref) < 1e-300:
         raise ValueError("reference matrix is zero")
-    phase = a.flat[k] / ref
+    if not (cmath.isfinite(at) and cmath.isfinite(ref)):  # b's largest entry is its NaN or infinity, if it has one
+        return math.nan
+    phase = at / ref
     phase = phase / abs(phase) if phase else 1.0
     return float(np.abs(a - phase * b).max())
+
+
+# row i is the outcome that detects basis state i
+_DETECTION_PERMUTATION = np.eye(4)[list(DETECTION_OUTCOMES)]
+# per prepared state, the signs that apply the identity (rows 0, 1) or U2 = sigma_z (x) sigma_z (rows 2, 3)
+_PREPARED_SIGNS = np.repeat([np.ones(4), local_unitary_u2().diagonal().real], 2, axis=0)
+
+
+def circuit_checks(p: EjmParams) -> tuple:
+    """The circuits' checks at one point, run by the compiled program of its sign of z (_PROGRAMS).
+
+    Returns (fidelities, outcome, permutation_dev, bsm_equivalence_dev): the four preparation fidelities
+    |<Phi_i|prepared_i>|, shape (4,); the detection's outcome probabilities, row i those of basis state i,
+    shape (4, 4); the worst entry of outcome off the permutation DETECTION_OUTCOMES; and at result (i)'s
+    point the global_phase_deviation of the detection from the same detection without its CRY, else None.
+    An array-valued p raises ValueError.
+    """
+    # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
+    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the result (i) case too; near pi/4 it is exact
+    angles = _angles(_one_point(p))
+    bsm = abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12
+    # the compiled circuits run unchecked on |00> and the basis, which the library built; |00> through
+    # the first operator is its row 0
+    prep, u1, detect = _stages(_PROGRAMS[p.z < 0], angles)
+    b = ejm.build_basis(p)
+    psi0 = _run(prep[1:], prep[0, 0])
+    u1_psi0 = _run(u1, psi0)
+    prepared = np.array([psi0, u1_psi0, psi0, u1_psi0]) * _PREPARED_SIGNS
+    fidelities = np.abs(np.add.reduce(b.conj() * prepared, axis=-1))
+
+    # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
+    outcome = np.abs(_run(detect, b)) ** 2
+    perm_dev = float(np.maximum.reduce(np.abs(outcome - _DETECTION_PERMUTATION), axis=None))
+    # the detection with and without its CRY share every operator but the last, the CRY times the run after it
+    bsm_dev = global_phase_deviation(detect[-1], _AFTER_CRY[p.z < 0]) if bsm else None
+    return fidelities, outcome, perm_dev, bsm_dev

@@ -159,10 +159,6 @@ def cmd_concurrence(args) -> int:
     return 0 if ok else 1
 
 
-# per-request constants of cmd_circuit: row i is the outcome that detects basis state i
-_DETECTION_PERMUTATION = np.eye(4)[list(circuits.DETECTION_OUTCOMES)]
-# per prepared state, the signs that apply the identity (rows 0, 1) or U2 = sigma_z (x) sigma_z (rows 2, 3)
-_PREPARED_SIGNS = np.repeat([np.ones(4), circuits.local_unitary_u2().diagonal().real], 2, axis=0)
 # report keys of the four fidelities and the 4x4 outcome matrix, in row order
 _CIRCUIT_KEYS = (*(f"prep_fidelity_{i}" for i in range(4)),
                  *(f"p_{i}_{lab}" for i in range(4) for lab in ("00", "01", "10", "11")))
@@ -174,31 +170,13 @@ def cmd_circuit(args) -> int:
         _write(circuits.prep_circuit(p).dumps() + "\n" + circuits.detect_circuit(p).dumps(), args)
         return 0
 
-    # the circuit angle phi_c enters the detection circuit only as the CRY angle pi/2 - 2 phi_c, of
-    # period 4 pi, so phi_c = pi/4 - 2 pi (z < -1/sqrt(2)) is the result (i) case too; near pi/4 it is exact
-    angles = circuits._angles(p)
-    bsm = abs(math.remainder(angles[0], 4 * math.pi)) < 2e-12
-    # the compiled circuits run unchecked on |00> and the basis, which the library built; |00> through
-    # the first operator is its row 0
-    prep, u1, detect = circuits._stages(circuits._PROGRAMS[p.z < 0], angles)
-    b = ejm.build_basis(p)
-    psi0 = circuits._run(prep[1:], prep[0, 0])
-    u1_psi0 = circuits._run(u1, psi0)
-    prepared = np.array([psi0, u1_psi0, psi0, u1_psi0]) * _PREPARED_SIGNS
-    fidelities = np.abs(np.add.reduce(b.conj() * prepared, axis=-1))
-
-    # the circuit is unitary, so permutation_dev sees a basis of the wrong norm
-    outcome = np.abs(circuits._run(detect, b)) ** 2
-    perm_dev = float(np.maximum.reduce(np.abs(outcome - _DETECTION_PERMUTATION), axis=None))
-
+    fidelities, outcome, perm_dev, bsm_dev = circuits.circuit_checks(p)
     report = {"z": p.z, "phi": p.phi, "theta": p.theta, "phi_prime": p.phi_prime}
     report.update(zip(_CIRCUIT_KEYS, fidelities.tolist() + outcome.ravel().tolist()))
     report["permutation_dev"] = perm_dev
-    if bsm:
-        # the detection with and without its CRY share every operator but the last, the CRY times the run after it
-        dev = circuits.global_phase_deviation(detect[-1], circuits._AFTER_CRY[p.z < 0])
-        report["bsm_equivalence_dev"] = dev
-        report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [dev]) else "fail"
+    if bsm_dev is not None:  # result (i)'s point
+        report["bsm_equivalence_dev"] = bsm_dev
+        report["bsm_equivalence"] = "pass" if ejm.passes(ejm.BSM_CHECKS, [bsm_dev]) else "fail"
 
     report["pass"] = ok = ejm.passes(ejm.CIRCUIT_CHECKS, [perm_dev, float(np.maximum.reduce(1.0 - fidelities))])
     _emit_report(report, args)

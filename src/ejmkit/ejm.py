@@ -247,8 +247,17 @@ def _gram_upper(b: np.ndarray) -> np.ndarray:
     return np.concatenate([np.multiply(b[i].conj(), b[i:], order="C").sum(axis=1) for i in range(4)])
 
 
+def _bases(b) -> np.ndarray:
+    """b as an array, which must be a stack (..., 4, 4) of bases: anything else raises ValueError."""
+    b = np.asarray(b)
+    if b.shape[-2:] != (4, 4):
+        raise ValueError(f"expected bases of shape (..., 4, 4), got shape {b.shape}")
+    return b
+
+
 def gram_matrix(b: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products <Phi_i|Phi_j>, shape (..., 4, 4)."""
+    b = _bases(b)
     return b.conj() @ b.swapaxes(-1, -2)
 
 
@@ -269,6 +278,7 @@ def _gram_closed(p: EjmParams, i, j) -> np.ndarray:
 
 def completeness_residual(b: np.ndarray):
     """Max-abs entry of sum_i |Phi_i><Phi_i| - I, one value per basis."""
+    b = _bases(b)
     return _plain(np.abs(b.swapaxes(-1, -2) @ b.conj() - I4).max(axis=(-2, -1)))
 
 
@@ -278,7 +288,7 @@ def reduced_tetrahedron(b: np.ndarray) -> np.ndarray:
     [..., 0, :] is the side-first vector, [..., 1, :] the side-second (its
     exact negation).  All norms equal (sqrt(3)/2) cos theta.
     """
-    return _public(_reduced_blochs(np.moveaxis(require_normalized(b), -1, 0)))
+    return _public(_reduced_blochs(np.moveaxis(_bases(require_normalized(b)), -1, 0)))
 
 
 def reduced_tetrahedron_closed(p: EjmParams) -> np.ndarray:
@@ -374,11 +384,14 @@ def sweep_worst(n: int) -> np.ndarray:
     """The worst of each CHECKS metric over the grid of n values each of z, phi and theta, ends included.
 
     They pass iff every point does: np.maximum keeps a NaN.  phi = -pi wraps to exactly pi, the last phi,
-    so that slice, which would repeat the pi slice bit for bit, is not run.  Runs (z, phi-range, all theta)
-    blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each per-axis factor is formed once.
+    so that slice, which would repeat the pi slice bit for bit, is not run; at n = 1 it is the one phi.  Runs
+    (z, phi-range, all theta) blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each
+    per-axis factor is formed once.  n <= 0 raises ValueError.
     """
+    if n <= 0:
+        raise ValueError(f"the grid needs n >= 1 values per axis, got n = {n}")
     z = np.linspace(Z_MIN, 1.0, n)
-    phi = np.linspace(-math.pi, math.pi, n)[1:]
+    phi = np.linspace(-math.pi, math.pi, n)[1 if n > 1 else 0:]
     theta = np.linspace(0.0, math.pi / 2, n)
     dz = max(1, SWEEP_CHUNK // (n * len(phi)))
     dphi = min(len(phi), max(1, SWEEP_CHUNK // n))

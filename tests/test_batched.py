@@ -213,6 +213,18 @@ def test_sweep_blocks_equal_flat_chunks_exactly(capsys, monkeypatch, n, chunk):
     assert code == want_code
 
 
+def test_sweep_worst_of_a_one_point_grid():
+    # n = 1: the grid's one phi is -pi, which wraps onto pi; with no pi slice to repeat, it is run
+    want = verify_many(np.array([[[ejm.Z_MIN]]]), np.array([[[-math.pi]]]), np.array([0.0]))[1]
+    assert ejm.sweep_worst(1).tolist() == want.reshape(len(CHECKS)).tolist()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sweep_worst_rejects_an_empty_grid(n):
+    with pytest.raises(ValueError, match=f"got n = {n}$"):
+        ejm.sweep_worst(n)
+
+
 def record_blocks(monkeypatch) -> list:
     """The point count of every verify_many block that sweep_worst runs from now on."""
     verify_many, sizes = ejm.verify_many, []

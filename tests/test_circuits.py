@@ -24,6 +24,7 @@ from ejmkit.circuits import (
     _stages,
     _u1_gates,
     apply,
+    circuit_checks,
     detect_circuit,
     global_phase_deviation,
     local_unitary_u1,
@@ -466,7 +467,7 @@ class TestOnePoint:
     def test_array_parameters_raise_one_value_error(self, z, theta, shape):
         p = EjmParams(z, 0.3, theta)
         message = re.escape(f"one parameter point, got EjmParams of shape {shape}")
-        for build in (prep_circuit, detect_circuit, _point_angles):
+        for build in (prep_circuit, detect_circuit, _point_angles, circuit_checks):
             with pytest.raises(ValueError, match=message):
                 build(p)
 
@@ -594,6 +595,17 @@ class TestGlobalPhaseDeviation:
         # every phase matches a 0 equally well there: with phase 1 the deviation is |a - b|, finite and at
         # least |b_k|, and no RuntimeWarning (an error here) comes from dividing 0 by 0
         assert global_phase_deviation(a, b) == np.abs(np.subtract(a, b)).max() == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a, b",
+        [([math.nan, 1], [1, 0.5]), ([math.inf, 1], [1, 0.5]), ([1, 1], [math.nan, 0.5]),
+         ([[0.5, 1], [1, 1j]], [[1, 0], [0, -math.inf]])],
+        ids=["nan-in-a", "inf-in-a", "nan-in-b", "inf-in-b"],
+    )
+    def test_a_non_finite_reference_entry_gives_nan(self, a, b):
+        # no phase matches a NaN or an infinity: the deviation is NaN, without a RuntimeWarning
+        assert math.isnan(global_phase_deviation(a, b))
 
 
 class TestOutcomeProbabilities:
@@ -741,6 +753,15 @@ class TestCompiled:
         assert [ends for _, _, ends in _PROGRAMS] == [[3, 5, 7], [5, 7, 9]]
         # each operator's 16 complex entries, as 32 real and imaginary parts, over the six bank values of an angle
         assert all(m.shape == (ends[-1], 6, 32) for m, _, ends in _PROGRAMS)
+
+    def test_checks_of_one_point(self):
+        for p in (EjmParams(0.7, 0.3, 0.4), EjmParams(-0.9, bsm_phi(-0.9), 0.4), EjmParams(1.0, 0.0, 0.0)):
+            fidelities, outcome, perm_dev, bsm_dev = circuit_checks(p)
+            assert (fidelities.shape, outcome.shape) == ((4,), (4, 4))
+            assert passes(CIRCUIT_CHECKS, [perm_dev, float((1.0 - fidelities).max())])
+            # only the z < 0 point sits at result (i)'s phi_c
+            assert (bsm_dev is None) == (p.z > 0)
+            assert bsm_dev is None or passes(BSM_CHECKS, [bsm_dev])
 
     def test_a_request_builds_no_gate(self, capsys, monkeypatch):
         built = []

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -76,6 +77,8 @@ class TestBasis:
         for z in (1 / SQRT3, 1.0):
             code, _, _ = run(capsys, "basis", "--z", repr(z))
             assert code == 0
+        # the compiled construction where sqrt(1 - z^2) is 0, and so is b_- of every state with z_i > 0
+        assert run(capsys, "basis", "--z=1", "--theta=0", "--format", "csv")[0] == 0
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "basis", "--format", "csv")
@@ -136,6 +139,16 @@ class TestVerify:
         code, js, _ = run(capsys, "verify", "--z", "-6e-1")
         assert code == 0
         assert json.loads(js)["z"] == -0.6
+        # and before an abbreviated flag, which only the full parser reads
+        code, js, _ = run(capsys, "verify", "--z", "-6e-1", "--th", "0.5")
+        assert code == 0
+        assert (json.loads(js)["z"], json.loads(js)["theta"]) == (-0.6, 0.5)
+
+    def test_help_after_a_joined_value(self, capsys):
+        # --help sends the argv to the full parser, which prints the subcommand's help and exits 0
+        code, out, err = outcome(capsys, ["verify", "--z=0.6", "--help"])
+        assert (code, err) == (("exit", 0), "")
+        assert out.startswith("usage: ejm verify")
 
     @pytest.mark.parametrize(
         "sub,pairs",
@@ -527,7 +540,9 @@ class TestTable1:
         # a finite fault, unlike a NaN, survives a reduced-vector deviation taken times 0
         from ejmkit import states
 
-        clean = json.loads(run(capsys, "table1")[1])
+        code, js, _ = run(capsys, "table1")
+        assert code == 0
+        clean = json.loads(js)
         reduced_blochs = states._reduced_blochs
         blocks = []
 
@@ -686,16 +701,29 @@ class TestCircuit:
     def test_one_broken_fidelity_fails(self, capsys, monkeypatch):
         # state 3 without its U2 is prepared as U1|psi0> = -|Phi_1>, orthogonal to |Phi_3>: states 0-2
         # and the detection are untouched
-        from ejmkit import cli
+        from ejmkit import circuits
 
-        signs = cli._PREPARED_SIGNS.copy()
+        signs = circuits._PREPARED_SIGNS.copy()
         signs[3] = 1.0
-        monkeypatch.setattr(cli, "_PREPARED_SIGNS", signs)
+        monkeypatch.setattr(circuits, "_PREPARED_SIGNS", signs)
         code, js, _ = run(capsys, "circuit")
         rep = json.loads(js)
         assert [rep[f"prep_fidelity_{i}"] > 1 - 1e-10 for i in range(4)] == [True, True, True, False]
         assert rep["permutation_dev"] < 1e-10
         assert (code, rep["pass"]) == (1, False)
+
+    @pytest.mark.parametrize("argv", [
+        ("--z=0.7071067811865476", "--phi=1.5707963267948966"),
+        ("--z=-0.9", "--phi=-2.705736389934933", "--theta=0.4", "--format=csv"),
+    ], ids=["result-i-z>0-json", "result-i-z<0-csv"])
+    def test_bsm_equivalence_dev_is_a_rounding_error(self, capsys, argv):
+        # the CRY is the identity here, so the folded detection's last operator and _AFTER_CRY differ by
+        # rounding alone, far inside the rule's 1e-10; at z < 0, phi_c = pi/4 - 2 pi, after the relabel stage
+        code, out, err = run(capsys, "circuit", *argv)
+        assert (code, err) == (0, "")
+        rep = report_of(out, "--format=csv" in argv)
+        assert rep["bsm_equivalence"] == "pass"
+        assert float(rep["bsm_equivalence_dev"]) < 1e-15
 
     def test_dump_rejects_csv(self, capsys):
         code, out, err = run(capsys, "circuit", "--dump", "--format", "csv")
@@ -872,6 +900,35 @@ def test_csv_report_rows_are_the_table_rows(capsys):
     cli._emit(report.items(), ["key", "value"], args)
     assert got == capsys.readouterr().out
     assert got.splitlines()[1:4] == ["k0,0", "k1,-0", "k2,inf"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--z=-0.8", "--phi=2", "--theta=0.3"),
+        ("circuit", "--z=-0.8", "--phi=2", "--theta=0.3"),
+        # the folded operators where the angles pi/2 - theta and 2 phi' + pi/2 (U1) are 0
+        ("circuit", "--z=1", "--theta=1.5707963267948966"),
+        # the z < 0 program at the lower |z| edge
+        ("circuit", "--z=-0.5773502691896258", "--phi=3.141592653589793", "--theta=0"),
+        ("sweep", "--grid", "3"),
+    ],
+    ids=["verify", "circuit", "circuit-fold", "circuit-edge", "sweep"],
+)
+def test_csv_report_reads_back_as_the_json_report(capsys, argv):
+    """A CSV report writes each float with %.17g and a JSON report with repr: each CSV value of a passing
+    report reads back as its JSON value, float(csv) == json, and a string or bool as its text."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    js = json.loads(out)
+    assert js["pass"] is True
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"] and [k for k, _ in rows[1:]] == list(js)
+    for k, v in rows[1:]:
+        j = js[k]
+        assert (float(v) == j) if type(j) in (int, float) else (v == str(j)), (k, v, j)
 
 
 class TestParserReuse:
@@ -1079,9 +1136,10 @@ class TestRowEncoding:
             ["basis", "--z=-0.7", "--phi=3.0", "--theta=1.2"],
             ["table1", "--theta=0.5"],
             ["concurrence", "--grid", "2"],
+            ["concurrence", "--grid", "3"],
             ["concurrence", "--grid", "7"],
         ],
-        ids=["basis", "basis-edge", "table1", "concurrence-2", "concurrence-7"],
+        ids=["basis", "basis-edge", "table1", "concurrence-2", "concurrence-3", "concurrence-7"],
     )
     def test_real_tables(self, capsys, monkeypatch, argv):
         from ejmkit import cli
@@ -1124,11 +1182,17 @@ class TestReportEncoding:
         [
             ["verify"],
             ["verify", "--z=-0.7", "--phi=3.141592653589793", "--theta=1.5707963267948966"],
+            # z = -1, where sqrt(1 - z^2) is 0: at theta = 0, where b_- of every state with z_i > 0 is 0 too,
+            # and at the corner phi = -pi (wrapped onto pi), theta = pi/2
+            ["verify", "--z=-1", "--theta=0"],
+            ["verify", "--z=-1", "--phi=-3.141592653589793", "--theta=1.5707963267948966"],
             ["sweep", "--grid", "3"],
             ["circuit"],
+            ["circuit", "--z=-0.9", "--phi=0.4"],
             ["circuit", "--z=-0.9", "--phi=-2.705736389934933", "--theta=0.4"],
         ],
-        ids=["verify", "verify-edge", "sweep", "circuit", "circuit-bsm"],
+        ids=["verify", "verify-edge", "verify-z-1-theta-0", "verify-corner", "sweep", "circuit", "circuit-neg",
+             "circuit-bsm"],
     )
     def test_real_reports(self, capsys, monkeypatch, argv):
         from ejmkit import cli
@@ -1172,6 +1236,13 @@ class TestReportEncoding:
 def assert_indent_2(report, out):
     assert all(isinstance(v, (str, int, float)) for v in report.values()), report
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_verify_reports_at_phi_pi_and_minus_pi_are_identical(capsys):
+    # pi takes the wrap's float fast path, which returns it as is, and -pi the array wrap onto pi
+    at_pi = run(capsys, "verify", "--phi=3.141592653589793")
+    assert at_pi[0] == 0
+    assert run(capsys, "verify", "--phi=-3.141592653589793") == at_pi
 
 
 def test_verify_echoes_negative_zero_phi(capsys):

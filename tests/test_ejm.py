@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,16 @@ def reference_states_z_1sqrt3(phi, theta):
         0.5 * np.array([-em, -rp, -rm, ep]),
         0.5 * np.array([1j * em, rm, rp, 1j * ep]),
     ]
+
+
+@pytest.mark.parametrize("diagnostic", [gram_matrix, completeness_residual, reduced_tetrahedron])
+@pytest.mark.parametrize("b", [1.0, np.full(4, 0.5), np.eye(3, 4), np.eye(4, 3), np.ones((2, 4, 3))],
+                         ids=["scalar", "one-state", "three-states", "4x3", "2x4x3"])
+def test_diagnostics_take_only_stacks_of_bases(diagnostic, b):
+    # anything but (..., 4, 4) is not a stack of four two-qubit states; reduced_tetrahedron checks its
+    # states first (linalg.require_normalized), whose error names the shape as well
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(b)}") + "$"):
+        diagnostic(b)
 
 
 class TestBuildBasis:
