@@ -60,6 +60,15 @@ _SLOTS = {(0,): np.kron(_U, _I2).T, (1,): np.kron(_I2, _U).T,
           (0, 1): (np.kron(_P0, _I2) + np.kron(_P1, _U)).T, (1, 0): (np.kron(_I2, _P0) + np.kron(_U, _P1)).T}
 
 
+def _real_angle(angle, what: str) -> float:
+    """angle as a Python float, if it is one finite real: a float, an int of at most 64 bits or a numpy real.
+    Anything else, a bool, a complex number, a string or an array among them, raises ValueError naming it."""
+    real = np.asarray(angle)
+    if real.shape or real.dtype.kind not in "iuf" or not np.isfinite(real):
+        raise ValueError(f"{what} must be finite and real: a float, int64 or numpy real, got {angle!r}")
+    return float(real)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate: single-qubit, or controlled with (control, target) qubits, stored as Python ints and
@@ -72,7 +81,7 @@ class Gate:
     op: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in _TAKES:
+        if not isinstance(self.name, str) or self.name not in _TAKES:  # a list would not even hash
             raise ValueError(f"unknown gate {self.name!r}")
         arity, needs_angle = _TAKES[self.name]
         qubits = tuple(self.qubits) if np.iterable(self.qubits) else (None,)
@@ -84,11 +93,7 @@ class Gate:
         if needs_angle != (self.angle is not None):
             raise ValueError(f"{self.name} angle mismatch")
         if needs_angle:
-            angle = np.asarray(self.angle)
-            if angle.shape or angle.dtype.kind not in "iuf" or not np.isfinite(angle):
-                raise ValueError(f"{self.name} angle must be finite and real: a float, int64 or numpy real, "
-                                 f"got {self.angle!r}")
-            object.__setattr__(self, "angle", float(angle))
+            object.__setattr__(self, "angle", _real_angle(self.angle, f"{self.name} angle"))
         op = (_LIN[self.name][0] if self.angle is None else _bank(self.angle) @ _LIN[self.name])[_SLOTS[qubits]]
         op.flags.writeable = False
         object.__setattr__(self, "op", op)
@@ -270,8 +275,8 @@ DETECTION_OUTCOMES = (3, 0, 2, 1)
 
 
 def local_unitary_u1(phi_prime: float) -> np.ndarray:
-    """Local unitary with U1 |Phi_0> = -|Phi_1> (and |Phi_2> -> -|Phi_3>)."""
-    return Circuit(_u1_gates(phi_prime)).unitary()
+    """Local unitary with U1 |Phi_0> = -|Phi_1> (and |Phi_2> -> -|Phi_3>); phi_prime is a gate angle (Gate)."""
+    return Circuit(_u1_gates(_real_angle(phi_prime, "phi_prime"))).unitary()
 
 
 def local_unitary_u2() -> np.ndarray:
@@ -283,17 +288,25 @@ def global_phase_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Max-abs entrywise deviation of a from b after the global phase that matches them at b's largest entry;
     a and b have one shape.  Where a is 0 at that entry every phase matches equally well, and the phase is 1:
     the deviation is then finite and at least that entry's modulus.  Where a or b is NaN or infinite at that
-    entry no phase matches, and the deviation is NaN."""
+    entry no phase matches, and the deviation is NaN.  A quotient of the two entries too large for a double
+    is taken of the entries scaled, so the phase is still a unit number."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:  # they would broadcast, or raise numpy's broadcast error
         raise ValueError(f"shapes differ: {a.shape} against {b.shape}")
     k = np.argmax(np.abs(b))  # a flat index in C order, as flat reads it, whatever the memory layout
     at, ref = a.flat[k], b.flat[k]
-    if abs(ref) < 1e-300:
+    size = abs(ref)
+    if size < 1e-300:
         raise ValueError("reference matrix is zero")
     if not (cmath.isfinite(at) and cmath.isfinite(ref)):  # b's largest entry is its NaN or infinity, if it has one
         return math.nan
-    phase = at / ref
+    if abs(at) <= size <= 1e300:  # no term of numpy's division can overflow: skip the errstate's 1 us
+        phase = at / ref
+    else:
+        with np.errstate(over="ignore"):
+            phase = at / ref
+        if cmath.isinf(phase):  # too large a quotient of finite entries: divide them scaled to moduli in [1, sqrt(2)]
+            phase = (at / max(abs(at.real), abs(at.imag))) / (ref / max(abs(ref.real), abs(ref.imag)))
     phase = phase / abs(phase) if phase else 1.0
     return float(np.abs(a - phase * b).max())
 

@@ -43,6 +43,14 @@ Z_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _PHASES, _SIGNS = np.round(np.exp(-1j * PHI_SHIFTS)) + 0.0, np.round(Z_SIGNS) + 0.0
 _BASIS, _PHI_Z_BASIS = (np.array([[[u, 0, 0, 0], [0, 0, -s, -1], [0, 0, -s, 1], [0, last * u.conjugate(), 0, 0]]
                                   for u, s in zip(_PHASES, _SIGNS)]).reshape(16, 4) + 0.0 for last in (1, -1))
+# build_basis's |00>,|11> amplitudes read only its factors 0 and 1, which vary with z and phi, and its |01>,|10> ones
+# only factors 2 and 3, which vary with z and theta; so do basis_phi_z_form's. _PAIRS picks the two pairs of
+# amplitudes, and _PAIR_TEMPLATES[k] is pair k's block of each template, rows (path, amplitude, state), on build_basis's
+# factors 2 k, 2 k + 1 and then basis_phi_z_form's: the entries left out are zeros, so they add exact zeros
+_PAIRS = (slice(0, 4, 3), slice(1, 3))
+_PAIR_TEMPLATES = [np.block([[blocks[0], np.zeros((8, 2))], [np.zeros((8, 2)), blocks[1]]])
+                   for blocks in ([t.reshape(4, 4, 4)[:, amps, 2 * k:2 * k + 2].swapaxes(0, 1).reshape(8, 2)
+                                   for t in (_BASIS, _PHI_Z_BASIS)] for k, amps in enumerate(_PAIRS))]
 _TETRAHEDRON = np.array([[[u.real, u.imag, 0], [-u.imag, u.real, 0], [0, 0, s]]
                          for u, s in zip(_PHASES, _SIGNS)]).reshape(12, 3) + 0.0
 
@@ -53,6 +61,7 @@ _EYE_UPPER = I4[_UPPER]  # the entries of I that the three unitarity checks read
 # sng(z_i z_j) = sng(z)^2 Z_SIGNS[i] Z_SIGNS[j], and sng(z)^2 = 1 exactly: the closed Gram's sign term is constant
 _SIGN_PRODUCTS = np.multiply.outer(Z_SIGNS, Z_SIGNS)
 _GRAM_ROWS = 128
+_EYE_PAIR = np.array([1.0, 0.0, 1.0])  # I at the entries (k, k), (k, l), (l, l) of a pair of amplitudes k < l
 
 # pass/fail tolerances, and per report a table of each metric -> the bound it must stay below (passes).
 # CHECKS is verify_many's, in the order of its metric axis; verify and sweep apply it at every point
@@ -80,8 +89,9 @@ CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": math.nextafter(1
 BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
 _BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built once per contents of a table
 
-# at most this many points per verify_many block in sweep_worst, at about 1 KB each (tracemalloc):
-# 1,728 ran 3 % more points per second on grids 10-14, but fragmented the heap to 1.4 % more peak RSS
+# at most this many points per verify_many block in sweep_worst, at about 850 B each on the pair path
+# (tracemalloc; 980 B on the point path): 1,728 ran 3 % more points per second on grids 10-14 on the
+# point path, but fragmented the heap to 1.4 % more peak RSS
 SWEEP_CHUNK = 1400
 # freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB for the process,
 # so large temporaries, the sweep blocks' among them, are reused instead of faulted in again. Once,
@@ -205,11 +215,16 @@ def build_basis(p: EjmParams) -> np.ndarray:
     a_+- = (i sqrt(3 z^2 - 1) +- sqrt(1 - z^2))/sqrt(2) and the |01>/|10> coefficients b_+- = (z_i +-
     |z| e^{i theta})/sqrt(2): _BASIS on the factors pre a_+- e^{-+i phi}, pre z/sqrt(2), pre |z| e^{i theta}/sqrt(2).
     """
+    return _compiled(_BASIS, p.shape, *_basis_factors(p))
+
+
+def _basis_factors(p: EjmParams) -> tuple:
+    """build_basis's factors: pre a_+ e^{-i phi} and pre a_- e^{i phi}, at the shape of z and phi, then
+    pre z/sqrt(2) and pre |z| e^{i theta}/sqrt(2), at that of z and theta."""
     s, c = p.root_3z2m1, p.root_1mz2
     pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z) / SQRT2
     e = np.exp(1j * p.phi)
-    return _compiled(_BASIS, p.shape, pre * (1j * s + c) / e, pre * (1j * s - c) * e, pre * p.z,
-                     pre * abs(p.z) * p.e_theta)
+    return pre * (1j * s + c) / e, pre * (1j * s - c) * e, pre * p.z, pre * abs(p.z) * p.e_theta
 
 
 def basis_from_kets(p: EjmParams) -> np.ndarray:
@@ -230,9 +245,15 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
     e^{i theta})/sqrt(2) and sng(z_i) = _SIGNS[i] sng(z): _PHI_Z_BASIS on the factors pre e^{-+i phi'},
     pre sng(z)/sqrt(2) and pre e^{i theta}/sqrt(2).
     """
+    return _compiled(_PHI_Z_BASIS, p.shape, *_phi_z_factors(p))
+
+
+def _phi_z_factors(p: EjmParams) -> tuple:
+    """basis_phi_z_form's factors, shaped as build_basis's: pre e^{-+i phi'}, pre sng(z)/sqrt(2) and
+    pre e^{i theta}/sqrt(2)."""
     pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * p.root_3z2)
     e = np.exp(1j * p.phi_prime)
-    return _compiled(_PHI_Z_BASIS, p.shape, pre / e, pre * e, pre * p.sng_zs[0] / SQRT2, pre * p.e_theta / SQRT2)
+    return pre / e, pre * e, pre * p.sng_zs[0] / SQRT2, pre * p.e_theta / SQRT2
 
 
 def _gram_upper(b: np.ndarray) -> np.ndarray:
@@ -346,14 +367,42 @@ def verify_many(z, phi, theta):
     on fewer of the axes is computed at their shape.  The arrays are point-axis-last in memory,
     so each comparison is elementwise over contiguous points.  Every metric is finite on the
     whole domain, theta = pi/2 included.
+
+    Where z, phi and theta vary along separate axes, as in a sweep block, the (z, phi) and
+    (z, theta) shapes both hold fewer points than the block, and _pair_checks forms the basis
+    as its two pairs of amplitudes at those shapes; every other input, floats and flat stacks
+    among them, takes _point_checks.  Each point's metrics are the same bits on either path.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
-    eye = _EYE_UPPER.reshape(-1, *(1,) * len(p.shape))
-
     # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
-    # per point bounds the sweep's block size (SWEEP_CHUNK). The kets path, the largest, runs
-    # before the basis is held.
+    # per point bounds the sweep's block size (SWEEP_CHUNK)
     metrics = np.empty((len(CHECKS), *p.shape))
+    shapes = _pair_shapes(p)
+    first, second = _pair_checks(p, metrics, shapes) if shapes else _point_checks(p, metrics)
+    closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
+    metrics[4] = _worst(first + second, (0, 1))
+    metrics[5] = _worst(first - closed, (0, 1))
+    metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
+    return p, metrics
+
+
+def _pair_shapes(p: EjmParams):
+    """The (z, phi) and (z, theta) shapes of p, padded to its ndim, if both hold fewer points than p; else None.
+
+    Never on fewer than two axes: there, both smaller would make every field a single value.
+    """
+    if len(p.shape) < 2:
+        return None
+    shapes = [np.broadcast(p.z, x).shape for x in (p.phi, p.theta)]
+    if max(map(math.prod, shapes)) < math.prod(p.shape):
+        return [(1,) * (len(p.shape) - len(shape)) + shape for shape in shapes]
+    return None
+
+
+def _point_checks(p: EjmParams, metrics: np.ndarray):
+    """Metrics 0-3 and 6 of verify_many at the block's shape, and the side-first and side-second vectors (3, 4, ...)."""
+    eye = _EYE_UPPER.reshape(-1, *(1,) * len(p.shape))
+    # the kets path, the largest, runs before the basis is held
     kets = basis_from_kets(p)
     b = build_basis(p)
     kets_dev = _worst(b - kets, (-2, -1))
@@ -370,14 +419,83 @@ def verify_many(z, phi, theta):
     metrics[2] = _worst(_gram_upper(amplitudes) - eye)
     # unchecked: gram_dev is the stricter norm check, and fails a broken basis in the report;
     # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
-    first, second = _reduced_blochs(amplitudes)
+    sides = _reduced_blochs(amplitudes)
     metrics[6] = _worst(_concurrence(amplitudes) - _concurrence_closed(SQRT3, p.theta))
-    del amplitudes
-    closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
-    metrics[4] = _worst(first + second, (0, 1))
-    metrics[5] = _worst(first - closed, (0, 1))
-    metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
-    return p, metrics
+    return sides
+
+
+def _sum4(x):
+    """x[0] + x[1] + x[2] + x[3], in that order, as the point path's sums over four indices run."""
+    total = x[0] + x[1]
+    total += x[2]
+    total += x[3]
+    return total
+
+
+def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
+    """_point_checks of a block whose (z, phi) and (z, theta) shapes are both smaller than it.
+
+    The |00>,|11> pair of amplitudes is formed at the (z, phi) shape and the |01>,|10> pair at the
+    (z, theta) one, each compared with its phi_z form there, and the products of amplitudes of one
+    pair are taken at its shape.  Only the sums and products that join the pairs, and the kets path,
+    run at the block's shape.  Each entry takes the point path's operations in its order: sums over
+    k = 0, 1, 2, 3, products left * conj(right) and populations a + b - c - d, so every metric is the
+    point path's, bit for bit.  The terms that the pair templates leave out are exact zeros of the
+    full ones.
+    """
+    eye, eye_pair = (x.reshape(-1, *(1,) * len(p.shape)) for x in (_EYE_UPPER, _EYE_PAIR))
+    kets = _kernel(basis_from_kets(p)).swapaxes(0, 1)  # (amplitude, state, ...), a view
+    basis, phi_z_form = _basis_factors(p), _phi_z_factors(p)
+    pairs, devs = [], []
+    for k, shape in enumerate(shapes):
+        f = slice(2 * k, 2 * k + 2)
+        x, y = _kernel(_compiled(_PAIR_TEMPLATES[k], shape, *basis[f], *phi_z_form[f])).reshape(2, 2, 4, *shape)
+        devs.append(_worst(x - y, (0, 1)))
+        pairs.append(x)
+    # where the two pairs meet, the (z, phi) pair broadcasts over contiguous (z, phi) planes when theta
+    # leads, as in sweep_worst's blocks; the (z, theta) pair would broadcast along phi in every loop, so
+    # it is copied to the block's shape once, which costs less
+    spread = np.empty((2, 4, *p.shape), complex)
+    spread[...] = pairs[1]
+    for k, pair in enumerate((pairs[0], spread)):
+        np.subtract(pair, kets[_PAIRS[k]], out=kets[_PAIRS[k]])  # b - kets, in the kets' memory
+    del pair  # a loop variable would hold its array to the end
+    np.maximum(np.maximum(_worst(kets, (0, 1)), devs[0]), devs[1], out=metrics[3])
+    del kets
+    # <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk: the products within a pair, the sum over k = 0..3 across them
+    (g0, g3), (g1, g2) = (x.take(_UPPER[0], 1).conj() * x.take(_UPPER[1], 1) for x in pairs)
+    gram = _sum4((g0, g1, g2, g3))
+    del g0, g1, g2, g3
+    metrics[0] = _worst(gram - eye)
+    closed = np.empty((len(_EYE_UPPER), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
+    closed[...] = _gram_closed(p, *_UPPER)
+    metrics[1] = _worst(gram - closed)
+    del gram
+    (a, d), (b, c) = pairs[0], spread  # the amplitudes on |00>, |11>, |01>, |10>, each (4 states, ...)
+    # the reduced vectors' products a c*, b d*, a b*, c d* per state, left * conj(right) as _reduced_blochs takes
+    # them. Conjugated, they are the products conj(b_ik) b_il of completeness at (k, l) = (0, 2), (1, 3), (0, 1),
+    # (2, 3), where the two pairs meet, bit for bit: the rounding of a product is odd in the sign of each part
+    # of a factor, a sum of conjugates is the conjugate of the sum, and |conj(x) - 0| = |x - 0|
+    products = np.empty((4, 4, *p.shape), complex)
+    for q, left, right in zip(products, (a, b, a, c), (c, d, b, d)):
+        np.multiply(left, right.conj(), out=q)
+    del q, left, right
+    # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (k, l), (l, l) at its shape
+    within = [_worst(_sum4((x.take((0, 0, 1), 0).conj() * x.take((0, 1, 1), 0)).swapaxes(0, 1)) - eye_pair)
+              for x in pairs]
+    metrics[2] = np.maximum(np.maximum(_worst(_sum4(products.swapaxes(0, 1))), within[0]), within[1])
+    metrics[6] = _worst(2.0 * np.abs(a * d - b * c) - _concurrence_closed(SQRT3, p.theta))
+    (pa, pd), (pb, pc) = (x.real**2 + x.imag**2 for x in (pairs[0], spread))
+    del spread, b, c
+    rho01 = products[::2] + products[1::2]
+    del products
+    rho01 *= 2.0
+    sides = np.empty((2, 3, 4, *p.shape))
+    sides[:, 0] = rho01.real
+    np.negative(rho01.imag, out=sides[:, 1])
+    del rho01
+    sides[0, 2], sides[1, 2] = pa + pb - pc - pd, pa - pb + pc - pd
+    return sides
 
 
 def sweep_worst(n: int) -> np.ndarray:
@@ -385,8 +503,11 @@ def sweep_worst(n: int) -> np.ndarray:
 
     They pass iff every point does: np.maximum keeps a NaN.  phi = -pi wraps to exactly pi, the last phi,
     so that slice, which would repeat the pi slice bit for bit, is not run; at n = 1 it is the one phi.  Runs
-    (z, phi-range, all theta) blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each
-    per-axis factor is formed once.  n <= 0 raises ValueError.
+    (all theta, z, phi-range) blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each
+    per-axis factor is formed once.  theta leads, so that a factor of theta alone (the kets' weights, the
+    closed concurrence, cos theta) and the (z, phi) pair of amplitudes broadcast over whole contiguous
+    (z, phi) planes: 3 % fewer seconds per sweep of grids 10-14 than with theta last.  n <= 0 raises
+    ValueError.
     """
     if n <= 0:
         raise ValueError(f"the grid needs n >= 1 values per axis, got n = {n}")
@@ -398,7 +519,7 @@ def sweep_worst(n: int) -> np.ndarray:
     worst = np.zeros(len(CHECKS))
     for i in range(0, n, dz):
         for j in range(0, len(phi), dphi):
-            metrics = verify_many(z[i:i + dz, None, None], phi[None, j:j + dphi, None], theta)[1]
+            metrics = verify_many(z[None, i:i + dz, None], phi[None, None, j:j + dphi], theta[:, None, None])[1]
             worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
             del metrics  # not held while the next block runs
     return worst

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -39,11 +40,20 @@ def _in_range(x, message: str, lo: float, hi: float, tol: float = 0.0, modulus: 
     False, so it fails every range, and a range of all finite doubles rejects +-inf too.  A 0-d x
     is a numpy scalar throughout, which skips the ufunc machinery of a 0-d array, and comes back as a
     Python float; an array comes back as a new array: never the caller's own.  A Python float inside
-    (lo, hi] comes back as is, without numpy: the value that the array rule gives it.
+    (lo, hi] comes back as is, without numpy: the value that the array rule gives it.  x must be real:
+    of a bool, int or float dtype, or numbers.Real objects such as Python ints beyond int64.  Anything
+    else, and a Python int beyond every double, raises ParameterRangeError naming x: a string would be
+    parsed as a number, and a complex number would lose its imaginary part.
     """
     if type(x) is float and lo < (abs(x) if modulus else x) <= hi:
         return x
-    x = np.array(x, dtype=float)[()]
+    real = np.asarray(x)
+    if real.dtype.kind not in "biuf" and not (real.dtype == object and all(isinstance(e, Real) for e in real.flat)):
+        raise ParameterRangeError(message.format(x))
+    try:
+        x = real.astype(float)[()]
+    except OverflowError:
+        raise ParameterRangeError(message.format(x)) from None
     ax = abs(x) if modulus else x
     if b"\0" in ((ax > lo) & (ax <= hi)).tobytes():  # by a byte scan, an entry off (lo, hi], where clip = identity
         ok = (ax >= lo - tol) & (ax <= hi + tol)

@@ -307,42 +307,129 @@ def verify_random_points():
     assert passes(CHECKS, metrics).all()
 
 
+def verify_grid_block():
+    # the points of the first grid-14 sweep block, seven whole z slabs: the pair path
+    z, phi, theta = grid_block(14, slice(0, 7), slice(1, 14))
+    p, metrics = verify_many(z, phi, theta)
+    assert ejm._pair_shapes(p) is not None
+    assert passes(CHECKS, metrics).all()
+
+
+def grid_block(n: int, zs: slice, phis: slice) -> tuple:
+    """z, phi and theta on the axes of a (z, phi, theta) block of the grid of n values per axis: slices of its z and
+    phi axes, and all theta."""
+    return (
+        np.linspace(ejm.Z_MIN, 1.0, n)[zs, None, None],
+        np.linspace(-math.pi, math.pi, n)[None, phis, None],
+        np.linspace(0.0, math.pi / 2, n),
+    )
+
+
+# the point path on a flat stack and the pair path on a sweep block; each counting test runs both in turn
+VERIFY_INPUTS = (verify_random_points, verify_grid_block)
+
+
 def test_verify_many_checks_the_basis_at_most_once(monkeypatch):
     calls = count_calls(monkeypatch, linalg.require_normalized)
-    verify_random_points()
-    assert len(calls) <= 1
+    for run in VERIFY_INPUTS:
+        calls.clear()
+        run()
+        assert len(calls) <= 1, run.__name__
 
 
 def test_verify_many_does_not_revalidate_its_parameters(monkeypatch):
     # the tensor path builds its kets from parameters EjmParams already checked
     calls = [count_calls(monkeypatch, f) for f in (states.ket_m, states.ket_minus_m)]
-    verify_random_points()
-    assert calls == [[], []]
+    for run in VERIFY_INPUTS:
+        run()
+        assert calls == [[], []], run.__name__
 
 
 def test_verify_many_checks_theta_once(monkeypatch):
     # EjmParams checks theta; the closed-form concurrence and the geometry take it as checked
     calls = count_calls(monkeypatch, states._in_range)
-    verify_random_points()
-    # the theta0 rule is a half-angle rule too: verify_many must not check it at all
-    assert [a[1:] for a in calls if a[1:] in (states._THETA, states._THETA0)] == [states._THETA]
+    for run in VERIFY_INPUTS:
+        calls.clear()
+        run()
+        # the theta0 rule is a half-angle rule too: verify_many must not check it at all
+        assert [a[1:] for a in calls if a[1:] in (states._THETA, states._THETA0)] == [states._THETA], run.__name__
 
 
 def test_verify_many_derives_the_root_once_and_never_broadcasts_in_python(monkeypatch):
     # the three paths and the closed forms read the root and sng(z_i) from EjmParams; verify must
-    # never reach unit_vector_m, phi_state or _m_prime, which call numpy's pure-Python broadcaster
+    # never reach unit_vector_m, phi_state or _m_prime, which call numpy's pure-Python broadcaster,
+    # nor gather its factors with np.stack, which costs more than filling one np.empty array
     roots = count_calls(monkeypatch, ejm._root_3z2m1)
     signs = count_calls(monkeypatch, ejm.sng)
-    broadcasts = []
-    broadcast_arrays = np.broadcast_arrays
+    counted = {}
+    for name in ("broadcast_arrays", "stack"):
+        original = getattr(np, name)
 
-    def counted(*args, **kwargs):
-        broadcasts.append(args)
-        return broadcast_arrays(*args, **kwargs)
+        def counting(*args, original=original, calls=counted.setdefault(name, []), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "broadcast_arrays", counted)
-    verify_random_points()
-    assert (len(roots), len(signs), len(broadcasts)) == (1, 1, 0)
+        monkeypatch.setattr(np, name, counting)
+    for run in VERIFY_INPUTS:
+        for calls in (roots, signs, *counted.values()):
+            calls.clear()
+        run()
+        assert (len(roots), len(signs), len(counted["broadcast_arrays"]), len(counted["stack"])) == (1, 1, 0, 0), \
+            run.__name__
+
+
+BOTH_SIGNS = np.array([-1.0, -0.8, -ejm.Z_MIN, ejm.Z_MIN, 0.9, 1.0])
+
+
+@pytest.mark.parametrize(
+    "z,phi,theta",
+    [
+        # z slabs of both signs, |z| = Z_MIN and 1 at each, with phi = pi and theta = 0 and pi/2 on the axes
+        (BOTH_SIGNS[:, None, None], np.array([-2.0, 0.3, math.pi])[None, :, None], np.array([0.0, 0.4, math.pi / 2])),
+        (BOTH_SIGNS[:3, None, None], np.linspace(-math.pi, math.pi, 9)[None, 1:, None], np.linspace(0, math.pi / 2, 9)),
+        (BOTH_SIGNS[3:, None, None], np.linspace(-math.pi, math.pi, 9)[None, 1:, None], np.linspace(0, math.pi / 2, 9)),
+        # theta first, then z, then phi: the pairs' shapes need not put theta last
+        (BOTH_SIGNS[None, :, None], np.array([math.pi, -1.0])[None, None, :],
+         np.array([0.0, math.pi / 2])[:, None, None]),
+        # a phi-split block of grid 38, where a z slab of 38 * 37 points outgrows SWEEP_CHUNK, and its mirror
+        grid_block(38, slice(20, 21), slice(1, 37)),
+        (-grid_block(38, slice(0, 1), slice(1, 37))[0], *grid_block(38, slice(0, 1), slice(1, 37))[1:]),
+        # one z: the (z, phi) and (z, theta) shapes are phi's and theta's; a float z is a numpy scalar in the
+        # factors, which round apart from a stack's, so the float's block is compared with its own point path only
+        (np.array([-0.7]), np.linspace(-math.pi, math.pi, 5)[:, None], np.linspace(0, math.pi / 2, 4)),
+        (-0.7, np.linspace(-math.pi, math.pi, 5)[:, None], np.linspace(0, math.pi / 2, 4)),
+    ],
+    ids=["both-signs", "z-negative-slabs", "z-positive-slabs", "theta-first", "grid-38-split", "grid-38-split-mirror",
+         "one-z", "float-z"],
+)
+def test_pair_path_equals_the_point_path_bit_for_bit(monkeypatch, z, phi, theta):
+    # the pair path forms every metric of a block from the (z, phi) and (z, theta) pairs of amplitudes, the point
+    # path at the block's shape: at each point, each metric must be the same double, no tolerance. The point
+    # path runs on the same points flattened, and on the same block with the pair path switched off
+    p, metrics = verify_many(z, phi, theta)
+    assert ejm._pair_shapes(p) is not None
+    assert metrics.shape == (len(CHECKS), *p.shape)
+    assert passes(CHECKS, metrics).all()
+    if type(z) is not float:
+        flat = [np.broadcast_to(x, p.shape).ravel() for x in (z, phi, theta)]
+        q, want = verify_many(*flat)
+        assert ejm._pair_shapes(q) is None
+        assert np.array_equal(metrics.reshape(len(CHECKS), -1), want)
+    monkeypatch.setattr(ejm, "_pair_shapes", lambda p: None)
+    assert np.array_equal(metrics, verify_many(z, phi, theta)[1])
+
+
+def test_pair_templates_hold_every_entry_of_the_full_ones():
+    # the |00>,|11> amplitudes read factors 0 and 1 only and the |01>,|10> ones factors 2 and 3 only: the pair
+    # templates hold each nonzero entry of _BASIS and _PHI_Z_BASIS once, and leave out only zeros
+    for path, template in enumerate((ejm._BASIS, ejm._PHI_Z_BASIS)):
+        full = template.reshape(4, 4, 4)  # (state, amplitude, factor)
+        kept = np.zeros_like(full)
+        for k, amps in enumerate(ejm._PAIRS):
+            block = ejm._PAIR_TEMPLATES[k].reshape(2, 2, 4, 2, 2)
+            assert not block[path, :, :, 1 - path].any()
+            kept[:, amps, 2 * k:2 * k + 2] = block[path, :, :, path].swapaxes(0, 1)
+        assert np.array_equal(kept, full)
 
 
 @pytest.mark.parametrize(

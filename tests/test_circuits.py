@@ -607,6 +607,18 @@ class TestGlobalPhaseDeviation:
         # no phase matches a NaN or an infinity: the deviation is NaN, without a RuntimeWarning
         assert math.isnan(global_phase_deviation(a, b))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [([1e300, 1], [1e-300, 1e-301], 1e300), ([-1e300j, 1], [1e-300, 1e-301], 1e300),
+         ([[1e300, 1], [0, 1]], [[-1e-300, 0], [0, 1e-301]], 1e300)],
+        ids=["pair", "imaginary", "stacked"],
+    )
+    def test_a_quotient_beyond_every_double_still_gives_a_unit_phase(self, a, b, want):
+        # 1e300 / 1e-300 overflows: the phase is taken of the entries scaled, without a RuntimeWarning, and
+        # matches a's entry to b's, so the deviation is |a_k| to rounding
+        assert global_phase_deviation(a, b) == want
+
 
 class TestOutcomeProbabilities:
     def test_basis_state(self):
@@ -688,6 +700,21 @@ class TestGateInputs:
     def test_an_int_angle_is_its_float(self):
         g = Gate("RY", (0,), 2)
         assert type(g.angle) is float and g == Gate("RY", (0,), 2.0) and g.dump() == "RY 0,2"
+
+    @pytest.mark.parametrize("name", [["H"], {"H"}, None, b"H"], ids=["list", "set", "none", "bytes"])
+    def test_a_name_that_is_not_a_string_is_an_unknown_gate(self, name):
+        # a list or a set would not even hash for the lookup
+        with pytest.raises(ValueError, match=re.escape(f"unknown gate {name!r}")):
+            Gate(name, (0,))
+
+    @pytest.mark.parametrize("angle", ["x", None, [0.1], 1 + 1j, True, math.nan],
+                             ids=["text", "none", "list", "complex", "bool", "nan"])
+    def test_u1_takes_its_angle_by_the_gate_rule(self, angle):
+        # the angle is checked before 2 phi' + pi/2 is formed of it, and the message names the argument itself
+        with pytest.raises(ValueError, match=re.escape(f"phi_prime must be finite and real: a float, int64 or "
+                                                       f"numpy real, got {angle!r}")):
+            local_unitary_u1(angle)
+        assert np.array_equal(local_unitary_u1(np.float64(0.37)), local_unitary_u1(0.37))
 
 
 # every |z| edge of either sign at phi = +-pi and theta at both ends, and the BSM branch at phi_c = pi/4

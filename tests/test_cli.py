@@ -855,11 +855,12 @@ class TestBrokenBasis:
         "argv", [["verify"], ["sweep", "--grid", "3"], ["circuit"]], ids=["verify", "sweep", "circuit"]
     )
     def test_is_a_failing_report(self, capsys, monkeypatch, argv, fmt):
-        # the library's own basis is never re-checked at entry: its report must fail it
+        # the library's own basis is never re-checked at entry: its report must fail it. The fault goes into
+        # build_basis's factors, which a sweep block's pairs of amplitudes read as well as build_basis
         from ejmkit import ejm
 
-        build_basis = ejm.build_basis
-        monkeypatch.setattr(ejm, "build_basis", lambda p: build_basis(p) * (1.0 + 1e-9))
+        basis_factors = ejm._basis_factors
+        monkeypatch.setattr(ejm, "_basis_factors", lambda p: tuple(f * (1.0 + 1e-9) for f in basis_factors(p)))
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, err) == (1, "")
         if fmt == "json":

@@ -210,3 +210,36 @@ def test_wrap_keeps_signed_zero_and_period_edges_bit_for_bit():
             got = wrap_angle(given)
             assert type(got) is float and np.float64(got).view(np.int64) == expected.view(np.int64), (given, got)
     assert np.signbit(wrap_angle(-0.0)) and np.signbit(elementwise[1])
+
+
+@pytest.mark.parametrize(
+    "call, given, message",
+    [
+        (lambda x: EjmParams(z=x, phi=0.3, theta=0.2), "0.7",
+         r"\|z\| must lie in \[1/sqrt\(3\), 1\] ~ \[0.577350, 1\], got z = "),
+        (lambda x: EjmParams(z=x, phi=0.3, theta=0.2), 0.7 + 1j, r"\|z\| must lie in .*, got z = "),
+        (lambda x: EjmParams(z=x, phi=0.3, theta=0.2), object(), r"\|z\| must lie in .*, got z = "),
+        (lambda x: EjmParams(z=x, phi=0.3, theta=0.2), [0.7, "0.8"], r"\|z\| must lie in .*, got z = "),
+        (phi_z, 0.7j, r"\|z\| must lie in .*, got z = "),
+        (lambda x: EjmParams(z=0.7, phi=x, theta=0.2), "0.3", "phi must be finite, got "),
+        (lambda x: EjmParams(z=0.7, phi=0.3, theta=x), np.array([0.2 + 0j]), r"theta must lie in \[0, pi/2\], got "),
+        (lambda x: five(z=x), None, r"\|z\| <= 1 required, got z = "),
+        (lambda x: EjmParams(z=0.7, phi=x, theta=0.2), 10**400, "phi must be finite, got "),
+    ],
+    ids=["text-z", "complex-z", "object-z", "text-entry", "phi_z-complex", "text-phi", "complex-theta", "none-z",
+         "int-beyond-doubles"],
+)
+def test_a_value_that_is_not_real_raises_the_rule_error(call, given, message):
+    # a string would be parsed as a number and a complex number lose its imaginary part: each raises the rule's
+    # ParameterRangeError, whose message names the argument as given
+    with pytest.raises(ParameterRangeError, match="^" + message + re.escape(repr(given)) + "$"):
+        call(given)
+
+
+def test_real_objects_beyond_numpy_types_are_read_as_floats():
+    # numbers.Real objects, such as an int beyond int64 or a fraction, are real numbers; a bool is an int
+    from fractions import Fraction
+
+    assert EjmParams(z=Fraction(7, 10), phi=0.3, theta=0.2).z == 0.7
+    assert wrap_angle(2**70) == wrap_angle(float(2**70))
+    assert EjmParams(z=True, phi=0.3, theta=0.2).z == 1.0
