@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import ATOL_TRIG, I4, require_normalized
 from .states import SQRT2, SQRT3, _THETA, _concurrence, _concurrence_closed, _freeze, _in_range
-from .states import _phi_tensor, _plain, _reduced_blochs, _root_1mz2, wrap_angle
+from .states import _phi_sum, _phi_terms, _plain, _reduced_blochs, _root_1mz2, wrap_angle
 
 Z_MIN = 1.0 / SQRT3
 # a range rule of states._in_range, laid out as the rules there
@@ -89,10 +89,12 @@ CIRCUIT_CHECKS = {"permutation_dev": TOL_TRIG, "fidelity_loss": math.nextafter(1
 BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
 _BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built once per contents of a table
 
-# at most this many points per verify_many block in sweep_worst, at about 850 B each on the pair path
-# (tracemalloc; 980 B on the point path): 1,728 ran 3 % more points per second on grids 10-14 on the
-# point path, but fragmented the heap to 1.4 % more peak RSS
-SWEEP_CHUNK = 1400
+# at most this many points per verify_many block in sweep_worst: the most whose traced peak stays within
+# _SWEEP_PEAK_BYTES, at up to 440 B a point on the pair path plus 280 kB that does not grow with the block,
+# mostly numpy's ufunc buffers (tracemalloc, numpy 2.4.6).
+# Every grid up to 14 runs as one block: each block pays verify_many's fixed cost of about 0.4 ms once
+_SWEEP_PEAK_BYTES, _BLOCK_POINT_BYTES, _BLOCK_FIXED_BYTES = 1_450_000, 440, 280_000
+SWEEP_CHUNK = (_SWEEP_PEAK_BYTES - _BLOCK_FIXED_BYTES) // _BLOCK_POINT_BYTES  # 2,659: z slabs whole up to grid 52
 # freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB for the process,
 # so large temporaries, the sweep blocks' among them, are reused instead of faulted in again. Once,
 # at import: a second such array would come from the heap, whose pages numpy would mark for huge pages.
@@ -233,9 +235,13 @@ def basis_from_kets(p: EjmParams) -> np.ndarray:
     e^{i theta0} = (sqrt(3 z^2 - 1) + i)/sqrt(3 z^2) is formed algebraically rather
     than through arcsin, which loses ~8 digits near |z| = 1/sqrt(3).
     """
-    w = 1j * ((p.root_3z2m1 + 1j) / p.root_3z2)
-    # _phi_tensor puts the amplitude axis first, and the state axis of zs and phis follows it
-    return _public(_phi_tensor(SQRT3, p.zs, p.phis, w, p.e_theta).swapaxes(0, 1))
+    # _phi_sum puts the amplitude axis first, and the state axis of zs and phis follows it
+    return _public(_phi_sum(*_kets_terms(p)).swapaxes(0, 1))
+
+
+def _kets_terms(p: EjmParams) -> tuple:
+    """basis_from_kets's _phi_terms: its weights, and its products (2, amplitude, state, ...)."""
+    return _phi_terms(SQRT3, p.zs, p.phis, 1j * ((p.root_3z2m1 + 1j) / p.root_3z2), p.e_theta)
 
 
 def basis_phi_z_form(p: EjmParams) -> np.ndarray:
@@ -344,10 +350,23 @@ def tetrahedron_geometry_check(vectors, theta):
 
 
 def _tetrahedron_geometry(vectors: np.ndarray, cos):
-    """tetrahedron_geometry_check on (3, 4, ...) vectors and cos theta > 0, unchecked."""
-    products = vectors.take(_DOTS[0], 1)  # a gather is a new array: the product is taken in place
-    products *= vectors.take(_DOTS[1], 1)
-    dots = np.add.reduce(products)
+    """tetrahedron_geometry_check on (3, 4, ...) vectors and cos theta > 0, unchecked.
+
+    The dots add the products of the three components in order.  From _GRAM_ROWS points on, they are
+    taken one component at a time, so the largest temporary is (10, ...), not (3, 10, ...); fewer take
+    one gathered product, in fewer calls.  Both give the same bits.
+    """
+    if vectors.size < 12 * _GRAM_ROWS:
+        products = vectors.take(_DOTS[0], 1)  # a gather is a new array: the product is taken in place
+        products *= vectors.take(_DOTS[1], 1)
+        dots = np.add.reduce(products)
+    else:
+        dots = vectors[0].take(_DOTS[0], 0)
+        dots *= vectors[0].take(_DOTS[1], 0)
+        for v in vectors[1:]:
+            product = v.take(_DOTS[0], 0)
+            product *= v.take(_DOTS[1], 0)
+            dots += product
     modulus_dev = _worst(np.sqrt(dots[:4]) - SQRT3 / 2.0 * cos)
     pairwise_dev = _worst(dots[4:] + cos * cos / 4.0) / cos
     return _plain(modulus_dev), _plain(pairwise_dev)
@@ -378,11 +397,10 @@ def verify_many(z, phi, theta):
     # per point bounds the sweep's block size (SWEEP_CHUNK)
     metrics = np.empty((len(CHECKS), *p.shape))
     shapes = _pair_shapes(p)
-    first, second = _pair_checks(p, metrics, shapes) if shapes else _point_checks(p, metrics)
-    closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
-    metrics[4] = _worst(first + second, (0, 1))
-    metrics[5] = _worst(first - closed, (0, 1))
+    first = _pair_checks(p, metrics, shapes) if shapes else _point_checks(p, metrics)
     metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
+    closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
+    metrics[5] = _worst(np.subtract(first, closed, out=first), (0, 1))  # the last read of first
     return p, metrics
 
 
@@ -400,7 +418,7 @@ def _pair_shapes(p: EjmParams):
 
 
 def _point_checks(p: EjmParams, metrics: np.ndarray):
-    """Metrics 0-3 and 6 of verify_many at the block's shape, and the side-first and side-second vectors (3, 4, ...)."""
+    """Metrics 0-4 and 6 of verify_many at the block's shape, and the side-first vectors (3, 4, ...)."""
     eye = _EYE_UPPER.reshape(-1, *(1,) * len(p.shape))
     # the kets path, the largest, runs before the basis is held
     kets = basis_from_kets(p)
@@ -421,7 +439,8 @@ def _point_checks(p: EjmParams, metrics: np.ndarray):
     # the kernels take amplitudes (4, 4, ...) and give Bloch components (3, 4, ...)
     sides = _reduced_blochs(amplitudes)
     metrics[6] = _worst(_concurrence(amplitudes) - _concurrence_closed(SQRT3, p.theta))
-    return sides
+    metrics[4] = _worst(sides[0] + sides[1], (0, 1))
+    return sides[0]
 
 
 def _sum4(x):
@@ -438,13 +457,13 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     The |00>,|11> pair of amplitudes is formed at the (z, phi) shape and the |01>,|10> pair at the
     (z, theta) one, each compared with its phi_z form there, and the products of amplitudes of one
     pair are taken at its shape.  Only the sums and products that join the pairs, and the kets path,
-    run at the block's shape.  Each entry takes the point path's operations in its order: sums over
-    k = 0, 1, 2, 3, products left * conj(right) and populations a + b - c - d, so every metric is the
-    point path's, bit for bit.  The terms that the pair templates leave out are exact zeros of the
-    full ones.
+    run at the block's shape, one stage at a time, each freed before the next: the kets one pair at a
+    time, then the Gram, then each side's vectors.  Each entry takes the point path's operations in
+    its order: sums over k = 0, 1, 2, 3, products left * conj(right) and populations a + b - c - d, so
+    every metric is the point path's, bit for bit; a worst value is the same maximum in any order.
+    The terms that the pair templates leave out are exact zeros of the full ones.
     """
     eye, eye_pair = (x.reshape(-1, *(1,) * len(p.shape)) for x in (_EYE_UPPER, _EYE_PAIR))
-    kets = _kernel(basis_from_kets(p)).swapaxes(0, 1)  # (amplitude, state, ...), a view
     basis, phi_z_form = _basis_factors(p), _phi_z_factors(p)
     pairs, devs = [], []
     for k, shape in enumerate(shapes):
@@ -452,16 +471,13 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
         x, y = _kernel(_compiled(_PAIR_TEMPLATES[k], shape, *basis[f], *phi_z_form[f])).reshape(2, 2, 4, *shape)
         devs.append(_worst(x - y, (0, 1)))
         pairs.append(x)
-    # where the two pairs meet, the (z, phi) pair broadcasts over contiguous (z, phi) planes when theta
-    # leads, as in sweep_worst's blocks; the (z, theta) pair would broadcast along phi in every loop, so
-    # it is copied to the block's shape once, which costs less
-    spread = np.empty((2, 4, *p.shape), complex)
-    spread[...] = pairs[1]
-    for k, pair in enumerate((pairs[0], spread)):
-        np.subtract(pair, kets[_PAIRS[k]], out=kets[_PAIRS[k]])  # b - kets, in the kets' memory
-    del pair  # a loop variable would hold its array to the end
-    np.maximum(np.maximum(_worst(kets, (0, 1)), devs[0]), devs[1], out=metrics[3])
-    del kets
+    plus, minus, products = _kets_terms(p)
+    for k, pair in enumerate(pairs):
+        kets = _phi_sum(plus, minus, products[:, _PAIRS[k]])
+        devs.append(_worst(np.subtract(pair, kets, out=kets), (0, 1)))  # b - kets, in the kets' memory
+        del kets  # not held while the next pair's are formed
+    metrics[3] = functools.reduce(np.maximum, devs)
+    del plus, minus, products, devs
     # <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk: the products within a pair, the sum over k = 0..3 across them
     (g0, g3), (g1, g2) = (x.take(_UPPER[0], 1).conj() * x.take(_UPPER[1], 1) for x in pairs)
     gram = _sum4((g0, g1, g2, g3))
@@ -469,33 +485,45 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     metrics[0] = _worst(gram - eye)
     closed = np.empty((len(_EYE_UPPER), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
     closed[...] = _gram_closed(p, *_UPPER)
-    metrics[1] = _worst(gram - closed)
-    del gram
-    (a, d), (b, c) = pairs[0], spread  # the amplitudes on |00>, |11>, |01>, |10>, each (4 states, ...)
-    # the reduced vectors' products a c*, b d*, a b*, c d* per state, left * conj(right) as _reduced_blochs takes
-    # them. Conjugated, they are the products conj(b_ik) b_il of completeness at (k, l) = (0, 2), (1, 3), (0, 1),
-    # (2, 3), where the two pairs meet, bit for bit: the rounding of a product is odd in the sign of each part
-    # of a factor, a sum of conjugates is the conjugate of the sum, and |conj(x) - 0| = |x - 0|
-    products = np.empty((4, 4, *p.shape), complex)
-    for q, left, right in zip(products, (a, b, a, c), (c, d, b, d)):
-        np.multiply(left, right.conj(), out=q)
-    del q, left, right
-    # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (k, l), (l, l) at its shape
+    metrics[1] = _worst(np.subtract(gram, closed, out=gram))
+    del gram, closed
+    (a, d), (b, c) = pairs  # the amplitudes on |00>, |11> and on |01>, |10>, each (4 states, ...)
+    metrics[6] = _worst(2.0 * np.abs(a * d - b * c) - _concurrence_closed(SQRT3, p.theta))
+    (pa, pd), (pb, pc) = (x.real**2 + x.imag**2 for x in pairs)
+    # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (k, l), (l, l) at its
+    # shape, and where the two pairs meet, (k, l) = (0, 2), (1, 3), (0, 1), (2, 3), the products of the sides
     within = [_worst(_sum4((x.take((0, 0, 1), 0).conj() * x.take((0, 1, 1), 0)).swapaxes(0, 1)) - eye_pair)
               for x in pairs]
-    metrics[2] = np.maximum(np.maximum(_worst(_sum4(products.swapaxes(0, 1))), within[0]), within[1])
-    metrics[6] = _worst(2.0 * np.abs(a * d - b * c) - _concurrence_closed(SQRT3, p.theta))
-    (pa, pd), (pb, pc) = (x.real**2 + x.imag**2 for x in (pairs[0], spread))
-    del spread, b, c
-    rho01 = products[::2] + products[1::2]
-    del products
-    rho01 *= 2.0
-    sides = np.empty((2, 3, 4, *p.shape))
-    sides[:, 0] = rho01.real
-    np.negative(rho01.imag, out=sides[:, 1])
-    del rho01
-    sides[0, 2], sides[1, 2] = pa + pb - pc - pd, pa - pb + pc - pd
-    return sides
+    cross = np.empty((4, *p.shape))
+    first = _side(a, c, b, d, cross[:2])
+    first[2] = pa + pb - pc - pd
+    second = _side(a, b, c, d, cross[2:])
+    second[2] = pa - pb + pc - pd
+    metrics[2] = np.maximum(np.maximum(np.maximum.reduce(cross), within[0]), within[1])
+    metrics[4] = _worst(np.add(first, second, out=second), (0, 1))
+    return first
+
+
+def _side(l0, r0, l1, r1, cross) -> np.ndarray:
+    """A reduced vector (3, 4, ...) of amplitudes of _pair_checks, rho = l0 r0* + l1 r1* at each state: its x and y,
+    2 Re rho and -2 Im rho; the caller sets its z.  cross[0] and cross[1] get |sum over the states| of l0 r0* and
+    of l1 r1*.
+
+    Each product is left * conj(right), as _reduced_blochs takes them.  Conjugated, they are products
+    conj(b_ik) b_il of completeness, bit for bit: the rounding of a product is odd in the sign of each part of a
+    factor, a sum of conjugates is the conjugate of the sum, and |conj(x) - 0| = |x - 0|.
+    """
+    rho = l0 * r0.conj()
+    np.absolute(_sum4(rho), out=cross[0])
+    product = l1 * r1.conj()
+    np.absolute(_sum4(product), out=cross[1])
+    rho += product
+    del product
+    rho *= 2.0
+    side = np.empty((3, *rho.shape))
+    side[0] = rho.real
+    np.negative(rho.imag, out=side[1])
+    return side
 
 
 def sweep_worst(n: int) -> np.ndarray:

@@ -202,26 +202,33 @@ def phi_state(p: FiveParams) -> np.ndarray:
     return v / (2.0 * np.sqrt(a * a + 1.0))[..., None]
 
 
-def _phi_tensor(a, z, phi, w, e_th) -> np.ndarray:
-    """[(a + e_th)|m0,m1> + (a - e_th)|m1,m0>] / sqrt(2 a^2 + 2), amplitude axis first: (4, ...).
+def _phi_terms(a, z, phi, w, e_th) -> tuple:
+    """The weights and products of [(a + e_th)|m0,m1> + (a - e_th)|m1,m0>] / sqrt(2 a^2 + 2): _phi_sum's arguments.
 
-    w = i e^{i theta0} and e_th = e^{i theta}; a, w and e_th carry no more axes than z and phi,
-    whose kets lead with their own axis.  Nothing is checked: callers pass validated parameters.
+    w = i e^{i theta0} and e_th = e^{i theta}; a, w and e_th carry no more axes than z and phi, whose
+    kets lead with their own axis.  The weights (a +- e_th)/sqrt(2 a^2 + 2) come first, then |m0,m1> and
+    |m1,m0> as (2, 2) outer products u v^T with their amplitude axis flattened, (2, 4, ...), formed at the
+    shape of z and phi.  Nothing is checked: callers pass validated parameters.
     """
     m = _rotated_pair(z, phi, w)
     norm = np.sqrt(2.0 * a * a + 2.0)
-    # |m0,m1> and |m1,m0> as (2, 2) outer products u v^T, formed at the shape of z and phi before the weights
     products = m[:, :, None] * m[::-1, None, :]
-    v = (a + e_th) / norm * products[0]
-    v += (a - e_th) / norm * products[1]
-    return v.reshape((4,) + v.shape[2:])
+    return (a + e_th) / norm, (a - e_th) / norm, products.reshape((2, 4) + products.shape[3:])
+
+
+def _phi_sum(plus, minus, products) -> np.ndarray:
+    """plus products[0] + minus products[1]: the state of _phi_terms, amplitude axis first, (4, ...), or the
+    amplitudes that products holds."""
+    v = plus * products[0]
+    v += minus * products[1]
+    return v
 
 
 def phi_state_tensor(p: FiveParams) -> np.ndarray:
     """Same state as phi_state, built from the |m0,m1> and |m1,m0> tensor products."""
     # the fields broadcast before the kets put their amplitude axis first, as in _checked_pair
     a, z, phi, theta0, theta = np.broadcast_arrays(p.a, p.z, p.phi, p.theta0, p.theta)
-    return np.moveaxis(_phi_tensor(a, z, phi, 1j * np.exp(1j * theta0), np.exp(1j * theta)), 0, -1)
+    return np.moveaxis(_phi_sum(*_phi_terms(a, z, phi, 1j * np.exp(1j * theta0), np.exp(1j * theta))), 0, -1)
 
 
 _RHO_LEFT, _RHO_RIGHT = np.array([0, 1, 0, 2]), np.array([2, 3, 1, 3])

@@ -12,6 +12,7 @@ The counting tests pin how often one request re-checks what the library
 built itself.
 """
 
+import itertools
 import json
 import math
 import operator
@@ -225,6 +226,10 @@ def test_sweep_worst_rejects_an_empty_grid(n):
         ejm.sweep_worst(n)
 
 
+# the first grid whose z slab outgrows SWEEP_CHUNK, so that its blocks are phi ranges of one slab
+PHI_SPLIT_GRID = next(n for n in itertools.count(2) if n * (n - 1) > ejm.SWEEP_CHUNK)
+
+
 def record_blocks(monkeypatch) -> list:
     """The point count of every verify_many block that sweep_worst runs from now on."""
     verify_many, sizes = ejm.verify_many, []
@@ -238,7 +243,7 @@ def record_blocks(monkeypatch) -> list:
     return sizes
 
 
-@pytest.mark.parametrize("n", [10, 11, 12, 13, 14, 27, 40])
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 14, 27, 40, PHI_SPLIT_GRID])
 def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
     sizes = record_blocks(monkeypatch)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
@@ -249,11 +254,16 @@ def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
     # whole z slabs of N (N - 1) points while one fits in a block, phi ranges of whole theta lines beyond
     unit = n * (n - 1) if n * (n - 1) <= ejm.SWEEP_CHUNK else n
     assert all(size % unit == 0 for size in sizes)
+    if n <= 14:  # every grid up to 14 is one verify_many call
+        assert sizes == [n**2 * (n - 1)]
 
 
-# tracemalloc peaks measured with numpy 2.4.6 (1,360,352 and 1,362,704 bytes), plus 10 %: a core
-# that holds more per point, or a SWEEP_CHUNK that outgrows it, fails here
-BLOCK_PEAK_BYTES = 1_496_000
+# tracemalloc peaks with numpy 2.4.6: BLOCK_PEAK_BYTES is the 1,372-point block's 843,832 bytes plus 10 %, so a core
+# that holds more per point fails here. SWEEP_14_PEAK_BYTES, the grid-14 request's 1,362,704 bytes plus 10 % when it
+# ran two blocks of 1,274 points, now bounds every request: grid 14's one block of 2,548 points peaks at 1,350,379
+# bytes and grid 52's largest blocks, 2,652 points each, at 1,318,083, so a SWEEP_CHUNK that outgrows the core's
+# working set fails here
+BLOCK_PEAK_BYTES = 928_000
 SWEEP_14_PEAK_BYTES = 1_499_000
 
 
@@ -268,16 +278,44 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def peak_report(peak: int, bound: int, sizes: list) -> str:
+    """A peak-memory failure: the measured peak, its bound and the points of each block, so that a run on another
+    numpy build shows how far the peak moved."""
+    return f"traced peak {peak:,} B over the bound of {bound:,} B, in blocks of {sizes} points"
+
+
+def sweep_peak(sizes: list, n: int) -> tuple:
+    """The traced peak of the request sweep --grid n, and the points of each block it ran, from record_blocks's sizes."""
+    sizes.clear()
+    peak = traced_peak(lambda: main(["sweep", "--grid", str(n)]))
+    return peak, sizes[len(sizes) // 2:]  # the traced call's blocks, after the warm-up's
+
+
 def test_verify_many_block_peak_memory():
     # a grid-14 block of seven whole z slabs: 1,372 points
     z = np.linspace(ejm.Z_MIN, 1.0, 14)[:7, None, None]
     phi = np.linspace(-math.pi, math.pi, 14)[None, :, None]
     theta = np.linspace(0.0, math.pi / 2, 14)
-    assert traced_peak(lambda: verify_many(z, phi, theta)) <= BLOCK_PEAK_BYTES
+    peak = traced_peak(lambda: verify_many(z, phi, theta))
+    assert peak <= BLOCK_PEAK_BYTES, peak_report(peak, BLOCK_PEAK_BYTES, [z.size * phi.size * theta.size])
 
 
-def test_sweep_request_peak_memory(capsys):
-    assert traced_peak(lambda: main(["sweep", "--grid", "14"])) <= SWEEP_14_PEAK_BYTES
+def test_sweep_request_peak_memory(capsys, monkeypatch):
+    peak, sizes = sweep_peak(record_blocks(monkeypatch), 14)
+    assert peak <= SWEEP_14_PEAK_BYTES, peak_report(peak, SWEEP_14_PEAK_BYTES, sizes)
+
+
+def test_every_sweep_request_peak_memory(capsys, monkeypatch):
+    # SWEEP_CHUNK is sized to a traced budget of its own, which must fit this bound
+    assert ejm._SWEEP_PEAK_BYTES <= SWEEP_14_PEAK_BYTES
+    # whole z slabs on grids 2-40 and on the last grid whose slab fits SWEEP_CHUNK, the largest blocks, then phi
+    # ranges of one slab on the first grid whose slab outgrows it
+    over, sizes = [], record_blocks(monkeypatch)
+    for n in (*range(2, 41), PHI_SPLIT_GRID - 1, PHI_SPLIT_GRID):
+        peak, blocks = sweep_peak(sizes, n)
+        if peak > SWEEP_14_PEAK_BYTES:
+            over.append(f"grid {n}: {peak_report(peak, SWEEP_14_PEAK_BYTES, blocks)}")
+    assert not over, "; ".join(over)
 
 
 def replace_everywhere(monkeypatch, original, replacement):
@@ -391,7 +429,7 @@ BOTH_SIGNS = np.array([-1.0, -0.8, -ejm.Z_MIN, ejm.Z_MIN, 0.9, 1.0])
         # theta first, then z, then phi: the pairs' shapes need not put theta last
         (BOTH_SIGNS[None, :, None], np.array([math.pi, -1.0])[None, None, :],
          np.array([0.0, math.pi / 2])[:, None, None]),
-        # a phi-split block of grid 38, where a z slab of 38 * 37 points outgrows SWEEP_CHUNK, and its mirror
+        # a phi range of one z slab of grid 38, the block that a SWEEP_CHUNK below 38 * 37 points runs, and its mirror
         grid_block(38, slice(20, 21), slice(1, 37)),
         (-grid_block(38, slice(0, 1), slice(1, 37))[0], *grid_block(38, slice(0, 1), slice(1, 37))[1:]),
         # one z: the (z, phi) and (z, theta) shapes are phi's and theta's; a float z is a numpy scalar in the

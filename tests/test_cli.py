@@ -486,7 +486,7 @@ class TestSweep:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(10):
             run(capsys, "sweep", "--grid", "12")
-        # each of the three blocks frees a few MB; faulted in again, that is hundreds of pages
+        # each block frees a few MB; faulted in again, that is hundreds of pages
         assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 < 100
 
 

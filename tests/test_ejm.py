@@ -396,6 +396,19 @@ class TestOrthonormalityCompleteness:
             assert np.array_equal(rows, gathered)
             assert np.array_equal(gathered, full[ejm._UPPER])
 
+    @pytest.mark.parametrize("n", [1, 2, ejm._GRAM_ROWS - 1, ejm._GRAM_ROWS, 1728])
+    def test_geometry_by_component_equals_the_one_gather(self, monkeypatch, n):
+        # _tetrahedron_geometry's per-component and gathered dots, each forced on every stack, give the same bits,
+        # on contiguous vectors and on the (..., 4, 3) stack's view that tetrahedron_geometry_check passes
+        rng = np.random.default_rng(n)
+        cos = rng.uniform(0.01, 1.0, n)
+        for vectors in (rng.standard_normal((3, 4, n)), np.moveaxis(rng.standard_normal((n, 4, 3)), (-1, -2), (0, 1))):
+            monkeypatch.setattr(ejm, "_GRAM_ROWS", 0)
+            by_component = ejm._tetrahedron_geometry(vectors, cos)
+            monkeypatch.setattr(ejm, "_GRAM_ROWS", n + 1)
+            gathered = ejm._tetrahedron_geometry(vectors, cos)
+            assert np.array_equal(by_component, gathered)
+
     def test_projector_structure(self):
         b = build_basis(CANONICAL)
         ps = b[..., :, None] * b.conj()[..., None, :]
