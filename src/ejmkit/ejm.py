@@ -61,7 +61,7 @@ _EYE_UPPER = I4[_UPPER]  # the entries of I that the three unitarity checks read
 # sng(z_i z_j) = sng(z)^2 Z_SIGNS[i] Z_SIGNS[j], and sng(z)^2 = 1 exactly: the closed Gram's sign term is constant
 _SIGN_PRODUCTS = np.multiply.outer(Z_SIGNS, Z_SIGNS)
 _GRAM_ROWS = 128
-_EYE_PAIR = np.array([1.0, 0.0, 1.0])  # I at the entries (k, k), (k, l), (l, l) of a pair of amplitudes k < l
+_WITHIN = np.array([0, 1, 0]), np.array([0, 1, 1])  # the entries (k, k), (l, l), (k, l) of a pair of amplitudes k < l
 
 # pass/fail tolerances, and per report a table of each metric -> the bound it must stay below (passes).
 # CHECKS is verify_many's, in the order of its metric axis; verify and sweep apply it at every point
@@ -90,11 +90,15 @@ BSM_CHECKS = {"bsm_equivalence_dev": TOL_TRIG}
 _BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built once per contents of a table
 
 # at most this many points per verify_many block in sweep_worst: the most whose traced peak stays within
-# _SWEEP_PEAK_BYTES, at up to 440 B a point on the pair path plus 280 kB that does not grow with the block,
-# mostly numpy's ufunc buffers (tracemalloc, numpy 2.4.6).
+# _SWEEP_PEAK_BYTES, at up to 440 B a point on the pair path plus 40 kB that does not grow with the block
+# (tracemalloc, numpy 2.4.6, blocks of 48-2,652 points; numpy's default buffers took 280 kB).
 # Every grid up to 14 runs as one block: each block pays verify_many's fixed cost of about 0.4 ms once
-_SWEEP_PEAK_BYTES, _BLOCK_POINT_BYTES, _BLOCK_FIXED_BYTES = 1_450_000, 440, 280_000
-SWEEP_CHUNK = (_SWEEP_PEAK_BYTES - _BLOCK_FIXED_BYTES) // _BLOCK_POINT_BYTES  # 2,659: z slabs whole up to grid 52
+_SWEEP_PEAK_BYTES, _BLOCK_POINT_BYTES, _BLOCK_FIXED_BYTES = 1_450_000, 440, 40_000
+SWEEP_CHUNK = (_SWEEP_PEAK_BYTES - _BLOCK_FIXED_BYTES) // _BLOCK_POINT_BYTES  # 3,204: z slabs whole up to grid 57
+# numpy's ufunc buffer, in elements, while a pair-path block runs: from numpy 2.3 on, a ufunc with a broadcast
+# operand copies through it, and 128 complex elements (2 kB an operand) stay in L1 where the default 8,192
+# (128 kB) spill; 128 ran sweep grids 10-14 1-2 % faster than 256 and 8-10 % faster than 8,192
+_PAIR_BUFSIZE = 128
 # freeing one untouched 16 MiB mapping lifts glibc's heap trim threshold to 32 MiB for the process,
 # so large temporaries, the sweep blocks' among them, are reused instead of faulted in again. Once,
 # at import: a second such array would come from the heap, whose pages numpy would mark for huge pages.
@@ -223,10 +227,10 @@ def build_basis(p: EjmParams) -> np.ndarray:
 def _basis_factors(p: EjmParams) -> tuple:
     """build_basis's factors: pre a_+ e^{-i phi} and pre a_- e^{i phi}, at the shape of z and phi, then
     pre z/sqrt(2) and pre |z| e^{i theta}/sqrt(2), at that of z and theta."""
-    s, c = p.root_3z2m1, p.root_1mz2
-    pre = (1.0 - 1j * s) / (2.0 * SQRT3 * p.z * p.z) / SQRT2
+    s, c = 1j * p.root_3z2m1, p.root_1mz2  # i sqrt(3 z^2 - 1), formed once for its three uses
+    pre = (1.0 - s) / (2.0 * SQRT3 * p.z * p.z) / SQRT2
     e = np.exp(1j * p.phi)
-    return pre * (1j * s + c) / e, pre * (1j * s - c) * e, pre * p.z, pre * abs(p.z) * p.e_theta
+    return pre * (s + c) / e, pre * (s - c) * e, pre * p.z, pre * abs(p.z) * p.e_theta
 
 
 def basis_from_kets(p: EjmParams) -> np.ndarray:
@@ -389,19 +393,32 @@ def verify_many(z, phi, theta):
 
     Where z, phi and theta vary along separate axes, as in a sweep block, the (z, phi) and
     (z, theta) shapes both hold fewer points than the block, and _pair_checks forms the basis
-    as its two pairs of amplitudes at those shapes; every other input, floats and flat stacks
-    among them, takes _point_checks.  Each point's metrics are the same bits on either path.
+    as its two pairs of amplitudes at those shapes, with numpy's ufunc buffer at _PAIR_BUFSIZE
+    elements until the block's metrics are taken, then the caller's size again; every other
+    input, floats and flat stacks among them, takes _point_checks and leaves the buffer alone.
+    Each point's metrics are the same bits on either path, at any buffer size.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
     # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
     # per point bounds the sweep's block size (SWEEP_CHUNK)
     metrics = np.empty((len(CHECKS), *p.shape))
     shapes = _pair_shapes(p)
-    first = _pair_checks(p, metrics, shapes) if shapes else _point_checks(p, metrics)
+    if not shapes:
+        _side_checks(p, metrics, _point_checks(p, metrics))
+        return p, metrics
+    bufsize = np.setbufsize(_PAIR_BUFSIZE)
+    try:
+        _side_checks(p, metrics, _pair_checks(p, metrics, shapes))
+    finally:
+        np.setbufsize(bufsize)
+    return p, metrics
+
+
+def _side_checks(p: EjmParams, metrics: np.ndarray, first: np.ndarray):
+    """Metrics 5, 7 and 8 of verify_many from the side-first vectors (3, 4, ...), which it overwrites."""
     metrics[7], metrics[8] = _tetrahedron_geometry(first, p.cos_theta)
     closed = _kernel(reduced_tetrahedron_closed(p)).swapaxes(0, 1)
     metrics[5] = _worst(np.subtract(first, closed, out=first), (0, 1))  # the last read of first
-    return p, metrics
 
 
 def _pair_shapes(p: EjmParams):
@@ -463,7 +480,6 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     every metric is the point path's, bit for bit; a worst value is the same maximum in any order.
     The terms that the pair templates leave out are exact zeros of the full ones.
     """
-    eye, eye_pair = (x.reshape(-1, *(1,) * len(p.shape)) for x in (_EYE_UPPER, _EYE_PAIR))
     basis, phi_z_form = _basis_factors(p), _phi_z_factors(p)
     pairs, devs = [], []
     for k, shape in enumerate(shapes):
@@ -478,44 +494,62 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
         del kets  # not held while the next pair's are formed
     metrics[3] = functools.reduce(np.maximum, devs)
     del plus, minus, products, devs
-    # <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk: the products within a pair, the sum over k = 0..3 across them
-    (g0, g3), (g1, g2) = (x.take(_UPPER[0], 1).conj() * x.take(_UPPER[1], 1) for x in pairs)
+    conj = [x.conj() for x in pairs]  # conj(take) = take(conj): each pair is conjugated once
+    # <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk: the products within a pair, the sum over k = 0..3 across them; the
+    # entries in _DOTS order, the diagonal first, since a worst value is the same maximum in any order
+    (g0, g3), (g1, g2) = (xc.take(_DOTS[0], 1) * x.take(_DOTS[1], 1) for x, xc in zip(pairs, conj))
     gram = _sum4((g0, g1, g2, g3))
     del g0, g1, g2, g3
-    metrics[0] = _worst(gram - eye)
+    # |x - 0| = |x|: only the diagonal subtracts I
+    dev = np.absolute(gram)
+    np.absolute(np.subtract(gram[:4], 1.0), out=dev[:4])
+    metrics[0] = np.maximum.reduce(dev)
     closed = np.empty((len(_EYE_UPPER), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
-    closed[...] = _gram_closed(p, *_UPPER)
-    metrics[1] = _worst(np.subtract(gram, closed, out=gram))
-    del gram, closed
+    closed[...] = _gram_closed(p, *_DOTS)
+    metrics[1] = np.maximum.reduce(np.absolute(np.subtract(gram, closed, out=gram), out=dev))
+    del gram, closed, dev
     (a, d), (b, c) = pairs  # the amplitudes on |00>, |11> and on |01>, |10>, each (4 states, ...)
-    metrics[6] = _worst(2.0 * np.abs(a * d - b * c) - _concurrence_closed(SQRT3, p.theta))
+    (_, dc), (bc, cc) = conj  # conj(d), conj(b), conj(c)
+    dev = np.absolute(np.subtract(a * d, b * c))  # _concurrence's operations, each after the first in place
+    dev *= 2.0
+    dev -= _concurrence_closed(SQRT3, p.theta)
+    metrics[6] = _worst(dev)
+    del dev
     (pa, pd), (pb, pc) = (x.real**2 + x.imag**2 for x in pairs)
-    # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (k, l), (l, l) at its
-    # shape, and where the two pairs meet, (k, l) = (0, 2), (1, 3), (0, 1), (2, 3), the products of the sides
-    within = [_worst(_sum4((x.take((0, 0, 1), 0).conj() * x.take((0, 1, 1), 0)).swapaxes(0, 1)) - eye_pair)
-              for x in pairs]
+    # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (l, l), (k, l) at its
+    # shape, where only the first two subtract I, and where the two pairs meet, (k, l) = (0, 2), (1, 3), (0, 1),
+    # (2, 3), the products of the sides
+    within = []
+    for x, xc in zip(pairs, conj):
+        dev = _sum4((xc.take(_WITHIN[0], 0) * x.take(_WITHIN[1], 0)).swapaxes(0, 1))
+        dev[:2] -= 1.0
+        within.append(_worst(dev))
     cross = np.empty((4, *p.shape))
-    first = _side(a, c, b, d, cross[:2])
-    first[2] = pa + pb - pc - pd
-    second = _side(a, b, c, d, cross[2:])
-    second[2] = pa - pb + pc - pd
+    first = _side(a, cc, b, dc, cross[:2])
+    np.add(pa, pb, out=first[2])  # a + b - c - d, in place
+    first[2] -= pc
+    first[2] -= pd
+    second = _side(a, bc, c, dc, cross[2:])
+    np.subtract(pa, pb, out=second[2])  # a - b + c - d
+    second[2] += pc
+    second[2] -= pd
     metrics[2] = np.maximum(np.maximum(np.maximum.reduce(cross), within[0]), within[1])
-    metrics[4] = _worst(np.add(first, second, out=second), (0, 1))
+    metrics[4] = np.maximum.reduce(np.absolute(np.add(first, second, out=second), out=second), (0, 1))
     return first
 
 
-def _side(l0, r0, l1, r1, cross) -> np.ndarray:
-    """A reduced vector (3, 4, ...) of amplitudes of _pair_checks, rho = l0 r0* + l1 r1* at each state: its x and y,
-    2 Re rho and -2 Im rho; the caller sets its z.  cross[0] and cross[1] get |sum over the states| of l0 r0* and
-    of l1 r1*.
+def _side(l0, r0c, l1, r1c, cross) -> np.ndarray:
+    """A reduced vector (3, 4, ...) of amplitudes of _pair_checks, rho = l0 r0* + l1 r1* at each state, from the
+    conjugates r0c = r0* and r1c = r1*: its x and y, 2 Re rho and -2 Im rho; the caller sets its z.  cross[0] and
+    cross[1] get |sum over the states| of l0 r0* and of l1 r1*.
 
     Each product is left * conj(right), as _reduced_blochs takes them.  Conjugated, they are products
     conj(b_ik) b_il of completeness, bit for bit: the rounding of a product is odd in the sign of each part of a
     factor, a sum of conjugates is the conjugate of the sum, and |conj(x) - 0| = |x - 0|.
     """
-    rho = l0 * r0.conj()
+    rho = l0 * r0c
     np.absolute(_sum4(rho), out=cross[0])
-    product = l1 * r1.conj()
+    product = l1 * r1c
     np.absolute(_sum4(product), out=cross[1])
     rho += product
     del product

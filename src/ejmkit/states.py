@@ -138,7 +138,8 @@ def _m_pair(z, phi) -> np.ndarray:
     # (sqrt(1 + z), sqrt(1 - z)) gathered into [[u, v], [v, u]], times (e^{-i phi/2}, e^{i phi/2})
     pair = np.sqrt(1.0 + np.multiply.outer(_PM, z)).take(_SWAP, 0) * np.exp(np.multiply.outer(_HALF_I, phi))
     np.negative(pair[1, 1, ...], out=pair[1, 1, ...])
-    return pair / SQRT2
+    pair /= SQRT2
+    return pair
 
 
 def ket_m(z, phi) -> np.ndarray:
@@ -158,7 +159,10 @@ def _rotated_pair(z, phi, w):
     """Unchecked (|m_0>, |m_1>), shaped as _m_pair's; w = i e^{i theta0} has no more axes than z and phi."""
     pair = _m_pair(z, phi)
     # |m_0> = ((1 - w)|m> + (1 + w)|-m>)/2 and |m_1> = ((1 - w)|-m> + (1 + w)|m>)/2, the pair reversed
-    return ((1.0 - w) * pair + (1.0 + w) * pair[::-1]) / 2.0
+    m = (1.0 - w) * pair
+    m += (1.0 + w) * pair[::-1]
+    m /= 2.0
+    return m
 
 
 def _checked_pair(z, phi, theta0) -> np.ndarray:

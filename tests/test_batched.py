@@ -258,12 +258,12 @@ def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
         assert sizes == [n**2 * (n - 1)]
 
 
-# tracemalloc peaks with numpy 2.4.6: BLOCK_PEAK_BYTES is the 1,372-point block's 843,832 bytes plus 10 %, so a core
+# tracemalloc peaks with numpy 2.4.6: BLOCK_PEAK_BYTES is the 1,372-point block's 610,828 bytes plus 10 %, so a core
 # that holds more per point fails here. SWEEP_14_PEAK_BYTES, the grid-14 request's 1,362,704 bytes plus 10 % when it
-# ran two blocks of 1,274 points, now bounds every request: grid 14's one block of 2,548 points peaks at 1,350,379
-# bytes and grid 52's largest blocks, 2,652 points each, at 1,318,083, so a SWEEP_CHUNK that outgrows the core's
+# ran two blocks of 1,274 points, now bounds every request: grid 14's one block of 2,548 points peaks at 1,132,303
+# bytes and grid 57's largest blocks, 3,192 points each, at 1,417,863, so a SWEEP_CHUNK that outgrows the core's
 # working set fails here
-BLOCK_PEAK_BYTES = 928_000
+BLOCK_PEAK_BYTES = 672_000
 SWEEP_14_PEAK_BYTES = 1_499_000
 
 
@@ -453,8 +453,54 @@ def test_pair_path_equals_the_point_path_bit_for_bit(monkeypatch, z, phi, theta)
         q, want = verify_many(*flat)
         assert ejm._pair_shapes(q) is None
         assert np.array_equal(metrics.reshape(len(CHECKS), -1), want)
+    # the ufunc buffer size changes how fast the pair path runs, never what it gives
+    monkeypatch.setattr(ejm, "_PAIR_BUFSIZE", 8192)
+    assert np.array_equal(metrics, verify_many(z, phi, theta)[1])
     monkeypatch.setattr(ejm, "_pair_shapes", lambda p: None)
     assert np.array_equal(metrics, verify_many(z, phi, theta)[1])
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size of the caller's own, not numpy's default, restored after the test."""
+    previous = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(previous)
+
+
+def test_pair_path_restores_the_callers_ufunc_buffer(monkeypatch, caller_bufsize):
+    # the pair path runs its block under ejm._PAIR_BUFSIZE and hands the caller's size back: after a block, after a
+    # sweep, and after a block that raises
+    verify_grid_block()
+    assert np.getbufsize() == caller_bufsize
+    ejm.sweep_worst(14)
+    assert np.getbufsize() == caller_bufsize
+
+    def broken(*args):
+        assert np.getbufsize() == ejm._PAIR_BUFSIZE
+        raise RuntimeError("a fault inside the pair path")
+
+    monkeypatch.setattr(ejm, "_pair_checks", broken)
+    with pytest.raises(RuntimeError, match="inside the pair path"):
+        verify_grid_block()
+    assert np.getbufsize() == caller_bufsize
+
+
+def test_only_the_pair_path_sets_the_ufunc_buffer(capsys, monkeypatch):
+    # one set and one restore per pair-path block; the point path, and so every verify request, makes no call
+    calls, setbufsize = [], np.setbufsize
+
+    def counted(size):
+        calls.append(size)
+        return setbufsize(size)
+
+    monkeypatch.setattr(np, "setbufsize", counted)
+    assert main(["verify", "--z", "-0.7", "--phi", "0.3", "--theta", "0.2"]) == 0
+    verify_random_points()
+    assert calls == []
+    verify_grid_block()
+    assert calls == [ejm._PAIR_BUFSIZE, np.getbufsize()]
+    capsys.readouterr()
 
 
 def test_pair_templates_hold_every_entry_of_the_full_ones():
