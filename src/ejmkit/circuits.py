@@ -168,12 +168,6 @@ def outcome_probabilities(s) -> np.ndarray:
     return np.abs(require_normalized(s)) ** 2
 
 
-@functools.cache
-def _fixed(name: str, qubits: tuple) -> Gate:
-    """The angle-free gate on these wires, built once per process; Gate is frozen, so shared."""
-    return Gate(name, qubits)
-
-
 # The circuits as templates of (gate, qubits[, slot]): an angle gate reads its slot of _angles, pi/2 - 2 phi_c,
 # pi/2 - theta, 2 phi_c, 2 phi_c + pi/2 and 2 phi' + pi/2; _U1[k] = (I (x) X) [Phase (x) PhaseDagger] (X (x) I).
 _PREP = (("H", (0,)), ("H", (1,)), ("S", (0,)), ("S", (1,)), ("CRY", (0, 1), 0), ("X", (0,)),
@@ -189,7 +183,7 @@ _DETECTS = (_DETECT, _DETECT + (("CNOT", (0, 1)), ("X", (0,)), ("X", (1,))))
 
 def _gates(angles, template) -> tuple:
     """The Gates of a template at one point's angles, floats by slot; the angles come first, as they check the point."""
-    return tuple(Gate(name, q, angles[slot[0]]) if slot else _fixed(name, q) for name, q, *slot in template)
+    return tuple(Gate(name, q, angles[slot[0]] if slot else None) for name, q, *slot in template)
 
 
 def _compile(*templates) -> tuple:

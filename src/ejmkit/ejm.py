@@ -56,8 +56,7 @@ _TETRAHEDRON = np.array([[[u.real, u.imag, 0], [-u.imag, u.real, 0], [0, 0, s]]
 
 # vertex index pairs (i, i), then i < j: the squared norms and the six pairwise dots
 _DOTS = tuple(np.concatenate([np.arange(4), pairs]) for pairs in np.triu_indices(4, 1))
-_UPPER = np.triu_indices(4)  # the ten entries i <= j of a 4x4 matrix, row by row: all of a Hermitian one
-_EYE_UPPER = I4[_UPPER]  # the entries of I that the three unitarity checks read
+_EYE_DOTS = I4[_DOTS]  # the entries of I that the point path's three unitarity checks read
 # sng(z_i z_j) = sng(z)^2 Z_SIGNS[i] Z_SIGNS[j], and sng(z)^2 = 1 exactly: the closed Gram's sign term is constant
 _SIGN_PRODUCTS = np.multiply.outer(Z_SIGNS, Z_SIGNS)
 _GRAM_ROWS = 128
@@ -267,15 +266,9 @@ def _phi_z_factors(p: EjmParams) -> tuple:
 
 
 def _gram_upper(b: np.ndarray) -> np.ndarray:
-    """The _UPPER entries of <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis: (10, ...).
-
-    _GRAM_ROWS bases or more are summed one row i at a time, so the largest temporary is (4, 4, ...),
-    not (10, 4, ...); fewer take one gathered product, in fewer calls.  numpy's order of the sum over
-    k follows the product's memory layout, so both products are C-ordered, and give the same bits.
-    """
-    if b.size < 16 * _GRAM_ROWS:
-        return np.add.reduce(b.take(_UPPER[0], 0).conj() * b.take(_UPPER[1], 0), 1)
-    return np.concatenate([np.multiply(b[i].conj(), b[i:], order="C").sum(axis=1) for i in range(4)])
+    """The ten entries i <= j of <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis in _DOTS order, the
+    diagonal first: (10, ...).  A gather is C-ordered, so numpy sums over k in the same order in every layout of b."""
+    return np.add.reduce(b.take(_DOTS[0], 0).conj() * b.take(_DOTS[1], 0), 1)
 
 
 def _bases(b) -> np.ndarray:
@@ -302,7 +295,7 @@ def gram_closed(p: EjmParams) -> np.ndarray:
 
 
 def _gram_closed(p: EjmParams, i, j) -> np.ndarray:
-    """gram_closed at the entries (i, j), point-axis-last: verify_many reads the ten _UPPER ones."""
+    """gram_closed at the entries (i, j), point-axis-last: verify_many reads the ten of _DOTS."""
     phis, signs = p.phis, _SIGN_PRODUCTS[i, j].reshape(*np.shape(i), *(1,) * len(p.shape))
     return 0.25 * (2.0 * np.cos(phis[i] - phis[j]) + signs + 1.0)
 
@@ -436,7 +429,7 @@ def _pair_shapes(p: EjmParams):
 
 def _point_checks(p: EjmParams, metrics: np.ndarray):
     """Metrics 0-4 and 6 of verify_many at the block's shape, and the side-first vectors (3, 4, ...)."""
-    eye = _EYE_UPPER.reshape(-1, *(1,) * len(p.shape))
+    eye = _EYE_DOTS.reshape(-1, *(1,) * len(p.shape))
     # the kets path, the largest, runs before the basis is held
     kets = basis_from_kets(p)
     b = build_basis(p)
@@ -446,9 +439,9 @@ def _point_checks(p: EjmParams, metrics: np.ndarray):
     metrics[3] = np.maximum(kets_dev, _worst(b - basis_phi_z_form(p), (-2, -1)))
     gram = _gram_upper(_kernel(b))
     metrics[0] = _worst(gram - eye)
-    metrics[1] = _worst(gram - _gram_closed(p, *_UPPER))
+    metrics[1] = _worst(gram - _gram_closed(p, *_DOTS))
     del gram
-    # contiguous for the kernels that read the columns row by row, and the basis goes for the copy
+    # one contiguous copy of the amplitude columns for the three kernels that read them; the basis goes for the copy
     amplitudes = np.ascontiguousarray(_kernel(b).swapaxes(0, 1))
     del b
     metrics[2] = _worst(_gram_upper(amplitudes) - eye)
@@ -504,7 +497,7 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     dev = np.absolute(gram)
     np.absolute(np.subtract(gram[:4], 1.0), out=dev[:4])
     metrics[0] = np.maximum.reduce(dev)
-    closed = np.empty((len(_EYE_UPPER), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
+    closed = np.empty((len(_DOTS[0]), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
     closed[...] = _gram_closed(p, *_DOTS)
     metrics[1] = np.maximum.reduce(np.absolute(np.subtract(gram, closed, out=gram), out=dev))
     del gram, closed, dev
@@ -569,8 +562,9 @@ def sweep_worst(n: int) -> np.ndarray:
     per-axis factor is formed once.  theta leads, so that a factor of theta alone (the kets' weights, the
     closed concurrence, cos theta) and the (z, phi) pair of amplitudes broadcast over whole contiguous
     (z, phi) planes: 3 % fewer seconds per sweep of grids 10-14 than with theta last.  n <= 0 raises
-    ValueError.
+    ValueError, and an n that is not an integer (operator.index) TypeError.
     """
+    n = operator.index(n)
     if n <= 0:
         raise ValueError(f"the grid needs n >= 1 values per axis, got n = {n}")
     z = np.linspace(Z_MIN, 1.0, n)

@@ -226,6 +226,16 @@ def test_sweep_worst_rejects_an_empty_grid(n):
         ejm.sweep_worst(n)
 
 
+@pytest.mark.parametrize("n", [2.5, "3", None])
+def test_sweep_worst_rejects_a_non_integer_grid(n):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ejm.sweep_worst(n)
+
+
+def test_sweep_worst_takes_an_integer_of_any_type():
+    assert ejm.sweep_worst(np.int64(3)).tolist() == ejm.sweep_worst(3).tolist()
+
+
 # the first grid whose z slab outgrows SWEEP_CHUNK, so that its blocks are phi ranges of one slab
 PHI_SPLIT_GRID = next(n for n in itertools.count(2) if n * (n - 1) > ejm.SWEEP_CHUNK)
 
@@ -500,6 +510,27 @@ def test_only_the_pair_path_sets_the_ufunc_buffer(capsys, monkeypatch):
     assert calls == []
     verify_grid_block()
     assert calls == [ejm._PAIR_BUFSIZE, np.getbufsize()]
+    capsys.readouterr()
+
+
+def test_requests_take_the_path_their_shape_picks(capsys, monkeypatch):
+    # the traffic that the point path's one gathered Gram product rests on: every sweep block of grids 3-14 takes
+    # the pair path, and a verify request the point path on a 0-d point (grid 2's one block holds one phi value)
+    paths, pair_shapes = [], ejm._pair_shapes
+
+    def recorded(p):
+        shapes = pair_shapes(p)
+        paths.append((p.shape, shapes is not None))
+        return shapes
+
+    monkeypatch.setattr(ejm, "_pair_shapes", recorded)
+    for n in range(3, 15):
+        ejm.sweep_worst(n)
+        assert paths and all(pair for _, pair in paths), n
+        assert sum(math.prod(shape) for shape, _ in paths) == n * n * (n - 1), n
+        paths.clear()
+    assert main(["verify", "--z=-0.7", "--phi=0.3", "--theta=0.2"]) == 0
+    assert paths == [((), False)]
     capsys.readouterr()
 
 

@@ -18,7 +18,6 @@ from ejmkit.circuits import (
     CircuitParseError,
     Gate,
     _angles,
-    _fixed,
     _point_angles,
     _run,
     _stages,
@@ -293,35 +292,6 @@ class TestSharedGates:
         states = np.vstack([random_states(np.random.default_rng(len(gates)), (3,)), np.eye(4)])
         assert np.abs(_run([g.op for g in gates], states) - states @ kron_circuit_unitary(gates).T).max() < 1e-15
 
-    def test_gate_cache_stays_bounded(self, capsys):
-        # every request has its own angles; the cache holds only the angle-free gates
-        pairs, angled, signs, sizes = set(), set(), set(), []
-        for p in circuit_requests(capsys):
-            signs.add(p.z < 0)
-            for g in (g for c in built_circuits(p) for g in c.gates):
-                if g.angle is None:
-                    assert g is _fixed(g.name, g.qubits)
-                    pairs.add((g.name, g.qubits))
-                else:
-                    angled.add(g)
-            sizes.append(_fixed.cache_info().currsize)
-        assert signs == {True, False}
-        assert len(angled) > 1000
-        assert max(sizes) <= len(pairs)
-
-
-def circuit_requests(capsys):
-    """500 circuit requests through main, both signs of z, every fourth on the BSM branch."""
-    rng = np.random.default_rng(500)
-    for n in range(500):
-        z = float(rng.uniform(1 / SQRT3, 1.0) * rng.choice((-1.0, 1.0)))
-        phi = bsm_phi(z) if n % 4 == 0 else float(rng.uniform(-math.pi, math.pi))
-        theta = float(rng.uniform(0.0, math.pi / 2))
-        assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", f"--theta={theta!r}"]) == 0
-        report = capsys.readouterr().out
-        assert ("bsm_equivalence" in report) == (n % 4 == 0)
-        yield EjmParams(z, phi, theta)
-
 
 def built_circuits(p):
     """Every circuit a circuit request at p simulates: prep, detect with and without CRY, and U1."""
@@ -375,7 +345,7 @@ class TestBsmRule:
             runs = list(_AFTER_CRY)
             runs[negative] = I4
             for g in after[:drop] + after[drop + 1:]:
-                runs[negative] = runs[negative] @ _fixed(*g).op
+                runs[negative] = runs[negative] @ Gate(*g).op
             monkeypatch.setattr(circuits, "_AFTER_CRY", runs)
             # pass and the exit code follow CIRCUIT_CHECKS alone, which the CRY-free run does not enter
             assert main(["circuit", f"--z={z!r}", f"--phi={phi!r}", "--theta=0.4"]) == 0

@@ -779,54 +779,81 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
-def run_child(args, redirect=""):
-    """(exit code, stdout, stderr) of `python -m ejmkit.cli ARGS` under a shell redirection."""
+# every child of TestFailedWrites: (args, redirect) of a shell-redirected `python -m ejmkit.cli ARGS`
+STDOUT_REDIRECTS = [(">/dev/full", "No space left on device"), (">&-", "it is closed"),
+                    (">/dev/full 2>/dev/full", None)]
+HELP_REDIRECTS = [">/dev/full", ">&-"]
+STDERR_REDIRECTS = ["2>&-", "2>/dev/full"]
+STDERR_ARGS = [("verify --z 2", 2), ("sweep --grid 1", 2), ("verify --bogus", 2), ("verify >/dev/full", 3)]
+CHILDREN = [
+    *(("verify", redirect) for redirect, _ in STDOUT_REDIRECTS),
+    *(("verify --help", redirect) for redirect in HELP_REDIRECTS),
+    *((args, redirect) for redirect in STDERR_REDIRECTS for args, _ in STDERR_ARGS),
+    ("verify", ""),
+]
+NO_READER = ("verify", "to a pipe with no reader")
+
+
+def start_child(args, redirect):
+    """`python -m ejmkit.cli ARGS` under a shell redirection, started: its Popen."""
     command = f'exec "$0" -m ejmkit.cli {args} {redirect}'
-    proc = subprocess.run(["sh", "-c", command, sys.executable], capture_output=True, text=True,
-                          env=CHILD_ENV, timeout=60)
-    return proc.returncode, proc.stdout, proc.stderr
+    return subprocess.Popen(["sh", "-c", command, sys.executable], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=CHILD_ENV)
+
+
+@pytest.fixture(scope="module")
+def run_child():
+    """(exit code, stdout, stderr) of each child by (args, redirect): all of them start at once, on first use,
+    and each test waits for its own."""
+    procs = {key: start_child(*key) for key in CHILDREN}
+    read, write = os.pipe()
+    os.close(read)  # no reader from the start: the first write raises, whatever the timing
+    try:
+        procs[NO_READER] = subprocess.Popen([sys.executable, "-m", "ejmkit.cli", "verify"], stdout=write,
+                                            stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    finally:
+        os.close(write)
+    results = {}
+
+    def result(args, redirect=""):
+        if (args, redirect) not in results:
+            proc = procs[args, redirect]
+            out, err = proc.communicate(timeout=60)
+            results[args, redirect] = proc.returncode, out, err
+        return results[args, redirect]
+
+    yield result
+    for proc in procs.values():
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full and a POSIX shell")
 class TestFailedWrites:
     """Every failed write keeps its documented exit code, with no traceback at exit."""
 
-    @pytest.mark.parametrize(
-        "redirect, reason",
-        [(">/dev/full", "No space left on device"), (">&-", "it is closed"),
-         (">/dev/full 2>/dev/full", None)],
-        ids=["full", "closed", "full-stderr-full"],
-    )
-    def test_unwritable_stdout_exits_3(self, redirect, reason):
+    @pytest.mark.parametrize("redirect, reason", STDOUT_REDIRECTS, ids=["full", "closed", "full-stderr-full"])
+    def test_unwritable_stdout_exits_3(self, run_child, redirect, reason):
         code, _, err = run_child("verify", redirect)
         assert code == 3
         if reason is not None:
             assert err == f"output error: cannot write stdout: {reason}\n"
 
-    @pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
-    def test_unwritable_help_exits_3(self, redirect):
+    @pytest.mark.parametrize("redirect", HELP_REDIRECTS, ids=["full", "closed"])
+    def test_unwritable_help_exits_3(self, run_child, redirect):
         code, out, err = run_child("verify --help", redirect)
         assert (code, out) == (3, "")
         assert err.startswith("output error: cannot write stdout: ") and err.count("\n") == 1
 
-    def test_reader_gone_exits_3(self):
-        read, write = os.pipe()
-        os.close(read)  # no reader from the start: the first write raises, whatever the timing
-        try:
-            proc = subprocess.run([sys.executable, "-m", "ejmkit.cli", "verify"], stdout=write,
-                                  stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=60)
-        finally:
-            os.close(write)
-        assert proc.returncode == 3
-        assert proc.stderr == "output error: cannot write stdout: Broken pipe\n"
+    def test_reader_gone_exits_3(self, run_child):
+        code, _, err = run_child(*NO_READER)
+        assert code == 3
+        assert err == "output error: cannot write stdout: Broken pipe\n"
 
-    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
-    @pytest.mark.parametrize(
-        "args, want",
-        [("verify --z 2", 2), ("sweep --grid 1", 2), ("verify --bogus", 2), ("verify >/dev/full", 3)],
-        ids=["parameter", "grid", "usage", "output"],
-    )
-    def test_unwritable_stderr_keeps_the_exit_code(self, redirect, args, want):
+    @pytest.mark.parametrize("redirect", STDERR_REDIRECTS, ids=["closed", "full"])
+    @pytest.mark.parametrize("args, want", STDERR_ARGS, ids=["parameter", "grid", "usage", "output"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, run_child, redirect, args, want):
         code, out, _ = run_child(args, redirect)
         assert (code, out) == (want, "")
 
@@ -843,7 +870,7 @@ class TestFailedWrites:
             "output error: cannot write stdout: it is closed\n"
         )
 
-    def test_written_report_exits_0(self):
+    def test_written_report_exits_0(self, run_child):
         code, out, err = run_child("verify")
         assert code == 0 and err == ""
         assert json.loads(out)["pass"] is True

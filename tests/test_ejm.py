@@ -379,22 +379,17 @@ class TestOrthonormalityCompleteness:
         assert worst < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, ejm._GRAM_ROWS - 1, ejm._GRAM_ROWS, 1728])
-    def test_gram_rows_equal_the_one_product(self, monkeypatch, n):
-        # _gram_upper's row-by-row and gathered forms, each forced on every stack, give the upper
-        # entries of the full product bit for bit, in every layout: the point-axis-last basis, its
-        # amplitude columns, a (..., 4, 4) stack's view and that view's columns
+    def test_gram_rows_equal_the_one_product(self, n):
+        # _gram_upper's gathered product gives the _DOTS entries of the full product bit for bit, at
+        # every size and in every layout: the point-axis-last basis, its amplitude columns, a
+        # (..., 4, 4) stack's view and that view's columns
         rng = np.random.default_rng(n)
         b = rng.standard_normal((4, 4, n)) + 1j * rng.standard_normal((4, 4, n))
         stack = np.ascontiguousarray(ejm._public(b))
         for kernel in (b, b.swapaxes(0, 1), ejm._kernel(stack), ejm._kernel(stack).swapaxes(0, 1)):
             # numpy's order of the sum over k follows the memory layout: the product is C-ordered too
             full = np.multiply(kernel.conj()[:, None], kernel[None, :], order="C").sum(axis=2)
-            monkeypatch.setattr(ejm, "_GRAM_ROWS", 0)
-            rows = ejm._gram_upper(kernel)
-            monkeypatch.setattr(ejm, "_GRAM_ROWS", n + 1)
-            gathered = ejm._gram_upper(kernel)
-            assert np.array_equal(rows, gathered)
-            assert np.array_equal(gathered, full[ejm._UPPER])
+            assert np.array_equal(ejm._gram_upper(kernel), full[ejm._DOTS])
 
     @pytest.mark.parametrize("n", [1, 2, ejm._GRAM_ROWS - 1, ejm._GRAM_ROWS, 1728])
     def test_geometry_by_component_equals_the_one_gather(self, monkeypatch, n):
