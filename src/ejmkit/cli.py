@@ -20,8 +20,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -83,10 +85,18 @@ def _write(text: str, args):
             with open(args.out, "w") as fh:
                 fh.write(text)
             return
-        if sys.stdout is None or sys.stdout.closed:  # descriptor 1 was closed, or main closed it
+        out = sys.stdout
+        if out is None or out.closed:  # descriptor 1 was closed, or main closed it
             raise OSError("it is closed")
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        raw = getattr(out, "buffer", None)
+        if isinstance(raw, io.FileIO):  # unbuffered (python -u): the text layer would drop a partial write's rest
+            out.flush()
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:  # until every byte is out or os.write raises, as on a non-blocking fd that would block
+                data = data[os.write(raw.fileno(), data):]
+        else:
+            out.write(text)
+        out.flush()
     except OSError as exc:
         target = "stdout" if args.out is None else args.out
         raise OutputError(f"cannot write {target}: {exc.strerror or exc}") from exc
@@ -122,8 +132,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     n = args.grid
-    worst = ejm.sweep_worst(n)
-    agg = dict(zip(ejm.CHECKS, worst.tolist()), grid=n, points=n**3)
+    worst = ejm.sweep_worst(n).tolist()  # Python floats: passes compares them without numpy
+    agg = dict(zip(ejm.CHECKS, worst), grid=n, points=n**3)
     agg["pass"] = ok = ejm.passes(ejm.CHECKS, worst)
     _emit_report(agg, args)
     return 0 if ok else 1

@@ -22,6 +22,7 @@ functions return the (..., 4, 4) views (_public, inverted by _kernel).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -91,7 +92,7 @@ _BOUNDS = functools.lru_cache(np.array)  # a table's bounds as an array, built o
 # at most this many points per verify_many block in sweep_worst: the most whose traced peak stays within
 # _SWEEP_PEAK_BYTES, at up to 440 B a point on the pair path plus 40 kB that does not grow with the block
 # (tracemalloc, numpy 2.4.6, blocks of 48-2,652 points; numpy's default buffers took 280 kB).
-# Every grid up to 14 runs as one block: each block pays verify_many's fixed cost of about 0.4 ms once
+# Every grid up to 14 runs as one block: sweep_worst takes about 0.53 ms a block plus 0.46 us a point (BENCH_41.json)
 _SWEEP_PEAK_BYTES, _BLOCK_POINT_BYTES, _BLOCK_FIXED_BYTES = 1_450_000, 440, 40_000
 SWEEP_CHUNK = (_SWEEP_PEAK_BYTES - _BLOCK_FIXED_BYTES) // _BLOCK_POINT_BYTES  # 3,204: z slabs whole up to grid 57
 # numpy's ufunc buffer, in elements, while a pair-path block runs: from numpy 2.3 on, a ufunc with a broadcast
@@ -158,7 +159,8 @@ class EjmParams:
     request reads, and those marked * on their first read (_Derived), so that
     a circuit request never computes them:
 
-    - root_3z2m1 = sqrt(3 z^2 - 1), exactly 0 at |z| = Z_MIN, which stands for 1/sqrt(3);
+    - root_3z2m1 = sqrt(3 z^2 - 1), exactly 0 at |z| = Z_MIN, which stands for 1/sqrt(3), and
+      i_root_3z2m1 = i sqrt(3 z^2 - 1), which the factors of build_basis and basis_phi_z_form share;
     - root_1mz2 = sqrt(1 - z^2), root_3z2* = sqrt(3 z^2), e_theta = e^{i theta}, cos_theta* = cos theta;
     - theta0* = arcsin(1/sqrt(3 z^2)) on the principal branch, formed via atan2
       from sin theta0 = 1/sqrt(3 z^2) and cos theta0 = sqrt(3 z^2 - 1)/sqrt(3 z^2);
@@ -182,14 +184,17 @@ class EjmParams:
     cos_theta = _Derived(lambda p: np.cos(p.theta))
 
     def __post_init__(self):
-        z = _in_range(self.z, *_EJM_Z)
-        phi = wrap_angle(self.phi)
-        theta = _in_range(self.theta, *_THETA)
-        s, c = _root_3z2m1(z), _root_1mz2(z)
-        phi_z = _plain(np.arctan2(s, c))
-        shape = () if type(z) is type(phi) is type(theta) is float else np.broadcast(z, phi, theta).shape
-        _freeze(self, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z,
-                e_theta=np.exp(1j * theta), phi_prime=phi - phi_z)
+        _derive(self, _in_range(self.z, *_EJM_Z), wrap_angle(self.phi), _in_range(self.theta, *_THETA))
+
+
+def _derive(p: EjmParams, z, phi, theta) -> EjmParams:
+    """p with the fields of a checked triple and those derived from it: EjmParams' work after its checks."""
+    s, c = _root_3z2m1(z), _root_1mz2(z)
+    phi_z = _plain(np.arctan2(s, c))
+    shape = () if type(z) is type(phi) is type(theta) is float else np.broadcast(z, phi, theta).shape
+    _freeze(p, z=z, phi=phi, theta=theta, shape=shape, root_3z2m1=s, root_1mz2=c, phi_z=phi_z,
+            e_theta=np.exp(1j * theta), phi_prime=phi - phi_z, i_root_3z2m1=1j * s)
+    return p
 
 
 def _compiled(template: np.ndarray, shape: tuple, *factors) -> np.ndarray:
@@ -226,7 +231,7 @@ def build_basis(p: EjmParams) -> np.ndarray:
 def _basis_factors(p: EjmParams) -> tuple:
     """build_basis's factors: pre a_+ e^{-i phi} and pre a_- e^{i phi}, at the shape of z and phi, then
     pre z/sqrt(2) and pre |z| e^{i theta}/sqrt(2), at that of z and theta."""
-    s, c = 1j * p.root_3z2m1, p.root_1mz2  # i sqrt(3 z^2 - 1), formed once for its three uses
+    s, c = p.i_root_3z2m1, p.root_1mz2
     pre = (1.0 - s) / (2.0 * SQRT3 * p.z * p.z) / SQRT2
     e = np.exp(1j * p.phi)
     return pre * (s + c) / e, pre * (s - c) * e, pre * p.z, pre * abs(p.z) * p.e_theta
@@ -260,14 +265,15 @@ def basis_phi_z_form(p: EjmParams) -> np.ndarray:
 def _phi_z_factors(p: EjmParams) -> tuple:
     """basis_phi_z_form's factors, shaped as build_basis's: pre e^{-+i phi'}, pre sng(z)/sqrt(2) and
     pre e^{i theta}/sqrt(2)."""
-    pre = (1.0 - 1j * p.root_3z2m1) / (2.0 * p.root_3z2)
+    pre = (1.0 - p.i_root_3z2m1) / (2.0 * p.root_3z2)
     e = np.exp(1j * p.phi_prime)
     return pre / e, pre * e, pre * p.sng_zs[0] / SQRT2, pre * p.e_theta / SQRT2
 
 
 def _gram_upper(b: np.ndarray) -> np.ndarray:
     """The ten entries i <= j of <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk of a (4, 4, ...) basis in _DOTS order, the
-    diagonal first: (10, ...).  A gather is C-ordered, so numpy sums over k in the same order in every layout of b."""
+    diagonal first: (10, ...).  A gather is C-ordered, so numpy sums over k in the same order in every layout of b:
+    in order from two points on, and pairwise, (0 + 1) + (2 + 3), at one point, where k is the innermost axis."""
     return np.add.reduce(b.take(_DOTS[0], 0).conj() * b.take(_DOTS[1], 0), 1)
 
 
@@ -297,7 +303,7 @@ def gram_closed(p: EjmParams) -> np.ndarray:
 def _gram_closed(p: EjmParams, i, j) -> np.ndarray:
     """gram_closed at the entries (i, j), point-axis-last: verify_many reads the ten of _DOTS."""
     phis, signs = p.phis, _SIGN_PRODUCTS[i, j].reshape(*np.shape(i), *(1,) * len(p.shape))
-    return 0.25 * (2.0 * np.cos(phis[i] - phis[j]) + signs + 1.0)
+    return 0.25 * (2.0 * np.cos(phis.take(i, 0) - phis.take(j, 0)) + signs + 1.0)
 
 
 def completeness_residual(b: np.ndarray):
@@ -380,31 +386,32 @@ def verify_many(z, phi, theta):
     metrics[k] is the k-th metric of CHECKS, an array of the broadcast shape of z, phi
     and theta; three floats are the n = 1 case, the same code on 0-d parameters.  Runs the
     three construction paths and all diagnostics on the stacked basis; a factor that depends
-    on fewer of the axes is computed at their shape.  The arrays are point-axis-last in memory,
-    so each comparison is elementwise over contiguous points.  Every metric is finite on the
-    whole domain, theta = pi/2 included.
-
-    Where z, phi and theta vary along separate axes, as in a sweep block, the (z, phi) and
-    (z, theta) shapes both hold fewer points than the block, and _pair_checks forms the basis
-    as its two pairs of amplitudes at those shapes, with numpy's ufunc buffer at _PAIR_BUFSIZE
-    elements until the block's metrics are taken, then the caller's size again; every other
-    input, floats and flat stacks among them, takes _point_checks and leaves the buffer alone.
-    Each point's metrics are the same bits on either path, at any buffer size.
+    on fewer of the axes is computed at their shape.  Every metric is finite on the whole
+    domain, theta = pi/2 included.  Each point's metrics are the same bits on either path of
+    _checks, at any buffer size.
     """
     p = EjmParams(z=z, phi=phi, theta=theta)
-    # each temporary is reduced, or dropped, as soon as its metrics are taken: the working set
-    # per point bounds the sweep's block size (SWEEP_CHUNK)
+    return p, _checks(p)
+
+
+def _checks(p: EjmParams) -> np.ndarray:
+    """verify_many's metrics of p.  Where z, phi and theta vary along separate axes, as in a sweep block, the (z, phi)
+    and (z, theta) shapes both hold fewer points than the block, and _pair_checks forms the basis as its two pairs of
+    amplitudes at those shapes, under a ufunc buffer of _PAIR_BUFSIZE elements, then the caller's size again; every
+    other input, floats and flat stacks among them, takes _point_checks.  The pair path reduces straight into each
+    row of the metrics; each temporary is dropped once its metrics are taken, so the working set bounds SWEEP_CHUNK.
+    """
     metrics = np.empty((len(CHECKS), *p.shape))
     shapes = _pair_shapes(p)
     if not shapes:
         _side_checks(p, metrics, _point_checks(p, metrics))
-        return p, metrics
+        return metrics
     bufsize = np.setbufsize(_PAIR_BUFSIZE)
     try:
         _side_checks(p, metrics, _pair_checks(p, metrics, shapes))
     finally:
         np.setbufsize(bufsize)
-    return p, metrics
+    return metrics
 
 
 def _side_checks(p: EjmParams, metrics: np.ndarray, first: np.ndarray):
@@ -453,14 +460,6 @@ def _point_checks(p: EjmParams, metrics: np.ndarray):
     return sides[0]
 
 
-def _sum4(x):
-    """x[0] + x[1] + x[2] + x[3], in that order, as the point path's sums over four indices run."""
-    total = x[0] + x[1]
-    total += x[2]
-    total += x[3]
-    return total
-
-
 def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     """_point_checks of a block whose (z, phi) and (z, theta) shapes are both smaller than it.
 
@@ -480,33 +479,35 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
         x, y = _kernel(_compiled(_PAIR_TEMPLATES[k], shape, *basis[f], *phi_z_form[f])).reshape(2, 2, 4, *shape)
         devs.append(_worst(x - y, (0, 1)))
         pairs.append(x)
+    path = np.maximum(*devs, out=metrics[3])  # max is exact: the worst of every path's worst entries
     plus, minus, products = _kets_terms(p)
     for k, pair in enumerate(pairs):
         kets = _phi_sum(plus, minus, products[:, _PAIRS[k]])
-        devs.append(_worst(np.subtract(pair, kets, out=kets), (0, 1)))  # b - kets, in the kets' memory
+        np.maximum(path, _worst(np.subtract(pair, kets, out=kets), (0, 1)), out=path)  # b - kets, in the kets' memory
         del kets  # not held while the next pair's are formed
-    metrics[3] = functools.reduce(np.maximum, devs)
     del plus, minus, products, devs
     conj = [x.conj() for x in pairs]  # conj(take) = take(conj): each pair is conjugated once
     # <Phi_i|Phi_j> = sum_k conj(b_ik) b_jk: the products within a pair, the sum over k = 0..3 across them; the
     # entries in _DOTS order, the diagonal first, since a worst value is the same maximum in any order
     (g0, g3), (g1, g2) = (xc.take(_DOTS[0], 1) * x.take(_DOTS[1], 1) for x, xc in zip(pairs, conj))
-    gram = _sum4((g0, g1, g2, g3))
+    gram = g0 + g1  # in the order of k, as the point path's sums over four indices run
+    gram += g2
+    gram += g3
     del g0, g1, g2, g3
-    # |x - 0| = |x|: only the diagonal subtracts I
-    dev = np.absolute(gram)
+    dev = np.empty(gram.shape)  # |x - 0| = |x|: only the diagonal subtracts I
+    np.absolute(gram[4:], out=dev[4:])
     np.absolute(np.subtract(gram[:4], 1.0), out=dev[:4])
-    metrics[0] = np.maximum.reduce(dev)
+    np.maximum.reduce(dev, 0, out=metrics[0])
     closed = np.empty((len(_DOTS[0]), *shapes[0]), complex)  # free of theta: spread over the (z, phi) planes
     closed[...] = _gram_closed(p, *_DOTS)
-    metrics[1] = np.maximum.reduce(np.absolute(np.subtract(gram, closed, out=gram), out=dev))
+    np.maximum.reduce(np.absolute(np.subtract(gram, closed, out=gram), out=dev), 0, out=metrics[1])
     del gram, closed, dev
     (a, d), (b, c) = pairs  # the amplitudes on |00>, |11> and on |01>, |10>, each (4 states, ...)
     (_, dc), (bc, cc) = conj  # conj(d), conj(b), conj(c)
     dev = np.absolute(np.subtract(a * d, b * c))  # _concurrence's operations, each after the first in place
     dev *= 2.0
     dev -= _concurrence_closed(SQRT3, p.theta)
-    metrics[6] = _worst(dev)
+    np.maximum.reduce(np.absolute(dev, out=dev), 0, out=metrics[6])
     del dev
     (pa, pd), (pb, pc) = (x.real**2 + x.imag**2 for x in pairs)
     # completeness: sum_i conj(b_ik) b_il over the states, for k <= l; a pair's (k, k), (l, l), (k, l) at its
@@ -514,7 +515,7 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     # (2, 3), the products of the sides
     within = []
     for x, xc in zip(pairs, conj):
-        dev = _sum4((xc.take(_WITHIN[0], 0) * x.take(_WITHIN[1], 0)).swapaxes(0, 1))
+        dev = np.add.reduce((xc.take(_WITHIN[0], 0) * x.take(_WITHIN[1], 0)).swapaxes(0, 1))
         dev[:2] -= 1.0
         within.append(_worst(dev))
     cross = np.empty((4, *p.shape))
@@ -526,8 +527,8 @@ def _pair_checks(p: EjmParams, metrics: np.ndarray, shapes):
     np.subtract(pa, pb, out=second[2])  # a - b + c - d
     second[2] += pc
     second[2] -= pd
-    metrics[2] = np.maximum(np.maximum(np.maximum.reduce(cross), within[0]), within[1])
-    metrics[4] = np.maximum.reduce(np.absolute(np.add(first, second, out=second), out=second), (0, 1))
+    np.maximum(np.maximum(np.maximum.reduce(cross), within[0]), within[1], out=metrics[2])
+    np.maximum.reduce(np.absolute(np.add(first, second, out=second), out=second), (0, 1), out=metrics[4])
     return first
 
 
@@ -541,9 +542,9 @@ def _side(l0, r0c, l1, r1c, cross) -> np.ndarray:
     factor, a sum of conjugates is the conjugate of the sum, and |conj(x) - 0| = |x - 0|.
     """
     rho = l0 * r0c
-    np.absolute(_sum4(rho), out=cross[0])
+    np.absolute(np.add.reduce(rho), out=cross[0])
     product = l1 * r1c
-    np.absolute(_sum4(product), out=cross[1])
+    np.absolute(np.add.reduce(product), out=cross[1])
     rho += product
     del product
     rho *= 2.0
@@ -556,29 +557,55 @@ def _side(l0, r0c, l1, r1c, cross) -> np.ndarray:
 def sweep_worst(n: int) -> np.ndarray:
     """The worst of each CHECKS metric over the grid of n values each of z, phi and theta, ends included.
 
-    They pass iff every point does: np.maximum keeps a NaN.  phi = -pi wraps to exactly pi, the last phi,
-    so that slice, which would repeat the pi slice bit for bit, is not run; at n = 1 it is the one phi.  Runs
-    (all theta, z, phi-range) blocks of at most SWEEP_CHUNK points, whole z slabs while they fit, so each
-    per-axis factor is formed once.  theta leads, so that a factor of theta alone (the kets' weights, the
-    closed concurrence, cos theta) and the (z, phi) pair of amplitudes broadcast over whole contiguous
-    (z, phi) planes: 3 % fewer seconds per sweep of grids 10-14 than with theta last.  n <= 0 raises
-    ValueError, and an n that is not an integer (operator.index) TypeError.
+    They pass iff every point does: np.maximum keeps a NaN.  n <= 0 raises ValueError, and an n that is not an
+    integer (operator.index) TypeError.
     """
     n = operator.index(n)
     if n <= 0:
         raise ValueError(f"the grid needs n >= 1 values per axis, got n = {n}")
-    z = np.linspace(Z_MIN, 1.0, n)
-    phi = np.linspace(-math.pi, math.pi, n)[1 if n > 1 else 0:]
-    theta = np.linspace(0.0, math.pi / 2, n)
-    dz = max(1, SWEEP_CHUNK // (n * len(phi)))
-    dphi = min(len(phi), max(1, SWEEP_CHUNK // n))
     worst = np.zeros(len(CHECKS))
-    for i in range(0, n, dz):
-        for j in range(0, len(phi), dphi):
-            metrics = verify_many(z[None, i:i + dz, None], phi[None, None, j:j + dphi], theta[:, None, None])[1]
-            worst = np.maximum(worst, metrics.reshape(len(CHECKS), -1).max(axis=1))
-            del metrics  # not held while the next block runs
+    for p in _sweep_params(n):
+        metrics = _checks(p)
+        np.maximum(worst, np.maximum.reduce(metrics.reshape(len(CHECKS), -1), 1), out=worst)
+        del metrics  # not held while the next block runs
     return worst
+
+
+def _sweep_params(n: int):
+    """The EjmParams of sweep_worst(n)'s (theta, z, phi) blocks, derived without the checks from axes in range: z from
+    Z_MIN to 1 and theta from 0 to pi/2, ends included, and the n - 1 phi past -pi, which wraps to exactly pi, the last
+    phi (at n = 1 the one phi).  theta leads, so that a factor of theta alone and the (z, phi) pair of amplitudes
+    broadcast over whole contiguous (z, phi) planes: 3 % fewer seconds than theta last."""
+    z, theta = np.linspace(Z_MIN, 1.0, n), np.linspace(0.0, math.pi / 2, n)
+    phi = np.linspace(-math.pi, math.pi, n)[1:] if n > 1 else np.array([math.pi])
+    thetas, zs, phis = map(itertools.pairwise, _sweep_blocks(n))
+    for (z0, z1), (t0, t1), (f0, f1) in itertools.product(zs, thetas, phis):
+        yield _derive(EjmParams.__new__(EjmParams), z[None, z0:z1, None], phi[None, None, f0:f1],
+                      theta[t0:t1, None, None])
+
+
+def _sweep_blocks(n: int) -> tuple:
+    """The plan of sweep_worst(n): the bounds of the theta, z and phi ranges whose products are its blocks.
+
+    Each axis splits into the fewest ranges of near-equal size that keep a block within SWEEP_CHUNK points: whole z
+    slabs while one fits, else one z a block with its phi split, and its theta too where eight phi of every theta
+    outgrow a block.  A block of one z and few phi holds more per point, its (z, theta) pair spanning its theta range:
+    (640, 1, 5) and (998, 1, 3) blocks peaked at 1,504,444 and 1,621,132 B traced, while with eight phi or more every
+    block tried on grids 58-2,000 stayed within _SWEEP_PEAK_BYTES.  Such splits leave two values or more in each range,
+    so every block from grid 3 up takes the pair path; grid 2 runs its one phi.
+    """
+    m = max(n - 1, 1)  # the phi values run
+    if n * m <= SWEEP_CHUNK:
+        return [0, n], _bounds(n, SWEEP_CHUNK // (n * m)), [0, m]
+    thetas = _bounds(n, SWEEP_CHUNK // 8)
+    return thetas, _bounds(n, 1), _bounds(m, SWEEP_CHUNK // (thetas[-1] - thetas[-2]))
+
+
+def _bounds(total: int, most: int) -> list:
+    """The bounds of the fewest ranges of near-equal size, at most `most` values each, that cover range(total); the
+    last range is a largest."""
+    count = -(-total // most)
+    return [k * total // count for k in range(count + 1)]
 
 
 def passes(checks: dict, values):

@@ -16,8 +16,10 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -119,13 +121,19 @@ def test_sweep_matches_per_point_oracle(capsys, n):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
 
-@pytest.mark.parametrize("n,chunk", [(5, 50), (5, 15), (4, 8)])
+# the points of each block, in the order run: ranges of near-equal size on each axis
+CHUNK_BLOCKS = {(5, 50): [20, 40, 40], (5, 15): [4] * 25, (4, 8): [3] * 16, (10, 85): [40, 50] * 10}
+
+
+@pytest.mark.parametrize("n,chunk", CHUNK_BLOCKS)
 def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
-    """Several full blocks plus a partial last one give the per-point result.
+    """Several blocks of near-equal size give the per-point result.
 
     The sweep runs the N - 1 values of phi past -pi, which wraps onto pi.  A
     chunk of a z slab of N (N - 1) points or more runs whole z slabs (5, 50);
-    a smaller one splits each slab along phi (5, 15) and (4, 8).
+    a smaller one splits each slab along phi (10, 85), and along theta too
+    where eight phi values of every theta outgrow it, here down to one theta
+    value a block (5, 15) and (4, 8).
     """
     monkeypatch.setattr(ejm, "SWEEP_CHUNK", chunk)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
@@ -136,20 +144,19 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
         assert abs(got[k] - want[k]) <= METRIC_TOL, k
 
     # a worst value planted in the second block must outlive every later block
-    verify_many, sizes = ejm.verify_many, []
+    checks, sizes = ejm._checks, []
 
-    def planted(*columns):
-        p, metrics = verify_many(*columns)
+    def planted(p):
+        metrics = checks(p)
         sizes.append(metrics[0].size)
         if len(sizes) == 2:
             metrics[:, -1] = 0.5
-        return p, metrics
+        return metrics
 
-    monkeypatch.setattr(ejm, "verify_many", planted)
+    monkeypatch.setattr(ejm, "_checks", planted)
     code, got = run_json(capsys, "sweep", "--grid", str(n))
     assert sum(sizes) == n**2 * (n - 1)
-    assert len(sizes) > 2
-    assert sizes[-1] < sizes[0]
+    assert sizes == CHUNK_BLOCKS[n, chunk]
     assert (got["pass"], code) == (False, 1)
     for k in (*CHECK_KEYS, *GEOMETRY_KEYS):
         assert got[k] == 0.5, k
@@ -158,16 +165,16 @@ def test_sweep_reduces_across_chunks(capsys, monkeypatch, n, chunk):
 def test_sweep_keeps_a_nan_of_one_point(capsys, monkeypatch):
     # np.maximum carries a NaN metric of one point in one block to the report, which fails on it
     monkeypatch.setattr(ejm, "SWEEP_CHUNK", 6)
-    verify_many, sizes = ejm.verify_many, []
+    checks, sizes = ejm._checks, []
 
-    def planted(*columns):
-        p, metrics = verify_many(*columns)
+    def planted(p):
+        metrics = checks(p)
         sizes.append(metrics[0].size)
         if len(sizes) == 3:
             metrics[6].flat[1] = math.nan
-        return p, metrics
+        return metrics
 
-    monkeypatch.setattr(ejm, "verify_many", planted)
+    monkeypatch.setattr(ejm, "_checks", planted)
     code, got = run_json(capsys, "sweep", "--grid", "3")
     assert sizes == [6] * 3  # whole z slabs of 3 theta by the 2 phi past -pi
     assert math.isnan(got["concurrence_dev"])
@@ -241,15 +248,15 @@ PHI_SPLIT_GRID = next(n for n in itertools.count(2) if n * (n - 1) > ejm.SWEEP_C
 
 
 def record_blocks(monkeypatch) -> list:
-    """The point count of every verify_many block that sweep_worst runs from now on."""
-    verify_many, sizes = ejm.verify_many, []
+    """The point count of every block that sweep_worst checks from now on."""
+    checks, sizes = ejm._checks, []
 
-    def recorded(*columns):
-        p, metrics = verify_many(*columns)
+    def recorded(p):
+        metrics = checks(p)
         sizes.append(metrics[0].size)
-        return p, metrics
+        return metrics
 
-    monkeypatch.setattr(ejm, "verify_many", recorded)
+    monkeypatch.setattr(ejm, "_checks", recorded)
     return sizes
 
 
@@ -266,6 +273,72 @@ def test_sweep_blocks_hold_at_most_sweep_chunk_points(capsys, monkeypatch, n):
     assert all(size % unit == 0 for size in sizes)
     if n <= 14:  # every grid up to 14 is one verify_many call
         assert sizes == [n**2 * (n - 1)]
+
+
+def test_sweep_plan_of_every_grid_up_to_2000():
+    # the plan alone, not run: each axis splits into ranges that cover it once, in order; every block holds at most
+    # SWEEP_CHUNK points, and from grid 3 on every block shape has two theta and two phi values or more, so it
+    # takes the pair path (grid 2 runs its one phi value, on the point path)
+    for n in range(2, 2001):
+        plan = [np.array(bounds) for bounds in ejm._sweep_blocks(n)]
+        for bounds, total in zip(plan, (n, n, n - 1)):
+            assert bounds[0] == 0 and bounds[-1] == total and (np.diff(bounds) > 0).all(), n
+        sizes = [np.diff(bounds) for bounds in plan]
+        assert math.prod(int(size.max()) for size in sizes) <= ejm.SWEEP_CHUNK, n
+        for shape in itertools.product(*({size.min(), size.max()} for size in sizes)):
+            axes = types.SimpleNamespace(shape=shape, theta=np.empty((shape[0], 1, 1)), z=np.empty((1, shape[1], 1)),
+                                         phi=np.empty((1, 1, shape[2])))
+            assert (ejm._pair_shapes(axes) is not None) == (n > 2), (n, shape)
+
+
+def test_grid_98_runs_no_block_of_one_phi():
+    # ranges of SWEEP_CHUNK // 98 = 32 of the 97 phi values would leave each z slab a last block of one phi value,
+    # on the point path at the most bytes a point; the plan runs four near-equal ranges, each on the pair path.
+    # Traced on the first z slab, that one-phi block and every block of the plan stay within _SWEEP_PEAK_BYTES
+    assert ejm._sweep_blocks(98)[0::2] == ([0, 98], [0, 24, 48, 72, 97])
+    blocks = list(itertools.islice(ejm._sweep_params(98), 4))
+    last = blocks[-1]
+    assert ejm._pair_shapes(EjmParams(last.z, last.phi[..., -1:], last.theta)) is None
+    former = traced_peak(lambda: verify_many(last.z, last.phi[..., -1:], last.theta))
+    peaks = [traced_peak(lambda: verify_many(p.z, p.phi, p.theta)) for p in blocks]
+    assert max(former, *peaks) <= ejm._SWEEP_PEAK_BYTES, (former, peaks)
+    assert former / 98 > max(peak / math.prod(p.shape) for peak, p in zip(peaks, blocks)), (former, peaks)
+
+
+def test_grid_998_blocks_stay_within_the_peak_bound():
+    # a block of one z and few phi holds more per point, since its (z, theta) pair spans its theta range: the plan
+    # splits theta there so that eight phi or more fit in a block. Traced, the blocks of grid 998's first z and theta
+    # range with its fewest and its most phi values
+    thetas, _, phis = (np.diff(bounds) for bounds in ejm._sweep_blocks(998))
+    assert thetas.max() <= ejm.SWEEP_CHUNK // 8 and phis.min() >= 2
+    blocks = list(itertools.islice(ejm._sweep_params(998), len(phis)))
+    for p in (min(blocks, key=lambda p: p.shape[2]), max(blocks, key=lambda p: p.shape[2])):
+        peak = traced_peak(lambda: verify_many(p.z, p.phi, p.theta))
+        assert peak <= ejm._SWEEP_PEAK_BYTES, peak_report(peak, ejm._SWEEP_PEAK_BYTES, [math.prod(p.shape)])
+
+
+def test_sweep_block_params_equal_checked_params_bit_for_bit():
+    # sweep_worst derives each block's parameters from its own axes without EjmParams' checks: every field, the
+    # ones derived on first read among them, must be the checked parameters' own, in type, shape and bits
+    fields = ("z", "phi", "theta", "shape", "root_3z2m1", "root_1mz2", "i_root_3z2m1", "phi_z", "e_theta",
+              "phi_prime", "zs", "phis", "sng_zs", "theta0", "root_3z2", "cos_theta")
+    for n in range(1, 61):
+        for p in ejm._sweep_params(n):
+            q = EjmParams(p.z, p.phi, p.theta)
+            for name in fields:
+                got, want = getattr(p, name), getattr(q, name)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), (n, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (n, name)
+
+
+@pytest.mark.parametrize("axis, value, message", [(0, 0.5, "|z| must lie in"), (1, math.inf, "phi must be finite"),
+                                                  (2, 1.6, "theta must lie in")], ids=["z", "phi", "theta"])
+def test_verify_many_checks_block_axes(axis, value, message):
+    # only the sweep's own axes skip the checks: verify_many still rejects an axis value out of range
+    columns = [np.array(column) for column in grid_block(5, slice(0, 5), slice(1, 5))]
+    columns[axis].flat[-1] = value
+    with pytest.raises(states.ParameterRangeError, match=re.escape(message)):
+        verify_many(*columns)
 
 
 # tracemalloc peaks with numpy 2.4.6: BLOCK_PEAK_BYTES is the 1,372-point block's 610,828 bytes plus 10 %, so a core

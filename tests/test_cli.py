@@ -792,6 +792,9 @@ CHILDREN = [
     ("verify", ""),
 ]
 NO_READER = ("verify", "to a pipe with no reader")
+# a report of about 1 MB, far beyond a pipe's buffer, whose reader stops after 100 bytes: with Python's default
+# buffered stdio and with PYTHONUNBUFFERED, whose text layer would drop the rest of a partial write
+SHORT_READS = [("concurrence --grid 100", f"PYTHONUNBUFFERED={flag}") for flag in ("", "1")]
 
 
 def start_child(args, redirect):
@@ -813,13 +816,22 @@ def run_child():
                                             stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
     finally:
         os.close(write)
+    for key in SHORT_READS:
+        env = dict(CHILD_ENV, PYTHONUNBUFFERED=key[1].partition("=")[2])  # an empty value leaves stdio buffered
+        procs[key] = subprocess.Popen([sys.executable, "-m", "ejmkit.cli", *key[0].split()], stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE, text=True, env=env)
     results = {}
 
     def result(args, redirect=""):
         if (args, redirect) not in results:
             proc = procs[args, redirect]
-            out, err = proc.communicate(timeout=60)
-            results[args, redirect] = proc.returncode, out, err
+            if (args, redirect) in SHORT_READS:  # the reader takes 100 bytes and goes
+                head = proc.stdout.read(100)
+                proc.stdout.close()
+                results[args, redirect] = proc.wait(timeout=60), head, proc.stderr.read()
+            else:
+                out, err = proc.communicate(timeout=60)
+                results[args, redirect] = proc.returncode, out, err
         return results[args, redirect]
 
     yield result
@@ -849,6 +861,13 @@ class TestFailedWrites:
     def test_reader_gone_exits_3(self, run_child):
         code, _, err = run_child(*NO_READER)
         assert code == 3
+        assert err == "output error: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.parametrize("key", SHORT_READS, ids=["buffered", "unbuffered"])
+    def test_reader_that_stops_part_way_exits_3(self, run_child, key):
+        code, head, err = run_child(*key)
+        assert code == 3
+        assert len(head) == 100 and head.startswith('[\n  {\n    "kind": "grid",\n')
         assert err == "output error: cannot write stdout: Broken pipe\n"
 
     @pytest.mark.parametrize("redirect", STDERR_REDIRECTS, ids=["closed", "full"])
